@@ -38,7 +38,6 @@ from .factorization import (
     MoveCertificate,
     apply_certificate,
     apply_move,
-    evaluate_product,
     format_certificate,
     format_factorization,
     invert_certificate,
@@ -90,7 +89,6 @@ __all__ = [
     "compose",
     "enumerate_identity_factorizations",
     "enumerate_orbit",
-    "evaluate_product",
     "format_braid_tuple",
     "format_certificate",
     "format_factorization",

@@ -166,7 +166,7 @@ def braid_hurwitz_move(braid: BraidTuple, move: HurwitzMove) -> BraidTuple:
 # word, so "[ | 2]" has two words.  "[]" is the empty tuple; a tuple holding
 # a single empty word prints the same way and parses back as empty.
 
-_TUPLE_RE = re.compile(r"n\s*=\s*(\d+)\s*;\s*\[(.*)\]\s*$", re.DOTALL)
+_TUPLE_RE = re.compile(r"\s*n\s*=\s*(\d+)\s*;\s*\[(.*)\]\s*$", re.DOTALL)
 
 
 def parse_braid_tuple(text: str) -> BraidTuple:
@@ -176,30 +176,40 @@ def parse_braid_tuple(text: str) -> BraidTuple:
     >>> [w.letters for w in b.words]
     [(1, 2, -1), (2,)]
     """
-    match = _TUPLE_RE.match(text.strip())
+    match = _TUPLE_RE.match(text)
     if not match:
         raise FormatError(
             "expected braid tuple of the form 'n=<int>; [ ... ]'", position=0
         )
     degree = int(match.group(1))
-    body = match.group(2).strip()
-    if not body:
+    body = match.group(2)
+    if not body.strip():
         return BraidTuple(degree, [])
+    segments = body.split("|")
+
+    def offset(i: int, j: int) -> int:
+        """Text offset of letter j of word i, computed only for errors."""
+        start = match.start(2) + sum(len(seg) + 1 for seg in segments[:i])
+        return start + [t.start() for t in re.finditer(r"\S+", segments[i])][j]
+
     words = []
-    for i, segment in enumerate(body.split("|")):
+    for i, segment in enumerate(segments):
         letters = []
-        for token in segment.split():
+        for j, token in enumerate(segment.split()):
             try:
                 x = int(token)
             except ValueError:
                 raise FormatError(
-                    f"word {i}: invalid letter {token!r}", position=i
+                    f"word {i}: invalid letter {token!r}", position=offset(i, j)
                 ) from None
             letters.append(x)
         try:
             words.append(BraidWord(degree, letters))
         except PreconditionError as exc:
-            raise FormatError(f"word {i}: {exc}", position=i) from exc
+            # the first letter out of range, or the degree when it is < 1
+            bad = [j for j, x in enumerate(letters) if not 0 < abs(x) < degree]
+            position = offset(i, bad[0]) if degree > 0 else match.start(1)
+            raise FormatError(f"word {i}: {exc}", position=position) from exc
     return BraidTuple(degree, words)
 
 

@@ -31,6 +31,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from typing import Sequence
 
 from .errors import InternalError, PreconditionError
 from .factorization import (
@@ -41,8 +42,9 @@ from .factorization import (
     MoveCertificate,
     apply_certificate,
     conjugate_factor,
+    move_pair,
 )
-from .graph import ComponentSignature, signature
+from .graph import ComponentSignature, component_labels, signature
 
 
 @dataclass(frozen=True)
@@ -97,17 +99,22 @@ def canonical_shape(sig: ComponentSignature) -> Factorization:
     """
     factors: list[Factor] = [None] * sig.identity_factor_count
     for vertices, weight in sig.components:
-        l = len(vertices)
-        leftover = weight - 2 * (l - 1)
-        if leftover < 0 or leftover % 2:
-            raise InternalError(
-                f"component {set(vertices)} with weight {weight}: leftover "
-                f"{leftover} is not a non-negative even count"
-            )
-        for t in range(l - 1):
+        leftover = _leftover(vertices, weight)
+        for t in range(len(vertices) - 1):
             factors += [(vertices[t], vertices[t + 1])] * 2
         factors += [(vertices[0], vertices[1])] * leftover
     return Factorization(sig.degree, factors)
+
+
+def _leftover(vertices: Sequence[int], weight: int) -> int:
+    """Weight beyond the doubled path; it must be even and non-negative."""
+    leftover = weight - 2 * (len(vertices) - 1)
+    if leftover < 0 or leftover % 2:
+        raise InternalError(
+            f"component {set(vertices)} with weight {weight}: leftover "
+            f"{leftover} is not a non-negative even count"
+        )
+    return leftover
 
 
 class _Planner:
@@ -124,7 +131,7 @@ class _Planner:
 
     def result(self) -> CanonicalResult:
         return CanonicalResult(
-            canonical=Factorization(self.degree, tuple(self.factors)),
+            canonical=Factorization._trusted(self.degree, tuple(self.factors)),
             certificate=tuple(self.moves),
         )
 
@@ -132,14 +139,12 @@ class _Planner:
 
     def forward(self, k: int) -> None:
         f = self.factors
-        s, t = f[k], f[k + 1]
-        f[k], f[k + 1] = conjugate_factor(s, t), s
+        f[k], f[k + 1] = move_pair(f[k], f[k + 1], True)
         self.moves.append(HurwitzMove(Direction.FORWARD, k))
 
     def inverse(self, k: int) -> None:
         f = self.factors
-        s, t = f[k], f[k + 1]
-        f[k], f[k + 1] = t, conjugate_factor(t, s)
+        f[k], f[k + 1] = move_pair(f[k], f[k + 1], False)
         self.moves.append(HurwitzMove(Direction.INVERSE, k))
 
     # -- verified composite rewrites ---------------------------------------
@@ -283,24 +288,10 @@ class _Planner:
         swap.  Returns the (lo, hi) slot range of each transposition block,
         in ascending component order.
         """
-        parent = list(range(self.degree + 1))
-
-        def find(x: int) -> int:
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for f in self.factors:
-            if f is None:
-                continue
-            ra, rb = find(f[0]), find(f[1])
-            if ra != rb:
-                parent[max(ra, rb)] = min(ra, rb)
-        # with min-root unions, find(v) is the component's smallest vertex
-        keys = [
-            -1 if f is None else find(f[0]) for f in self.factors
-        ]
+        labels = component_labels(
+            self.degree, (f for f in self.factors if f is not None)
+        )
+        keys = [-1 if f is None else labels[f[0]] for f in self.factors]
         m = len(keys)
         for end in range(m - 1, 0, -1):
             dirty = False
@@ -336,14 +327,7 @@ class _Planner:
         grouping an identity factorization.
         """
         vertices = sorted({v for f in self.factors[lo:hi] for v in f})
-        l = len(vertices)
-        w = hi - lo
-        leftover = w - 2 * (l - 1)
-        if leftover < 0 or leftover % 2:
-            raise InternalError(
-                f"component {set(vertices)} with weight {w}: leftover "
-                f"{leftover} is not a non-negative even count"
-            )
+        _leftover(vertices, hi - lo)
         self._build_path(lo, hi, vertices)
         self._normalize_tail(lo, hi, vertices)
 
@@ -442,11 +426,6 @@ def pull_edge_to_front(
     """
     if v1 == v2:
         raise PreconditionError(f"endpoints must differ, got {v1} twice")
-    for v in (v1, v2):
-        if not 1 <= v <= factorization.degree:
-            raise PreconditionError(
-                f"vertex {v} out of range for degree {factorization.degree}"
-            )
     if any(f is None for f in factorization.factors):
         raise PreconditionError("identity factors are not allowed here")
     sig = signature(factorization)

@@ -12,7 +12,8 @@ class HurwitzError(Exception):
 class FormatError(HurwitzError):
     """A text form (factorization, certificate, braid tuple) failed to parse.
 
-    `position` is the 0-based character offset of the offending token, or
+    `position` is the 0-based character offset into the parsed text of the
+    offending token (the text's length when the text ends too early), or
     None when the error is not tied to a single location.
     """
 

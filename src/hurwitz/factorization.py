@@ -40,23 +40,41 @@ def normalize_factor(factor: Factor, degree: int) -> Factor:
     """
     if factor is None:
         return None
-    a, b = factor
-    if a > b:
-        a, b = b, a
-    if a < 1 or b > degree:
+    try:
+        a, b = factor
+    except (TypeError, ValueError):
+        a = b = None
+    if type(a) is not int or type(b) is not int:
+        raise PreconditionError(f"factor {factor!r} is not a pair of int points")
+    if not (0 < a <= degree and 0 < b <= degree):
         raise PreconditionError(
-            f"factor ({factor[0]},{factor[1]}) out of range for degree {degree}"
+            f"factor ({a},{b}) out of range for degree {degree}"
         )
     if a == b:
         raise PreconditionError(f"factor ({a},{b}) is not a transposition")
-    return (a, b)
+    return (a, b) if a < b else (b, a)
+
+
+def move_pair(s: Factor, t: Factor, forward: bool) -> tuple[Factor, Factor]:
+    """The pair that replaces the adjacent factors ``s, t`` under one move.
+
+    Forward gives ``s t s^-1, s``; inverse gives ``t, t^-1 s t``.  Every
+    factor-level move in the package goes through here.  Transpositions are
+    involutions, so conjugating ``x`` by ``c`` applies ``c`` to both entries
+    of ``x``; conjugating by or against the identity changes nothing.
+    """
+    c, x = (s, t) if forward else (t, s)
+    if c is not None and x is not None:
+        a, b = c
+        p, q = x
+        p = b if p == a else a if p == b else p
+        q = b if q == a else a if q == b else q
+        x = (p, q) if p < q else (q, p)
+    return (x, c) if forward else (c, x)
 
 
 def conjugate_factor(s: Factor, t: Factor) -> Factor:
     """Return ``s t s^-1`` as a normalized factor.
-
-    Transpositions are involutions, so this is ``s t s``: apply ``s`` to both
-    entries of ``t``.  Conjugating by or against the identity changes nothing.
 
     >>> conjugate_factor((1, 2), (2, 3))
     (1, 3)
@@ -65,13 +83,7 @@ def conjugate_factor(s: Factor, t: Factor) -> Factor:
     >>> conjugate_factor((1, 2), (1, 2))
     (1, 2)
     """
-    if s is None or t is None:
-        return t
-    a, b = s
-    c, d = t
-    c = b if c == a else a if c == b else c
-    d = b if d == a else a if d == b else d
-    return (c, d) if c < d else (d, c)
+    return move_pair(s, t, True)[0]
 
 
 @dataclass(frozen=True)
@@ -79,18 +91,28 @@ class Factorization:
     """An immutable factor sequence over the points ``1..degree``.
 
     ``factors`` is normalized on construction: each transposition is stored
-    with its smaller entry first, and every entry is range-checked.
+    with its smaller entry first, and every entry is range-checked.  A factor
+    that is not ``None`` or a pair of distinct int points in range raises
+    PreconditionError.
     """
 
     degree: int
     factors: tuple[Factor, ...]
 
     def __init__(self, degree: int, factors: Iterable[Factor]):
-        if degree < 1:
-            raise PreconditionError(f"degree must be positive, got {degree}")
+        if type(degree) is not int or degree < 1:
+            raise PreconditionError(f"degree must be a positive int, got {degree!r}")
         normalized = tuple(normalize_factor(f, degree) for f in factors)
         object.__setattr__(self, "degree", degree)
         object.__setattr__(self, "factors", normalized)
+
+    @classmethod
+    def _trusted(cls, degree: int, factors: tuple[Factor, ...]) -> "Factorization":
+        """Wrap factors that are already normalized and range-checked."""
+        result = cls.__new__(cls)
+        object.__setattr__(result, "degree", degree)
+        object.__setattr__(result, "factors", factors)
+        return result
 
     def __len__(self) -> int:
         return len(self.factors)
@@ -108,9 +130,6 @@ class Factorization:
     def is_identity_factorization(self) -> bool:
         """True when the product is the identity permutation."""
         return self.product().is_identity()
-
-    def identity_factor_count(self) -> int:
-        return sum(1 for f in self.factors if f is None)
 
     def __str__(self) -> str:
         return format_factorization(self)
@@ -160,22 +179,7 @@ def apply_move(factorization: Factorization, move: HurwitzMove) -> Factorization
     >>> apply_move(f, inverse(0)).factors
     ((2, 3), (1, 3))
     """
-    k = move.position
-    m = len(factorization.factors)
-    if k < 0 or k + 1 >= m:
-        raise MoveRangeError(
-            f"move {move} out of range for length {m} (valid positions 0..{m - 2})"
-        )
-    factors = list(factorization.factors)
-    s, t = factors[k], factors[k + 1]
-    if move.direction is Direction.FORWARD:
-        factors[k], factors[k + 1] = conjugate_factor(s, t), s
-    else:
-        factors[k], factors[k + 1] = t, conjugate_factor(t, s)
-    result = Factorization.__new__(Factorization)
-    object.__setattr__(result, "degree", factorization.degree)
-    object.__setattr__(result, "factors", tuple(factors))
-    return result
+    return apply_certificate(factorization, (move,))
 
 
 def apply_certificate(
@@ -186,24 +190,19 @@ def apply_certificate(
     A move whose position falls outside the current length raises
     MoveRangeError naming the offending index within ``moves``.
     """
-    degree = factorization.degree
     factors = list(factorization.factors)
     m = len(factors)
+    fwd = Direction.FORWARD
     for i, move in enumerate(moves):
         k = move.position
         if k < 0 or k + 1 >= m:
             raise MoveRangeError(
                 f"move {i} ({move}) out of range for length {m}"
             )
-        s, t = factors[k], factors[k + 1]
-        if move.direction is Direction.FORWARD:
-            factors[k], factors[k + 1] = conjugate_factor(s, t), s
-        else:
-            factors[k], factors[k + 1] = t, conjugate_factor(t, s)
-    result = Factorization.__new__(Factorization)
-    object.__setattr__(result, "degree", degree)
-    object.__setattr__(result, "factors", tuple(factors))
-    return result
+        factors[k], factors[k + 1] = move_pair(
+            factors[k], factors[k + 1], move.direction is fwd
+        )
+    return Factorization._trusted(factorization.degree, tuple(factors))
 
 
 def invert_certificate(moves: Sequence[HurwitzMove]) -> MoveCertificate:
@@ -212,11 +211,6 @@ def invert_certificate(moves: Sequence[HurwitzMove]) -> MoveCertificate:
     Replaying the result undoes the original certificate exactly.
     """
     return tuple(move.inverted() for move in reversed(moves))
-
-
-def evaluate_product(factorization: Factorization) -> Permutation:
-    """Product of the factors, left to right."""
-    return factorization.product()
 
 
 # Text form: "n=6; [(2,6),(1,4),e,(4,5)]".  Whitespace is insignificant
@@ -238,6 +232,10 @@ def parse_factorization(text: str) -> Factorization:
             "expected factorization of the form 'n=<int>; [...]'", position=0
         )
     degree = int(match.group(1))
+    if degree < 1:
+        raise FormatError(
+            f"degree must be positive, got {degree}", position=match.start(1)
+        )
     pos = match.end()
     factors: list[Factor] = []
     expect_factor = True
@@ -281,9 +279,10 @@ def parse_factorization(text: str) -> Factorization:
     tail = text[pos:].strip()
     if tail:
         raise FormatError(
-            f"unexpected trailing content {tail!r}", position=pos
+            f"unexpected trailing content {tail!r}",
+            position=len(text) - len(text[pos:].lstrip()),
         )
-    return Factorization(degree, factors)
+    return Factorization._trusted(degree, tuple(factors))
 
 
 def format_factorization(factorization: Factorization) -> str:
@@ -315,8 +314,10 @@ def parse_certificate(text: str) -> list[HurwitzMove]:
             continue
         m = _MOVE_RE.match(line)
         if not m:
+            start = sum(map(len, text.splitlines(keepends=True)[: lineno - 1]))
             raise FormatError(
-                f"malformed move {line!r} on line {lineno}", position=lineno
+                f"malformed move {line!r} on line {lineno}",
+                position=start + len(raw) - len(raw.lstrip()),
             )
         direction = Direction.FORWARD if m.group(1) == "F" else Direction.INVERSE
         moves.append(HurwitzMove(direction, int(m.group(2))))

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from typing import Iterable
 
 from .factorization import Factorization
 
@@ -29,17 +30,6 @@ class FactorizationGraph:
     degree: int
     edges: tuple[tuple[tuple[int, int], int], ...]
     identity_factor_count: int
-
-    def edge_weight(self, a: int, b: int) -> int:
-        if a > b:
-            a, b = b, a
-        for edge, weight in self.edges:
-            if edge == (a, b):
-                return weight
-        return 0
-
-    def total_weight(self) -> int:
-        return sum(weight for _, weight in self.edges)
 
 
 @dataclass(frozen=True)
@@ -72,57 +62,58 @@ def build_graph(factorization: Factorization) -> FactorizationGraph:
     )
 
 
-def signature(factorization: Factorization) -> ComponentSignature:
-    """Compute the component signature of a factorization.
+def component_labels(degree: int, edges: Iterable[tuple[int, int]]) -> list[int]:
+    """Label every point ``1..degree`` with the smallest point of its component.
 
-    Runs in near-linear time: one counting pass over the factors, then
-    union-find over the distinct edges (path halving, union by size).
+    ``labels[0]`` is unused.  Union-find that always hangs the larger root
+    under the smaller one, with path halving, so every parent is at most its
+    child; one ascending pass then resolves each point to its root.
     """
-    counts = Counter(factorization.factors)
-    identity = counts.pop(None, 0)
-
-    # Union-find over 1..degree, parent[0] unused.
-    parent = list(range(factorization.degree + 1))
-    size = [1] * (factorization.degree + 1)
-    for a, b in counts:
-        # find with path halving, inlined for speed
+    parent = list(range(degree + 1))
+    for a, b in edges:
         while parent[a] != a:
             parent[a] = parent[parent[a]]
             a = parent[a]
         while parent[b] != b:
             parent[b] = parent[parent[b]]
             b = parent[b]
-        if a == b:
-            continue
-        if size[a] < size[b]:
-            a, b = b, a
-        parent[b] = a
-        size[a] += size[b]
+        if a < b:
+            parent[b] = a
+        elif b < a:
+            parent[a] = b
+    for v in range(1, degree + 1):
+        parent[v] = parent[parent[v]]
+    return parent
 
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
+
+def signature(factorization: Factorization) -> ComponentSignature:
+    """Compute the component signature of a factorization.
+
+    Runs in near-linear time: one counting pass over the factors, then
+    component labelling over the distinct edges.
+    """
+    degree = factorization.degree
+    counts = Counter(factorization.factors)
+    identity = counts.pop(None, 0)
+    labels = component_labels(degree, counts)
 
     weights: dict[int, int] = {}
-    members: dict[int, list[int]] = {}
-    for (a, b), w in counts.items():
-        root = find(a)
+    for (a, _), w in counts.items():
+        root = labels[a]
         weights[root] = weights.get(root, 0) + w
-    for v in range(1, factorization.degree + 1):
-        root = find(v)
-        if root in weights:
-            members.setdefault(root, []).append(v)
+    members: dict[int, list[int]] = {root: [] for root in sorted(weights)}
+    for v in range(1, degree + 1):
+        if labels[v] in members:
+            members[labels[v]].append(v)
 
-    components = sorted(
-        (tuple(members[root]), weights[root]) for root in weights
-    )
+    # each root is its component's smallest point, so members is in order
     return ComponentSignature(
-        degree=factorization.degree,
+        degree=degree,
         total_factors=len(factorization.factors),
         identity_factor_count=identity,
-        components=tuple(components),
+        components=tuple(
+            (tuple(vertices), weights[root]) for root, vertices in members.items()
+        ),
     )
 
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Iterator, Optional
 
 from .errors import PreconditionError
-from .factorization import Factor, Factorization, conjugate_factor
+from .factorization import Factor, Factorization, move_pair
 from .graph import ComponentSignature, signature
 
 # Orbit states are bare factor tuples; Factorization wrappers are built only
@@ -44,11 +44,11 @@ class OrbitReport:
 
 def _neighbors(state: State) -> Iterator[State]:
     """All states one elementary move away (both directions, every slot)."""
-    m = len(state)
-    for k in range(m - 1):
+    for k in range(len(state) - 1):
         s, t = state[k], state[k + 1]
-        yield state[:k] + (conjugate_factor(s, t), s) + state[k + 2:]
-        yield state[:k] + (t, conjugate_factor(t, s)) + state[k + 2:]
+        head, tail = state[:k], state[k + 2:]
+        yield head + move_pair(s, t, True) + tail
+        yield head + move_pair(s, t, False) + tail
 
 
 def enumerate_orbit(
@@ -123,38 +123,46 @@ def enumerate_identity_factorizations(
     # Prune when the remaining slots cannot cancel the running product:
     # writing a permutation with c cycles (fixed points included) as a
     # product of transpositions takes at least degree - c of them, and
-    # parity must match.
-    prefix: list[Factor] = []
+    # parity must match.  The stack is explicit, so no length recurses.
     images = list(range(degree + 1))  # images[0] unused
 
-    def cycle_count() -> int:
+    def feasible(remaining: int) -> bool:
         seen = [False] * (degree + 1)
-        count = 0
+        cycles = 0
         for start in range(1, degree + 1):
             if seen[start]:
                 continue
-            count += 1
+            cycles += 1
             x = start
             while not seen[x]:
                 seen[x] = True
                 x = images[x]
-        return count
+        deficit = degree - cycles
+        return deficit <= remaining and (remaining - deficit) % 2 == 0
 
-    def rec(remaining: int) -> Iterator[Factorization]:
-        deficit = degree - cycle_count()
-        if deficit > remaining or (remaining - deficit) % 2 != 0:
-            return
-        if remaining == 0:
-            yield Factorization(degree, tuple(prefix))
-            return
-        for a, b in transpositions:
-            prefix.append((a, b))
+    if not feasible(length):
+        return
+    choice: list[int] = []  # transposition index of each filled slot
+    i = 0  # the next index to try in the first empty slot
+    while True:
+        if len(choice) == length:
+            yield Factorization._trusted(degree, tuple(transpositions[c] for c in choice))
+            i = len(transpositions)
+        if i < len(transpositions):
+            a, b = transpositions[i]
             images[a], images[b] = images[b], images[a]
-            yield from rec(remaining - 1)
-            images[a], images[b] = images[b], images[a]
-            prefix.pop()
-
-    yield from rec(length)
+            if feasible(length - len(choice) - 1):
+                choice.append(i)
+                i = 0
+                continue
+        elif not choice:
+            return
+        else:
+            i = choice.pop()
+        # undo transposition i in the last slot tried, then try the next one
+        a, b = transpositions[i]
+        images[a], images[b] = images[b], images[a]
+        i += 1
 
 
 def orbit_partition(
@@ -174,7 +182,6 @@ def orbit_partition(
     pending: dict[State, Factorization] = {
         f.factors: f for f in enumerate_identity_factorizations(degree, length)
     }
-    order: list[ComponentSignature] = []
     buckets: dict[ComponentSignature, list[OrbitReport]] = {}
     while pending:
         seed_state = next(iter(pending))
@@ -183,16 +190,12 @@ def orbit_partition(
         assert report.members is not None
         for state in report.members:
             pending.pop(state, None)
-        sig = signature(seed)
-        if sig not in buckets:
-            order.append(sig)
-            buckets[sig] = []
         # Drop the member set; the partition only needs sizes and flags.
-        buckets[sig].append(
+        buckets.setdefault(signature(seed), []).append(
             OrbitReport(
                 seed=seed,
                 orbit_size=report.orbit_size,
                 truncated=report.truncated,
             )
         )
-    return [(sig, buckets[sig]) for sig in order]
+    return list(buckets.items())

@@ -65,27 +65,6 @@ class Permutation:
             inv[img - 1] = i + 1
         return Permutation(self.degree, tuple(inv))
 
-    def cycles(self) -> list[tuple[int, ...]]:
-        """Nontrivial cycles, each starting at its smallest point, sorted by that point.
-
-        >>> Permutation(3, (2, 3, 1)).cycles()
-        [(1, 2, 3)]
-        """
-        seen = [False] * self.degree
-        out = []
-        for start in range(1, self.degree + 1):
-            if seen[start - 1]:
-                continue
-            cycle = []
-            point = start
-            while not seen[point - 1]:
-                seen[point - 1] = True
-                cycle.append(point)
-                point = self.images[point - 1]
-            if len(cycle) > 1:
-                out.append(tuple(cycle))
-        return out
-
 
 def compose(p: Permutation, q: Permutation) -> Permutation:
     """Left-to-right product: apply p first, then q.

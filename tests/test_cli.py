@@ -195,6 +195,18 @@ class TestOrbitAndCensus:
         assert code == 0
         assert out == "total factorizations=27 orbits=4 signatures=4 theorem=OK\n"
 
+    def test_census_deep_enumeration(self):
+        # at degree 2 the enumeration guard never trips, so the search runs
+        # one slot per factor; it must not hit Python's recursion limit
+        proc = subprocess.run(
+            [sys.executable, "-m", "hurwitz.cli", "census", "2", "3000", "--quiet"],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 0
+        assert proc.stdout == "total factorizations=1 orbits=1 signatures=1 theorem=OK\n"
+        assert "Traceback" not in proc.stderr
+
     def test_census_truncated_is_unknown(self, run):
         code, out, _ = run("census", "--quiet", "3", "4", "--cap", "5")
         assert code == 0

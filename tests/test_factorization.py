@@ -3,6 +3,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from hurwitz.braid import parse_braid_tuple
 from hurwitz.errors import FormatError, MoveRangeError, PreconditionError
 from hurwitz.factorization import (
     Direction,
@@ -54,7 +55,7 @@ class TestFactorizationType:
         f = Factorization(4, [(3, 1), None, (2, 4)])
         assert f.factors == ((1, 3), None, (2, 4))
         assert len(f) == 3
-        assert f.identity_factor_count() == 1
+        assert f.factors.count(None) == 1
 
     def test_rejects_out_of_range(self):
         with pytest.raises(PreconditionError):
@@ -65,6 +66,13 @@ class TestFactorizationType:
     def test_rejects_degenerate_pair(self):
         with pytest.raises(PreconditionError):
             Factorization(3, [(2, 2)])
+
+    @pytest.mark.parametrize(
+        "bad", [(1.5, 2), (True, 2), (1, 2, 3), (1,), 5, ("1", 2), "12"]
+    )
+    def test_rejects_malformed_factor(self, bad):
+        with pytest.raises(PreconditionError):
+            Factorization(3, [(1, 2), bad])
 
     def test_product(self):
         f = Factorization(3, [(1, 2), (2, 3)])
@@ -141,7 +149,7 @@ class TestApplyMove:
     def test_factor_kinds_preserved(self, fm):
         f, moves = fm
         g = apply_certificate(f, moves)
-        assert g.identity_factor_count() == f.identity_factor_count()
+        assert g.factors.count(None) == f.factors.count(None)
 
 
 class TestCertificates:
@@ -242,3 +250,23 @@ class TestCertificateText:
     def test_empty_text(self):
         assert parse_certificate("") == []
         assert format_certificate([]) == ""
+
+
+@pytest.mark.parametrize(
+    "parse, text, token",
+    [
+        (parse_factorization, "n=3; [(1,2) (1,3)]", "(1,3)"),
+        (parse_factorization, "n=3; [e, (1,4)]", "(1,4)"),
+        (parse_factorization, "n=3; [e, x]", "x"),
+        (parse_factorization, "n=3; [(1,2)]  tail", "tail"),
+        (parse_factorization, " n = 0; []", "0"),
+        (parse_certificate, "F@0\n# note\n\r\n   G@1\n", "G@1"),
+        (parse_certificate, "F@0\n  I @ x", "I @ x"),
+        (parse_braid_tuple, " n=3; [1 | 2 x]", "x"),
+        (parse_braid_tuple, "n=3; [1 -1 |  | 2 -3]", "-3"),
+    ],
+)
+def test_format_error_position_is_the_offending_token(parse, text, token):
+    with pytest.raises(FormatError) as info:
+        parse(text)
+    assert text.index(token) == info.value.position

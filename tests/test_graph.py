@@ -1,5 +1,7 @@
 """Graph invariant: edge weights, components, signature, DOT."""
 
+from collections import deque
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -13,6 +15,7 @@ from hurwitz.factorization import (
 from hurwitz.graph import (
     ComponentSignature,
     build_graph,
+    component_labels,
     format_signature,
     signature,
     to_dot,
@@ -34,7 +37,7 @@ class TestBuildGraph:
             (2, 3): 1,
         }
         assert g.identity_factor_count == 0
-        assert g.total_weight() == 8
+        assert sum(w for _, w in g.edges) == 8
 
     def test_empty(self):
         g = build_graph(Factorization(4, []))
@@ -46,10 +49,34 @@ class TestBuildGraph:
         assert g.edges == ()
         assert g.identity_factor_count == 2
 
-    def test_edge_weight_lookup(self):
-        g = build_graph(F1)
-        assert g.edge_weight(5, 1) == 2
-        assert g.edge_weight(1, 2) == 0
+
+class TestComponentLabels:
+    def test_points_without_edges_label_themselves(self):
+        assert component_labels(7, [(6, 4), (4, 2)]) == [0, 1, 2, 3, 2, 5, 2, 7]
+        assert component_labels(3, []) == [0, 1, 2, 3]
+
+    @given(st.data())
+    @settings(max_examples=100)
+    def test_agrees_with_breadth_first_labelling(self, data):
+        n = data.draw(st.integers(1, 12))
+        point = st.integers(1, n)
+        edges = data.draw(st.lists(st.tuples(point, point), max_size=15))
+        adj = {v: set() for v in range(1, n + 1)}
+        for a, b in edges:
+            adj[a].add(b)
+            adj[b].add(a)
+        expected = [0] * (n + 1)
+        for start in range(1, n + 1):
+            if expected[start]:
+                continue
+            expected[start] = start
+            queue = deque([start])
+            while queue:
+                for w in adj[queue.popleft()]:
+                    if not expected[w]:
+                        expected[w] = start
+                        queue.append(w)
+        assert component_labels(n, edges) == expected
 
 
 class TestSignature:

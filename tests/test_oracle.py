@@ -1,11 +1,13 @@
 """Brute-force oracle: orbit BFS and exhaustive enumeration."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hurwitz.errors import PreconditionError
-from hurwitz.factorization import Factorization
+from hurwitz.factorization import Direction, Factorization, HurwitzMove, apply_move
 from hurwitz.graph import signature
 from hurwitz.oracle import (
+    _neighbors,
     enumerate_identity_factorizations,
     enumerate_orbit,
     orbit_partition,
@@ -64,6 +66,21 @@ class TestEnumerateOrbit:
     def test_seed_is_preserved(self):
         f = Factorization(4, [(1, 2), (3, 4)])
         assert enumerate_orbit(f).seed is f
+
+
+@given(st.data())
+@settings(max_examples=80)
+def test_neighbors_are_the_single_moves_in_slot_order(data):
+    n = data.draw(st.integers(2, 6))
+    pairs = [(a, b) for a in range(1, n + 1) for b in range(a + 1, n + 1)]
+    factors = data.draw(st.lists(st.one_of(st.none(), st.sampled_from(pairs)), max_size=8))
+    f = Factorization(n, factors)
+    expected = [
+        apply_move(f, HurwitzMove(d, k)).factors
+        for k in range(len(f) - 1)
+        for d in (Direction.FORWARD, Direction.INVERSE)
+    ]
+    assert list(_neighbors(f.factors)) == expected
 
 
 class TestEnumeration:

@@ -57,13 +57,6 @@ def test_inverse():
     assert compose(p.inverse(), p).is_identity()
 
 
-def test_cycles():
-    assert Permutation.identity(5).cycles() == []
-    assert Permutation.transposition(5, 2, 4).cycles() == [(2, 4)]
-    assert Permutation(3, (2, 3, 1)).cycles() == [(1, 2, 3)]
-    assert Permutation(4, (2, 1, 4, 3)).cycles() == [(1, 2), (3, 4)]
-
-
 def test_transposition_product_matches_compose_fold():
     rng = random.Random(42)
     for _ in range(200):
