@@ -1,6 +1,7 @@
 """Equivalence decision, grouping, edge pulling, and the canonicalizer."""
 
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -276,6 +277,25 @@ class TestCanonicalForm:
     @given(scrambled_identity_factorizations())
     @settings(max_examples=150, deadline=None)
     def test_scrambled_inputs_reach_class_shape(self, f):
+        result = canonical_form(f)
+        assert result.canonical == canonical_shape(signature(f))
+        assert apply_certificate(f, result.certificate) == result.canonical
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_deep_single_component_blocks(self, seed):
+        # one component on 6..12 points: a random doubled spanning tree plus
+        # 1..4 extra doubled edges, scrambled by 4m moves; this reaches long
+        # path-building walks, far-endpoint lowering and multi-step cascades
+        rng = random.Random(f"deep-canonical:{seed}")
+        n = rng.randint(6, 14)
+        points = rng.sample(range(1, n + 1), rng.randint(6, min(n, 12)))
+        edges = [(p, rng.choice(points[:i])) for i, p in enumerate(points) if i]
+        edges += [rng.sample(points, 2) for _ in range(rng.randint(1, 4))]
+        factors = [tuple(sorted(e)) for e in edges for _ in range(2)]
+        f = Factorization(n, factors)
+        for _ in range(4 * len(f)):
+            d = rng.choice([Direction.FORWARD, Direction.INVERSE])
+            f = apply_move(f, HurwitzMove(d, rng.randrange(len(f) - 1)))
         result = canonical_form(f)
         assert result.canonical == canonical_shape(signature(f))
         assert apply_certificate(f, result.certificate) == result.canonical
