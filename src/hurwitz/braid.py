@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 from .errors import FormatError, MoveRangeError, PreconditionError
-from .factorization import Direction, Factor, Factorization, HurwitzMove
+from .factorization import Direction, Factor, Factorization, HurwitzMove, _parse_degree
 from .perm import Permutation, transposition_product
 
 
@@ -181,7 +181,7 @@ def parse_braid_tuple(text: str) -> BraidTuple:
         raise FormatError(
             "expected braid tuple of the form 'n=<int>; [ ... ]'", position=0
         )
-    degree = int(match.group(1))
+    degree = _parse_degree(match)
     body = match.group(2)
     if not body.strip():
         return BraidTuple(degree, [])
@@ -206,10 +206,9 @@ def parse_braid_tuple(text: str) -> BraidTuple:
         try:
             words.append(BraidWord(degree, letters))
         except PreconditionError as exc:
-            # the first letter out of range, or the degree when it is < 1
+            # the first letter out of range
             bad = [j for j, x in enumerate(letters) if not 0 < abs(x) < degree]
-            position = offset(i, bad[0]) if degree > 0 else match.start(1)
-            raise FormatError(f"word {i}: {exc}", position=position) from exc
+            raise FormatError(f"word {i}: {exc}", position=offset(i, bad[0])) from exc
     return BraidTuple(degree, words)
 
 

@@ -12,16 +12,19 @@ ascending order of smallest vertex.  A component with ascending vertices
 ``(v_0,v_1)^2 (v_1,v_2)^2 ... (v_{l-2},v_{l-1})^2`` followed by
 ``w - 2(l-1)`` further copies of ``(v_0,v_1)``.
 
-The planner never searches.  It is built from four verified rewrites:
+The planner never searches.  It is built from four verified rewrites, each
+one ``_Planner`` method:
 
-* bubbling: a factor travels left through inverse moves (or right through
-  forward moves), its own value preserved, conjugating what it passes;
-* merging: two factors carrying adjacent graph edges combine to create a
-  factor for the shortcut edge, shortening a path by one;
-* doubled-pair swap: adjacent doubled pairs ``x x y y -> y y x x`` in four
+* ``carry``: a factor travels left through inverse moves or right through
+  forward moves, its own value preserved, conjugating what it passes;
+  carried onto a factor for an adjacent graph edge, it merges the two into
+  a factor for the shortcut edge, shortening a path by one;
+* ``swap_cells``: adjacent doubled pairs ``x x y y -> y y x x`` in four
   forward moves, for any transpositions x, y;
-* doubled-pair shift: ``x x y y -> x x z z`` with ``z = x y x`` in four
-  forward moves, conjugating the right pair by the left.
+* ``shift_cells``: ``x x y y -> x x z z`` with ``z = x y x`` in four
+  forward moves, conjugating the right pair by the left;
+* ``walk_pair``: a doubled pair is swapped along the path and shifted by
+  one path cell after another, so its endpoints climb or descend the path.
 
 Every intermediate state is produced by a legal move, so the final move log
 is itself the equivalence certificate.
@@ -29,7 +32,6 @@ is itself the equivalence certificate.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -84,11 +86,15 @@ def hurwitz_equivalent(f1: Factorization, f2: Factorization) -> bool:
             f"length mismatch: {len(f1)} vs {len(f2)}; equivalence requires "
             "the same number of factors"
         )
-    if not f1.is_identity_factorization() or not f2.is_identity_factorization():
-        raise PreconditionError(
-            "theorem precondition violated: both products must be the identity"
-        )
+    _require_identity(f1, "equivalence")
+    _require_identity(f2, "equivalence")
     return signature(f1) == signature(f2)
+
+
+def _require_identity(factorization: Factorization, what: str) -> None:
+    """Raise PreconditionError unless the product is the identity."""
+    if not factorization.is_identity_factorization():
+        raise PreconditionError(f"{what} requires an identity product")
 
 
 def canonical_shape(sig: ComponentSignature) -> Factorization:
@@ -149,8 +155,13 @@ class _Planner:
 
     # -- verified composite rewrites ---------------------------------------
 
-    def bubble_left(self, j: int, dest: int) -> None:
-        """Carry the factor at j to dest <= j, its value preserved."""
+    def carry(self, j: int, dest: int) -> None:
+        """Move the factor at j to dest, its value preserved: forward moves
+        when dest > j, inverse moves when dest < j.  Every factor it passes
+        is conjugated by it, so carrying it onto a neighbour merges the two.
+        """
+        for k in range(j, dest):
+            self.forward(k)
         for k in range(j - 1, dest - 1, -1):
             self.inverse(k)
 
@@ -173,6 +184,27 @@ class _Planner:
         assert self.factors[p] == x
         assert self.factors[p + 2] == conjugate_factor(x, y)
 
+    def walk_pair(
+        self, lo: int, dpos: int, steps: Sequence[tuple[int, Factor]], end: int
+    ) -> None:
+        """Conjugate the doubled pair at cell dpos by the path cells of steps.
+
+        Cell c is the pair at (lo + 2c, lo + 2c + 1).  For each step (c,
+        expected) the pair is swapped to cell c + 1, conjugated by cell c,
+        and must then equal expected.  Finally it is parked at cell end.
+        """
+        # a last step without a shift parks the pair at cell end
+        for c, expected in [*steps, (end - 1, None)]:
+            for p in range(dpos - 1, c, -1):
+                self.swap_cells(lo + 2 * p)
+            for p in range(dpos, c + 1):
+                self.swap_cells(lo + 2 * p)
+            dpos = c + 1
+            if expected is None:
+                return
+            self.shift_cells(lo + 2 * c)
+            assert self.factors[lo + 2 * dpos] == expected
+
     def pair_over_single_left(self, p: int) -> None:
         """Slide the doubled pair at (p, p+1) left past the single at p-1."""
         single = self.factors[p - 1]
@@ -180,103 +212,54 @@ class _Planner:
         self.inverse(p)
         assert self.factors[p + 1] == single
 
-    # -- window graph queries ----------------------------------------------
+    # -- the pull rewrite ---------------------------------------------------
 
-    def _window_adjacency(self, lo: int, hi: int) -> dict[int, set[int]]:
+    def _bfs(
+        self, lo: int, hi: int, start: int
+    ) -> tuple[dict[int, set[int]], dict[int, int]]:
+        """The window graph of factors[lo:hi] and BFS distances from start."""
         adj: dict[int, set[int]] = {}
         for f in self.factors[lo:hi]:
             assert f is not None
             a, b = f
             adj.setdefault(a, set()).add(b)
             adj.setdefault(b, set()).add(a)
-        return adj
-
-    @staticmethod
-    def _distances(adj: dict[int, set[int]], start: int) -> dict[int, int]:
         dist = {start: 0}
-        queue: deque[int] = deque([start])
-        while queue:
-            v = queue.popleft()
-            for w in adj[v]:
+        queue = [start]
+        for v in queue:
+            for w in adj.get(v, ()):
                 if w not in dist:
                     dist[w] = dist[v] + 1
                     queue.append(w)
-        return dist
-
-    def _shortest_path(self, lo: int, hi: int, a: int, b: int) -> list[int]:
-        """Lexicographically smallest shortest vertex path a..b, or []."""
-        adj = self._window_adjacency(lo, hi)
-        if a not in adj or b not in adj:
-            return []
-        dist = self._distances(adj, b)
-        if a not in dist:
-            return []
-        path = [a]
-        v = a
-        while v != b:
-            v = min(w for w in adj[v] if dist.get(w, -1) == dist[v] - 1)
-            path.append(v)
-        return path
-
-    def _nearest_source(
-        self, lo: int, hi: int, sources: set[int], target: int
-    ) -> int:
-        """The source vertex closest to target in the window graph; ties go
-        to the smallest vertex."""
-        adj = self._window_adjacency(lo, hi)
-        if target not in adj:
-            raise InternalError(
-                f"vertex {target} carries no edge in the window; "
-                "connectivity invariant broken"
-            )
-        dist = self._distances(adj, target)
-        best = min(
-            ((dist[v], v) for v in sources if v in dist), default=None
-        )
-        if best is None:
-            raise InternalError(
-                f"no path from {{{target}}} to the spanned vertices; "
-                "connectivity invariant broken"
-            )
-        return best[1]
-
-    # -- the pull rewrite ---------------------------------------------------
+        return adj, dist
 
     def pull(self, lo: int, hi: int, a: int, b: int) -> None:
         """Make factors[lo] equal (a, b) using moves inside [lo, hi) only.
 
         Requires a path between a and b in the window graph.  Repeatedly
-        merges the first two edges of the current shortest path (strictly
-        shortening it, since conjugation by the carried factor cannot touch
-        the path's later edges), then bubbles the resulting factor to lo.
+        merges the first two edges of the lexicographically smallest
+        shortest path (strictly shortening it, since conjugation by the
+        carried factor cannot touch the path's later edges), then carries
+        the resulting factor to lo.
         """
         target = (a, b) if a < b else (b, a)
         while True:
-            path = self._shortest_path(lo, hi, a, b)
-            if not path:
+            adj, dist = self._bfs(lo, hi, b)
+            if a not in dist:
                 raise InternalError(
                     f"no path between {a} and {b} in window [{lo},{hi}); "
                     "connectivity invariant broken"
                 )
-            if len(path) == 2:
+            if dist[a] == 1:
                 break
-            u0, u1, u2 = path[0], path[1], path[2]
-            x = (u0, u1) if u0 < u1 else (u1, u0)
+            u1 = min(w for w in adj[a] if dist.get(w) == dist[a] - 1)
+            u2 = min(w for w in adj[u1] if dist.get(w) == dist[u1] - 1)
+            x = (a, u1) if a < u1 else (u1, a)
             y = (u1, u2) if u1 < u2 else (u2, u1)
             j1 = self.factors.index(x, lo, hi)
             j2 = self.factors.index(y, lo, hi)
-            if j1 < j2:
-                # carry x right until adjacent to y, then merge forward
-                for k in range(j1, j2 - 1):
-                    self.forward(k)
-                self.forward(j2 - 1)
-            else:
-                # carry x left until adjacent to y, then merge inverse
-                for k in range(j1 - 1, j2, -1):
-                    self.inverse(k)
-                self.inverse(j2)
-        j = self.factors.index(target, lo, hi)
-        self.bubble_left(j, lo)
+            self.carry(j1, j2)
+        self.carry(self.factors.index(target, lo, hi), lo)
 
     # -- grouping ------------------------------------------------------------
 
@@ -333,34 +316,36 @@ class _Planner:
 
     def _build_path(self, lo: int, hi: int, vertices: list[int]) -> None:
         """Stage 1: produce the doubled ascending path cells."""
-        l = len(vertices)
-        for k in range(1, l):
-            spanned = set(vertices[:k])
+        for k in range(1, len(vertices)):
             target_v = vertices[k]
             suffix_lo = lo + 2 * (k - 1)
-            vs = self._nearest_source(suffix_lo, hi, spanned, target_v)
+            # the spanned vertex nearest to the target; ties go to the smallest
+            _, dist = self._bfs(suffix_lo, hi, target_v)
+            vs = min(
+                (v for v in vertices[:k] if v in dist),
+                key=dist.__getitem__,
+                default=None,
+            )
+            if vs is None:
+                raise InternalError(
+                    f"no path from {{{target_v}}} to the spanned vertices; "
+                    "connectivity invariant broken"
+                )
             self.pull(suffix_lo, hi, vs, target_v)
             self.pull(suffix_lo + 1, hi, vs, target_v)
             # walk the doubled pair's lower endpoint up to vertices[k-1]
-            s_idx = vertices.index(vs)
-            dpos = k - 1
-            for c in range(s_idx, k - 1):
-                while dpos > c + 1:
-                    self.swap_cells(lo + 2 * (dpos - 1))
-                    dpos -= 1
-                self.shift_cells(lo + 2 * c)
-                assert self.factors[lo + 2 * dpos] == (vertices[c + 1], target_v)
-                if c < k - 2:
-                    self.swap_cells(lo + 2 * dpos)
-                    dpos += 1
+            steps = [
+                (c, (vertices[c + 1], target_v))
+                for c in range(vertices.index(vs), k - 1)
+            ]
+            self.walk_pair(lo, k - 1, steps, k - 1)
             assert self.factors[suffix_lo] == (vertices[k - 1], target_v)
             assert self.factors[suffix_lo + 1] == (vertices[k - 1], target_v)
 
     def _normalize_tail(self, lo: int, hi: int, vertices: list[int]) -> None:
         """Stage 2: convert the leftover weight into (v0, v1) copies."""
-        l = len(vertices)
         v01 = (vertices[0], vertices[1])
-        path_cells = l - 1
+        path_cells = len(vertices) - 1
         proc_base = lo + 2 * path_cells
         f_count = 0
         while proc_base + f_count < hi:
@@ -376,36 +361,16 @@ class _Planner:
                 for _ in range(f_count):
                     self.pair_over_single_left(p)
                     p -= 1
-                dpos = path_cells
                 i, j = vertices.index(a), vertices.index(b)
-                # lower the far endpoint until the pair spans (v_i, v_{i+1})
-                for c in range(j - 1, i, -1):
-                    while dpos > c + 1:
-                        self.swap_cells(lo + 2 * (dpos - 1))
-                        dpos -= 1
-                    self.shift_cells(lo + 2 * c)
-                    assert self.factors[lo + 2 * dpos] == (vertices[i], vertices[c])
-                # cascade both endpoints down to (v_0, v_1)
-                while i > 0:
-                    while dpos > i:
-                        self.swap_cells(lo + 2 * (dpos - 1))
-                        dpos -= 1
-                    self.shift_cells(lo + 2 * (i - 1))
-                    assert self.factors[lo + 2 * dpos] == (
-                        vertices[i - 1],
-                        vertices[i + 1],
-                    )
-                    self.swap_cells(lo + 2 * dpos)
-                    dpos += 1
-                    self.shift_cells(lo + 2 * i)
-                    assert self.factors[lo + 2 * dpos] == (
-                        vertices[i - 1],
-                        vertices[i],
-                    )
-                    i -= 1
-                while dpos < path_cells:
-                    self.swap_cells(lo + 2 * dpos)
-                    dpos += 1
+                # lower the far endpoint until the pair spans (v_i, v_{i+1}),
+                # then cascade both endpoints down to (v_0, v_1)
+                steps = [
+                    (c, (vertices[i], vertices[c])) for c in range(j - 1, i, -1)
+                ]
+                for t in range(i, 0, -1):
+                    steps.append((t - 1, (vertices[t - 1], vertices[t + 1])))
+                    steps.append((t, (vertices[t - 1], vertices[t])))
+                self.walk_pair(lo, path_cells, steps, path_cells)
             assert self.factors[proc_base] == v01
             assert self.factors[proc_base + 1] == v01
             f_count += 2
@@ -451,10 +416,7 @@ def group_components(factorization: Factorization) -> CanonicalResult:
     the original relative order kept inside each block.  Every move is a
     pure swap of commuting factors.
     """
-    if not factorization.is_identity_factorization():
-        raise PreconditionError(
-            "grouping requires an identity product"
-        )
+    _require_identity(factorization, "grouping")
     planner = _Planner(factorization)
     planner.group()
     return planner.result()
@@ -472,10 +434,7 @@ def canonical_form(factorization: Factorization) -> CanonicalResult:
     >>> canonical_form(f).canonical.factors
     ((1, 2), (1, 2), (2, 3), (2, 3))
     """
-    if not factorization.is_identity_factorization():
-        raise PreconditionError(
-            "canonical form requires an identity product"
-        )
+    _require_identity(factorization, "canonical form")
     planner = _Planner(factorization)
     for lo, hi in planner.group():
         planner.canonicalize_block(lo, hi)
@@ -486,7 +445,6 @@ def canonical_form(factorization: Factorization) -> CanonicalResult:
             "canonicalizer output does not match the canonical shape; "
             "this is a planner bug"
         )
-    if __debug__:
-        if apply_certificate(factorization, result.certificate) != result.canonical:
-            raise InternalError("certificate does not replay to the output")
+    if apply_certificate(factorization, result.certificate) != result.canonical:
+        raise InternalError("certificate does not replay to the output")
     return result

@@ -213,6 +213,22 @@ def invert_certificate(moves: Sequence[HurwitzMove]) -> MoveCertificate:
     return tuple(move.inverted() for move in reversed(moves))
 
 
+# The largest degree the parsers accept: products, signatures and DOT output
+# allocate arrays of size degree.
+MAX_DEGREE = 10**6
+
+
+def _parse_degree(match: re.Match[str]) -> int:
+    """The degree in group 1 of a header match; FormatError outside
+    1..MAX_DEGREE, at the degree token."""
+    digits = match.group(1).lstrip("0")
+    if not digits or len(digits) > len(str(MAX_DEGREE)) or int(digits) > MAX_DEGREE:
+        raise FormatError(
+            f"degree must be in 1..{MAX_DEGREE}", position=match.start(1)
+        )
+    return int(digits)
+
+
 # Text form: "n=6; [(2,6),(1,4),e,(4,5)]".  Whitespace is insignificant
 # everywhere outside tokens; the factor list may be empty.
 
@@ -231,11 +247,7 @@ def parse_factorization(text: str) -> Factorization:
         raise FormatError(
             "expected factorization of the form 'n=<int>; [...]'", position=0
         )
-    degree = int(match.group(1))
-    if degree < 1:
-        raise FormatError(
-            f"degree must be positive, got {degree}", position=match.start(1)
-        )
+    degree = _parse_degree(match)
     pos = match.end()
     factors: list[Factor] = []
     expect_factor = True

@@ -248,6 +248,13 @@ class TestErrorHandling:
         assert out == ""
         assert err.startswith("error: ")
 
+    def test_degree_beyond_bound(self, run):
+        code, out, err = run("sig", "-", stdin="n=99999999999999; [(1,2),(1,2)]")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ")
+        assert "Traceback" not in err
+
     def test_missing_file(self, run):
         code, _, err = run("sig", "/nonexistent/nope.txt")
         assert code == 2

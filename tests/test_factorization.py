@@ -260,10 +260,12 @@ class TestCertificateText:
         (parse_factorization, "n=3; [e, x]", "x"),
         (parse_factorization, "n=3; [(1,2)]  tail", "tail"),
         (parse_factorization, " n = 0; []", "0"),
+        (parse_factorization, "n=99999999999999; [(1,2),(1,2)]", "99999999999999"),
         (parse_certificate, "F@0\n# note\n\r\n   G@1\n", "G@1"),
         (parse_certificate, "F@0\n  I @ x", "I @ x"),
         (parse_braid_tuple, " n=3; [1 | 2 x]", "x"),
         (parse_braid_tuple, "n=3; [1 -1 |  | 2 -3]", "-3"),
+        (parse_braid_tuple, "n=99999999999999; [1 | 1]", "99999999999999"),
     ],
 )
 def test_format_error_position_is_the_offending_token(parse, text, token):
