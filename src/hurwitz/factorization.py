@@ -220,7 +220,8 @@ MAX_DEGREE = 10**6
 
 def _parse_degree(match: re.Match[str]) -> int:
     """The degree in group 1 of a header match; FormatError outside
-    1..MAX_DEGREE, at the degree token."""
+    1..MAX_DEGREE, at the degree token.  Length is checked before int(),
+    which refuses digit runs longer than 4,300."""
     digits = match.group(1).lstrip("0")
     if not digits or len(digits) > len(str(MAX_DEGREE)) or int(digits) > MAX_DEGREE:
         raise FormatError(

@@ -266,6 +266,7 @@ class TestCertificateText:
         (parse_braid_tuple, " n=3; [1 | 2 x]", "x"),
         (parse_braid_tuple, "n=3; [1 -1 |  | 2 -3]", "-3"),
         (parse_braid_tuple, "n=99999999999999; [1 | 1]", "99999999999999"),
+        (parse_braid_tuple, "n=0; []", "0"),
     ],
 )
 def test_format_error_position_is_the_offending_token(parse, text, token):
