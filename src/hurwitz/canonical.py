@@ -127,13 +127,17 @@ class _Planner:
     """Mutable factor list plus the move log that shaped it.
 
     All mutation goes through forward()/inverse(), so the log and the list
-    can never disagree.
+    can never disagree.  The log shares one immutable move per (direction,
+    slot), built once here.
     """
 
     def __init__(self, factorization: Factorization):
         self.degree = factorization.degree
         self.factors: list[Factor] = list(factorization.factors)
         self.moves: list[HurwitzMove] = []
+        slots = range(len(self.factors) - 1)
+        self._forward = [HurwitzMove(Direction.FORWARD, k) for k in slots]
+        self._inverse = [HurwitzMove(Direction.INVERSE, k) for k in slots]
 
     def result(self) -> CanonicalResult:
         return CanonicalResult(
@@ -146,12 +150,12 @@ class _Planner:
     def forward(self, k: int) -> None:
         f = self.factors
         f[k], f[k + 1] = move_pair(f[k], f[k + 1], True)
-        self.moves.append(HurwitzMove(Direction.FORWARD, k))
+        self.moves.append(self._forward[k])
 
     def inverse(self, k: int) -> None:
         f = self.factors
         f[k], f[k + 1] = move_pair(f[k], f[k + 1], False)
-        self.moves.append(HurwitzMove(Direction.INVERSE, k))
+        self.moves.append(self._inverse[k])
 
     # -- verified composite rewrites ---------------------------------------
 

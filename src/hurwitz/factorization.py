@@ -19,6 +19,7 @@ both moves.
 from __future__ import annotations
 
 import re
+import sys
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Iterator, Optional, Sequence
@@ -144,7 +145,12 @@ class Direction(Enum):
 
 @dataclass(frozen=True)
 class HurwitzMove:
-    """An elementary move: direction plus the 0-based left slot it acts on."""
+    """An elementary move: direction plus the 0-based left slot it acts on.
+
+    Instances are immutable and may be shared: the canonicalizer emits one
+    object per (direction, slot) and ``parse_certificate`` one per distinct
+    line.  Compare moves with ``==``, never ``is``.
+    """
 
     direction: Direction
     position: int
@@ -154,7 +160,9 @@ class HurwitzMove:
         return HurwitzMove(flip, self.position)
 
     def __str__(self) -> str:
-        return f"{self.direction.value}@{self.position}"
+        # _value_ is a plain attribute; on Python 3.11 the ``value`` property
+        # and the ``Direction.FORWARD`` lookup each cost more than the rest
+        return f"{self.direction._value_}@{self.position}"
 
 
 # A replayable move sequence; positions are relative to the evolving
@@ -217,13 +225,19 @@ def invert_certificate(moves: Sequence[HurwitzMove]) -> MoveCertificate:
 # allocate arrays of size degree.
 MAX_DEGREE = 10**6
 
+# Digit runs are length-checked before int(), which refuses runs longer than
+# 4,300 digits.  A factor entry with more significant digits than the largest
+# degree is out of range for every degree; a move position with more digits
+# than sys.maxsize can address no list.
+_DEGREE_DIGITS = len(str(MAX_DEGREE))
+_POSITION_DIGITS = len(str(sys.maxsize))
+
 
 def _parse_degree(match: re.Match[str]) -> int:
     """The degree in group 1 of a header match; FormatError outside
-    1..MAX_DEGREE, at the degree token.  Length is checked before int(),
-    which refuses digit runs longer than 4,300."""
+    1..MAX_DEGREE, at the degree token."""
     digits = match.group(1).lstrip("0")
-    if not digits or len(digits) > len(str(MAX_DEGREE)) or int(digits) > MAX_DEGREE:
+    if not digits or len(digits) > _DEGREE_DIGITS or int(digits) > MAX_DEGREE:
         raise FormatError(
             f"degree must be in 1..{MAX_DEGREE}", position=match.start(1)
         )
@@ -234,7 +248,12 @@ def _parse_degree(match: re.Match[str]) -> int:
 # everywhere outside tokens; the factor list may be empty.
 
 _HEADER_RE = re.compile(r"\s*n\s*=\s*(\d+)\s*;\s*\[")
-_PAIR_RE = re.compile(r"\(\s*(\d+)\s*,\s*(\d+)\s*\)")
+# The first pattern is the fast path; longer entries, leading zeros
+# included, match only the second and are counted before int().
+_PAIR_RE = re.compile(
+    r"\(\s*(\d{1,%d})\s*,\s*(\d{1,%d})\s*\)" % (_DEGREE_DIGITS, _DEGREE_DIGITS)
+)
+_LONG_PAIR_RE = re.compile(r"\(\s*(\d+)\s*,\s*(\d+)\s*\)")
 
 
 def parse_factorization(text: str) -> Factorization:
@@ -277,7 +296,14 @@ def parse_factorization(text: str) -> Factorization:
         elif ch == "(":
             m = _PAIR_RE.match(text, pos)
             if not m:
-                raise FormatError("malformed transposition", position=pos)
+                m = _LONG_PAIR_RE.match(text, pos)
+                if not m:
+                    raise FormatError("malformed transposition", position=pos)
+                if max(len(d.lstrip("0")) for d in m.groups()) > _DEGREE_DIGITS:
+                    raise FormatError(
+                        f"factor entry out of range for degree {degree}",
+                        position=pos,
+                    )
             a, b = int(m.group(1)), int(m.group(2))
             try:
                 factors.append(normalize_factor((a, b), degree))
@@ -320,23 +346,30 @@ def parse_certificate(text: str) -> list[HurwitzMove]:
     >>> [str(m) for m in parse_certificate("F@0\\n# comment\\nI@2\\n")]
     ['F@0', 'I@2']
     """
-    moves: list[HurwitzMove] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
+    raw_lines = text.splitlines()
+    lines = [raw.strip() for raw in raw_lines]
+    # Certificates repeat their lines, so each distinct line is parsed once,
+    # in order of first occurrence: the first malformed line still raises.
+    table: dict[str, Optional[HurwitzMove]] = dict.fromkeys(lines)
+    for line in table:
         if not line or line.startswith("#"):
             continue
         m = _MOVE_RE.match(line)
-        if not m:
-            start = sum(map(len, text.splitlines(keepends=True)[: lineno - 1]))
-            raise FormatError(
-                f"malformed move {line!r} on line {lineno}",
-                position=start + len(raw) - len(raw.lstrip()),
-            )
-        direction = Direction.FORWARD if m.group(1) == "F" else Direction.INVERSE
-        moves.append(HurwitzMove(direction, int(m.group(2))))
-    return moves
+        if m and len(m.group(2).lstrip("0")) <= _POSITION_DIGITS:
+            direction = Direction.FORWARD if m.group(1) == "F" else Direction.INVERSE
+            table[line] = HurwitzMove(direction, int(m.group(2)))
+            continue
+        i = lines.index(line)
+        raw = raw_lines[i]
+        start = sum(map(len, text.splitlines(keepends=True)[:i]))
+        problem = f"malformed move {line!r}" if not m else "move position out of range"
+        raise FormatError(
+            f"{problem} on line {i + 1}",
+            position=start + len(raw) - len(raw.lstrip()),
+        )
+    return [move for move in map(table.__getitem__, lines) if move is not None]
 
 
-def format_certificate(moves: Sequence[HurwitzMove]) -> str:
+def format_certificate(moves: Iterable[HurwitzMove]) -> str:
     """One move per line; empty sequence renders as the empty string."""
-    return "\n".join(str(move) for move in moves)
+    return "\n".join(map(str, moves))

@@ -20,8 +20,10 @@ from hurwitz.factorization import (
     HurwitzMove,
     apply_certificate,
     apply_move,
+    format_certificate,
     format_factorization,
     invert_certificate,
+    parse_certificate,
     parse_factorization,
 )
 from hurwitz.graph import signature
@@ -246,6 +248,18 @@ class TestCanonicalForm:
     def test_requires_identity_product(self):
         with pytest.raises(PreconditionError):
             canonical_form(Factorization(3, [(1, 2), (2, 3)]))
+
+    def test_certificate_shares_one_move_per_direction_and_slot(self):
+        rng = random.Random("shared-moves")
+        pairs = [(a, b) for a in range(1, 9) for b in range(a + 1, 9)]
+        f = Factorization(8, [p for p in rng.choices(pairs, k=20) for _ in range(2)])
+        for _ in range(4 * len(f)):
+            d = rng.choice([Direction.FORWARD, Direction.INVERSE])
+            f = apply_move(f, HurwitzMove(d, rng.randrange(len(f) - 1)))
+        cert = canonical_form(f).certificate
+        assert len(f) == 40 and len(cert) > 2 * (len(f) - 1)
+        assert len({id(move) for move in cert}) <= 2 * (len(f) - 1)
+        assert parse_certificate(format_certificate(cert)) == list(cert)
 
     def test_certificate_length_stays_modest(self):
         for f in (F1, F2):

@@ -255,6 +255,22 @@ class TestErrorHandling:
         assert err.startswith("error: ")
         assert "Traceback" not in err
 
+    def test_factor_entry_beyond_bound(self, run):
+        code, out, err = run("sig", "-", stdin="n=3; [(%s,1)]" % ("9" * 5000))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ")
+        assert "Traceback" not in err
+
+    def test_move_position_beyond_bound(self, run, tmp_path):
+        path = tmp_path / "f.txt"
+        path.write_text("n=3; [(1,2),(1,2)]")
+        code, out, err = run("replay", str(path), "-", stdin="F@%s\n" % ("9" * 5000))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ")
+        assert "Traceback" not in err
+
     def test_missing_file(self, run):
         code, _, err = run("sig", "/nonexistent/nope.txt")
         assert code == 2

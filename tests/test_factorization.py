@@ -204,6 +204,10 @@ class TestFactorizationText:
         f = parse_factorization("n=3; [(3,1), e]")
         assert f.factors == ((1, 3), None)
 
+    def test_leading_zeros_are_not_significant(self):
+        f = parse_factorization("n=3; [(000000003,01), (2, 0000000000000000001)]")
+        assert f.factors == ((1, 3), (1, 2))
+
     def test_whitespace_insensitive(self):
         f = parse_factorization("  n = 6 ;  [ ( 2 , 6 ) , e ,( 1,4 ) ]  ")
         assert f.factors == ((2, 6), None, (1, 4))
@@ -251,6 +255,37 @@ class TestCertificateText:
         assert parse_certificate("") == []
         assert format_certificate([]) == ""
 
+    def test_repeated_malformed_line_reports_first_occurrence(self):
+        with pytest.raises(FormatError, match="line 2") as info:
+            parse_certificate("F@0\nG@1\nG@1\nG@1\n")
+        assert info.value.position == len("F@0\n")
+
+    def test_malformed_line_after_many_repeats(self):
+        text = "F@0\n" * 10_000 + "G@1\n"
+        with pytest.raises(FormatError, match="line 10001") as info:
+            parse_certificate(text)
+        assert info.value.position == text.index("G")
+
+    def test_whitespace_variants_parse_to_equal_moves(self):
+        assert parse_certificate("F @ 3\n  F@3  \nF@3") == [forward(3)] * 3
+
+    def test_repeated_blanks_and_comments_skipped_every_time(self):
+        text = "\n# c\nF@0\n\n# c\nI@1\n\n# c\n" * 3
+        assert parse_certificate(text) == [forward(0), inverse(1)] * 3
+
+    def test_repeated_lines_share_one_move(self):
+        moves = parse_certificate("F@2\n" * 50 + "I@0\n" * 50)
+        assert len({id(move) for move in moves}) == 2
+
+    def test_format_renders_fresh_moves_from_a_generator(self):
+        moves = [forward(k % 7) if k % 2 else inverse(k % 7) for k in range(1000)]
+        text = format_certificate(
+            forward(k % 7) if k % 2 else inverse(k % 7) for k in range(1000)
+        )
+        assert text == "\n".join(str(move) for move in moves)
+        assert str(forward(3)) == "F@3"
+        assert str(inverse(0)) == "I@0"
+
 
 @pytest.mark.parametrize(
     "parse, text, token",
@@ -263,6 +298,8 @@ class TestCertificateText:
         (parse_factorization, "n=99999999999999; [(1,2),(1,2)]", "99999999999999"),
         (parse_certificate, "F@0\n# note\n\r\n   G@1\n", "G@1"),
         (parse_certificate, "F@0\n  I @ x", "I @ x"),
+        (parse_factorization, "n=3; [e, (%s,1)]" % ("9" * 5000), "(9"),
+        (parse_certificate, "F@0\n F@%s\n" % ("9" * 5000), "F@9"),
         (parse_braid_tuple, " n=3; [1 | 2 x]", "x"),
         (parse_braid_tuple, "n=3; [1 -1 |  | 2 -3]", "-3"),
         (parse_braid_tuple, "n=99999999999999; [1 | 1]", "99999999999999"),
