@@ -9,7 +9,6 @@ signature classes.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
@@ -17,13 +16,17 @@ from .errors import PreconditionError
 from .factorization import Factor, Factorization, move_pair
 from .graph import ComponentSignature, signature
 
-# Orbit states are bare factor tuples; Factorization wrappers are built only
-# at the API boundary.
+# An orbit's members are bare factor tuples; Factorization wrappers are built
+# only at the API boundary.  Inside `enumerate_orbit` a state is a tuple of
+# small int codes instead (see `_MoveTable`), decoded back to factor tuples
+# before any member leaves the module.
 State = tuple[Factor, ...]
+CodedState = tuple[int, ...]
 
 DEFAULT_CAP = 10**6
 
-# Raw enumeration space (n(n-1)/2)^m above this is refused.
+# Raw enumeration space (n(n-1)/2)^m above this is refused, and so is a length
+# above it at degree 2, where that space is always 1.
 ENUMERATION_GUARD = 10**8
 
 
@@ -33,7 +36,8 @@ class OrbitReport:
 
     ``truncated`` means the cap was hit while unexplored states remained, in
     which case ``orbit_size == cap``.  ``members`` is kept only when
-    requested; each member is a factor tuple.
+    requested; each member is a factor tuple (the search's int codes never
+    leave `enumerate_orbit`).
     """
 
     seed: Factorization
@@ -42,13 +46,78 @@ class OrbitReport:
     members: Optional[frozenset[State]] = None
 
 
-def _neighbors(state: State) -> Iterator[State]:
-    """All states one elementary move away (both directions, every slot)."""
+class _MoveTable:
+    """Factor codes and coded moves for one orbit search.
+
+    Code 0 is the identity; codes 1, 2, ... name transpositions in the order
+    the search meets them.  Moves never leave a component, so every code is
+    an edge among the seed's points and ``width`` (one plus the number of
+    such edges) bounds the codes.  ``pairs[s * width + t]`` holds what may
+    replace the adjacent codes ``s, t``: the forward result, then the inverse
+    result, without a result equal to ``(s, t)`` or to the forward one.
+    Entries are filled by `move_pair` on first use, so the table grows with
+    the code pairs the search meets and never with the degree.
+    """
+
+    def __init__(self, seed: State):
+        points = {p for factor in seed if factor is not None for p in factor}
+        self.width = 1 + len(points) * (len(points) - 1) // 2
+        self.factors: list[Factor] = [None]
+        self.codes: dict[Factor, int] = {None: 0}
+        self.pairs: dict[int, tuple[tuple[int, int], ...]] = {}
+
+    def encode(self, factor: Factor) -> int:
+        code = self.codes.get(factor)
+        if code is None:
+            code = self.codes[factor] = len(self.factors)
+            self.factors.append(factor)
+        return code
+
+    def decode(self, state: CodedState) -> State:
+        return tuple(map(self.factors.__getitem__, state))
+
+    def fill(self, key: int) -> tuple[tuple[int, int], ...]:
+        s, t = divmod(key, self.width)
+        results: list[tuple[int, int]] = []
+        for forward in (True, False):
+            x, y = move_pair(self.factors[s], self.factors[t], forward)
+            pair = (self.encode(x), self.encode(y))
+            if pair != (s, t) and pair not in results:
+                results.append(pair)
+        value = self.pairs[key] = tuple(results)
+        return value
+
+
+def _expand(
+    state: CodedState,
+    table: _MoveTable,
+    visited: set[CodedState],
+    order: list[CodedState],
+    cap: int,
+) -> bool:
+    """Add the unvisited states one move from ``state`` to ``visited`` and
+    ``order``: slots ascending, forward before inverse.  Returns True when
+    a new state is met with ``cap`` states already known.
+
+    A skipped move result equals ``state`` or the slot's forward result, so
+    it is visited already and skipping it changes no report.
+    """
+    pairs, width = table.pairs, table.width
     for k in range(len(state) - 1):
-        s, t = state[k], state[k + 1]
-        head, tail = state[:k], state[k + 2:]
-        yield head + move_pair(s, t, True) + tail
-        yield head + move_pair(s, t, False) + tail
+        key = state[k] * width + state[k + 1]
+        try:
+            replacements = pairs[key]
+        except KeyError:
+            replacements = table.fill(key)
+        for pair in replacements:
+            nxt = state[:k] + pair + state[k + 2:]
+            if nxt in visited:
+                continue
+            if len(visited) == cap:
+                return True
+            visited.add(nxt)
+            order.append(nxt)
+    return False
 
 
 def enumerate_orbit(
@@ -68,25 +137,20 @@ def enumerate_orbit(
     """
     if cap < 1:
         raise PreconditionError(f"cap must be positive, got {cap}")
-    seed = factorization.factors
-    visited: set[State] = {seed}
-    frontier: deque[State] = deque([seed])
+    table = _MoveTable(factorization.factors)
+    seed = tuple(map(table.encode, factorization.factors))
+    visited = {seed}
+    order = [seed]  # BFS order: the loop below reads it as it grows
     truncated = False
-    while frontier and not truncated:
-        state = frontier.popleft()
-        for nxt in _neighbors(state):
-            if nxt in visited:
-                continue
-            if len(visited) == cap:
-                truncated = True
-                break
-            visited.add(nxt)
-            frontier.append(nxt)
+    for state in order:
+        if _expand(state, table, visited, order, cap):
+            truncated = True
+            break
     return OrbitReport(
         seed=factorization,
         orbit_size=len(visited),
         truncated=truncated,
-        members=frozenset(visited) if keep_members else None,
+        members=frozenset(map(table.decode, visited)) if keep_members else None,
     )
 
 
@@ -107,10 +171,14 @@ def enumerate_identity_factorizations(
     if length < 0:
         raise PreconditionError(f"length must be non-negative, got {length}")
     alphabet_size = degree * (degree - 1) // 2
-    if alphabet_size**length > ENUMERATION_GUARD:
+    # Never form alphabet_size**length for a huge length: past bit_length
+    # factors a power of 2 or more is over the guard already.  A one-letter
+    # alphabet never grows, so there the length itself is bounded.
+    candidates = alphabet_size ** min(length, ENUMERATION_GUARD.bit_length())
+    if candidates > ENUMERATION_GUARD or length > ENUMERATION_GUARD:
         raise PreconditionError(
-            f"{alphabet_size}^{length} candidate tuples exceed the "
-            f"enumeration guard ({ENUMERATION_GUARD}); use smaller "
+            f"{alphabet_size}^{length} candidate tuples over {length} slots "
+            f"exceed the enumeration guard ({ENUMERATION_GUARD}); use smaller "
             "degree or length"
         )
     transpositions = [

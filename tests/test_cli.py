@@ -3,6 +3,7 @@
 import io
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -173,6 +174,18 @@ class TestOrbitAndCensus:
         assert code == 0
         assert out == "size=2\ntruncated=true\n"
 
+    def test_orbit_on_high_points_of_a_huge_degree(self, run, tmp_path):
+        # the search codes only the edges among the seed's points, whatever n
+        path = tmp_path / "f.txt"
+        path.write_text(
+            "n=1000000; [(999998,999999),(999998,999999),(999999,1000000),(999999,1000000)]"
+        )
+        t0 = time.perf_counter()
+        code, out, _ = run("orbit", str(path))
+        assert time.perf_counter() - t0 < 2.0
+        assert code == 0
+        assert out == "size=24\ntruncated=false\n"
+
     def test_census_summary(self, run):
         code, out, _ = run("census", "3", "4")
         assert code == 0
@@ -196,8 +209,9 @@ class TestOrbitAndCensus:
         assert out == "total factorizations=27 orbits=4 signatures=4 theorem=OK\n"
 
     def test_census_deep_enumeration(self):
-        # at degree 2 the enumeration guard never trips, so the search runs
-        # one slot per factor; it must not hit Python's recursion limit
+        # at degree 2 the enumeration guard trips only past 10^8 slots, so the
+        # search runs one slot per factor; it must not hit Python's recursion
+        # limit
         proc = subprocess.run(
             [sys.executable, "-m", "hurwitz.cli", "census", "2", "3000", "--quiet"],
             capture_output=True,
@@ -270,6 +284,21 @@ class TestErrorHandling:
         assert out == ""
         assert err.startswith("error: ")
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("degree", ["2", "3"])
+    def test_census_beyond_guard(self, degree):
+        # refused before any DFS or big power: exit 2 within seconds
+        proc = subprocess.run(
+            [sys.executable, "-m", "hurwitz.cli", "census", degree, "99999999999999999999"],
+            capture_output=True,
+            text=True,
+            timeout=20,
+        )
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("error: ")
+        assert "guard" in proc.stderr
+        assert "Traceback" not in proc.stderr
 
     def test_missing_file(self, run):
         code, _, err = run("sig", "/nonexistent/nope.txt")

@@ -1,5 +1,8 @@
 """Brute-force oracle: orbit BFS and exhaustive enumeration."""
 
+import random
+from collections import deque
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -7,7 +10,9 @@ from hurwitz.errors import PreconditionError
 from hurwitz.factorization import Direction, Factorization, HurwitzMove, apply_move
 from hurwitz.graph import signature
 from hurwitz.oracle import (
-    _neighbors,
+    DEFAULT_CAP,
+    _expand,
+    _MoveTable,
     enumerate_identity_factorizations,
     enumerate_orbit,
     orbit_partition,
@@ -34,7 +39,8 @@ class TestEnumerateOrbit:
         assert not report.truncated
 
     def test_big_component_orbit(self):
-        # the single length-4 signature class on {1,2,3} with one component
+        # the single length-4 signature class on {1,2,3} with one component:
+        # Hurwitz's genus-0 count (2n-2)! n^(n-3) = 24 at n = 3
         report = enumerate_orbit(Factorization(3, [(1, 2), (1, 2), (2, 3), (2, 3)]))
         assert report.orbit_size == 24
         assert not report.truncated
@@ -67,20 +73,93 @@ class TestEnumerateOrbit:
         f = Factorization(4, [(1, 2), (3, 4)])
         assert enumerate_orbit(f).seed is f
 
+    def test_genus_zero_orbit_n4(self):
+        # Hurwitz's genus-0 count (2n-2)! n^(n-3) = 2,880 at n = 4: a doubled
+        # spanning tree seeds the one connected class of length 2n-2
+        report = enumerate_orbit(
+            Factorization(4, [(1, 2), (1, 2), (2, 3), (2, 3), (3, 4), (3, 4)])
+        )
+        assert (report.orbit_size, report.truncated) == (2880, False)
+
+    def test_connected_class_n4_m8(self):
+        # T(4, 8) = 131,040 connected identity 8-tuples on 4 points, from the
+        # Frobenius character count; the theorem makes them one orbit
+        f = Factorization(4, [(1, 2), (1, 2), (2, 3), (2, 3), (3, 4), (3, 4), (1, 2), (1, 2)])
+        report = enumerate_orbit(f)
+        assert (report.orbit_size, report.truncated) == (131_040, False)
+
 
 @given(st.data())
 @settings(max_examples=80)
-def test_neighbors_are_the_single_moves_in_slot_order(data):
+def test_expand_gives_the_single_moves_in_slot_order(data):
     n = data.draw(st.integers(2, 6))
     pairs = [(a, b) for a in range(1, n + 1) for b in range(a + 1, n + 1)]
     factors = data.draw(st.lists(st.one_of(st.none(), st.sampled_from(pairs)), max_size=8))
     f = Factorization(n, factors)
-    expected = [
-        apply_move(f, HurwitzMove(d, k)).factors
-        for k in range(len(f) - 1)
-        for d in (Direction.FORWARD, Direction.INVERSE)
+    expected = []
+    for k in range(len(f) - 1):
+        for d in (Direction.FORWARD, Direction.INVERSE):
+            result = apply_move(f, HurwitzMove(d, k)).factors
+            if result != f.factors and result not in expected:
+                expected.append(result)
+    table = _MoveTable(f.factors)
+    state = tuple(map(table.encode, f.factors))
+    order = []
+    assert not _expand(state, table, {state}, order, DEFAULT_CAP)
+    assert [table.decode(s) for s in order] == expected
+    # with the cap reached, the first new state stops the expansion
+    assert _expand(state, table, {state}, [], 1) == bool(expected)
+
+
+def _reference_orbit(f, cap):
+    """BFS over factor tuples with one `apply_move` per slot and direction."""
+    visited = {f.factors}
+    queue = deque([f])
+    while queue:
+        g = queue.popleft()
+        for k in range(len(g) - 1):
+            for d in (Direction.FORWARD, Direction.INVERSE):
+                h = apply_move(g, HurwitzMove(d, k))
+                if h.factors in visited:
+                    continue
+                if len(visited) == cap:
+                    return len(visited), True, visited
+                visited.add(h.factors)
+                queue.append(h)
+    return len(visited), False, visited
+
+
+def _agreement_cases():
+    rng = random.Random(20260118)
+    cases = [
+        Factorization(5, []),
+        Factorization(5, [(2, 4)]),
+        Factorization(5, [None]),
+        Factorization(4, [None] * 4),
     ]
-    assert list(_neighbors(f.factors)) == expected
+    for _ in range(6):
+        n = rng.randint(2, 4)
+        pairs = [(a, b) for a in range(1, n + 1) for b in range(a + 1, n + 1)]
+        m = rng.randint(2, 5)
+        # identity factors mixed with transpositions
+        cases.append(
+            Factorization(n, [None if rng.random() < 0.3 else rng.choice(pairs) for _ in range(m)])
+        )
+    for _ in range(4):
+        # high labels: the points 33..40 of S_40
+        points = rng.sample(range(33, 41), 4)
+        pairs = [(a, b) for a in points for b in points if a < b]
+        cases.append(Factorization(40, [rng.choice(pairs) for _ in range(rng.randint(2, 5))]))
+    return cases
+
+
+@pytest.mark.parametrize("f", _agreement_cases(), ids=str)
+@pytest.mark.parametrize("cap", [1, 2, 7, DEFAULT_CAP])
+def test_agrees_with_reference_bfs(f, cap):
+    size, truncated, members = _reference_orbit(f, cap)
+    report = enumerate_orbit(f, cap=cap, keep_members=True)
+    assert (report.orbit_size, report.truncated) == (size, truncated)
+    assert report.members == members
 
 
 class TestEnumeration:
@@ -120,6 +199,14 @@ class TestEnumeration:
     def test_guard_refuses_huge_spaces(self):
         with pytest.raises(PreconditionError, match="guard"):
             next(enumerate_identity_factorizations(6, 12))
+
+    def test_guard_boundary(self):
+        # degree 5 has 10 transpositions: 10^8 candidate tuples pass, 10^9 do not
+        assert next(enumerate_identity_factorizations(5, 8)).factors == ((1, 2),) * 8
+        with pytest.raises(PreconditionError, match="guard"):
+            next(enumerate_identity_factorizations(5, 9))
+        with pytest.raises(PreconditionError, match="guard"):
+            next(enumerate_identity_factorizations(2, 10**8 + 1))
 
     def test_degenerate_arguments(self):
         with pytest.raises(PreconditionError):
