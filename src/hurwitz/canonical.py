@@ -12,19 +12,29 @@ ascending order of smallest vertex.  A component with ascending vertices
 ``(v_0,v_1)^2 (v_1,v_2)^2 ... (v_{l-2},v_{l-1})^2`` followed by
 ``w - 2(l-1)`` further copies of ``(v_0,v_1)``.
 
-The planner never searches.  It is built from four verified rewrites, each
-one ``_Planner`` method:
+The planner never searches.  It is built from a few verified rewrites, each
+a ``_Planner`` method:
 
 * ``carry``: a factor travels left through inverse moves or right through
   forward moves, its own value preserved, conjugating what it passes;
   carried onto a factor for an adjacent graph edge, it merges the two into
   a factor for the shortcut edge, shortening a path by one;
-* ``swap_cells``: adjacent doubled pairs ``x x y y -> y y x x`` in four
-  forward moves, for any transpositions x, y;
-* ``shift_cells``: ``x x y y -> x x z z`` with ``z = x y x`` in four
-  forward moves, conjugating the right pair by the left;
-* ``walk_pair``: a doubled pair is swapped along the path and shifted by
-  one path cell after another, so its endpoints climb or descend the path.
+* ``rewrite_cells``: one kernel for two adjacent doubled cells, driven by
+  a table of five four-move rewrites that hold for any transpositions x, y
+  (with ``z = x y x``): swap ``x x y y -> y y x x``, shift right by left
+  ``x x y y -> x x z z``, shift left by right ``y y x x -> z z x x``, and
+  the crossings that conjugate the moving pair as it passes a cell,
+  ``y y x x -> x x z z`` and ``x x y y -> z z x x``;
+* ``walk_pair``: a doubled pair is conjugated by one path cell after
+  another, so its endpoints climb or descend the path; it crosses a cell
+  while conjugating whenever its next cell lies beyond, so each step costs
+  one rewrite, and it swaps past equal cells for free.
+
+The leftover weight of a component is walked down to ``(v_0,v_1)`` one
+doubled pair at a time.  Each finished pair ends next to path cell 0 and
+is parked there, in front of the rest of the path, so later pairs never
+slide past finished ones; the parked block moves behind the path once, at
+the end.
 
 Every intermediate state is produced by a legal move, so the final move log
 is itself the equivalence certificate.
@@ -33,7 +43,7 @@ is itself the equivalence certificate.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .errors import InternalError, PreconditionError
 from .factorization import (
@@ -123,6 +133,45 @@ def _leftover(vertices: Sequence[int], weight: int) -> int:
     return leftover
 
 
+# A four-move rewrite of the doubled cells ``a a b b`` at slots p .. p + 3:
+# its moves as (forward, slot offset from p), in order, and the map from the
+# cells (a, b) to the cells the moves leave.
+_CellTarget = Callable[[Factor, Factor], tuple[Factor, Factor]]
+_CellRewrite = tuple[tuple[tuple[bool, int], ...], _CellTarget]
+
+
+def _cell_rewrite(moves: str, target: _CellTarget) -> _CellRewrite:
+    return tuple((m[0] == "F", int(m[2:])) for m in moves.split()), target
+
+
+# Each holds for every two transpositions x, y: equal, sharing a point or
+# disjoint.  z = x y x throughout.
+_SWAP = _cell_rewrite(  # x x y y -> y y x x
+    "F@1 F@0 F@2 F@1", lambda x, y: (y, x)
+)
+_SHIFT_RIGHT = _cell_rewrite(  # x x y y -> x x z z
+    "F@1 F@2 F@2 F@1", lambda x, y: (x, conjugate_factor(x, y))
+)
+_SHIFT_LEFT = _cell_rewrite(  # y y x x -> z z x x
+    "F@1 F@0 F@0 F@1", lambda y, x: (conjugate_factor(x, y), x)
+)
+_CROSS_RIGHT = _cell_rewrite(  # y y x x -> x x z z
+    "F@1 F@0 I@2 I@1", lambda y, x: (x, conjugate_factor(x, y))
+)
+_CROSS_LEFT = _cell_rewrite(  # x x y y -> z z x x
+    "F@1 F@2 I@0 I@1", lambda x, y: (conjugate_factor(x, y), x)
+)
+
+# Conjugating a walked pair by a path cell, keyed by (the pair starts right
+# of the cell, the pair ends right of it).
+_CONJUGATE = {
+    (False, False): _SHIFT_LEFT,
+    (False, True): _CROSS_RIGHT,
+    (True, True): _SHIFT_RIGHT,
+    (True, False): _CROSS_LEFT,
+}
+
+
 class _Planner:
     """Mutable factor list plus the move log that shaped it.
 
@@ -169,45 +218,47 @@ class _Planner:
         for k in range(j - 1, dest - 1, -1):
             self.inverse(k)
 
-    def swap_cells(self, p: int) -> None:
-        """Exchange the doubled pairs at (p, p+1) and (p+2, p+3)."""
-        x, y = self.factors[p], self.factors[p + 2]
-        self.forward(p + 1)
-        self.forward(p)
-        self.forward(p + 2)
-        self.forward(p + 1)
-        assert self.factors[p] == y and self.factors[p + 2] == x
+    def rewrite_cells(self, p: int, rewrite: _CellRewrite) -> None:
+        """Apply a four-move rewrite to the doubled cells at p and p + 2."""
+        f = self.factors
+        moves, target = rewrite
+        left, right = target(f[p], f[p + 2])
+        for forward, k in moves:
+            if forward:
+                self.forward(p + k)
+            else:
+                self.inverse(p + k)
+        assert f[p] == f[p + 1] == left and f[p + 2] == f[p + 3] == right
 
-    def shift_cells(self, p: int) -> None:
-        """Conjugate the doubled pair at (p+2, p+3) by the one at (p, p+1)."""
-        x, y = self.factors[p], self.factors[p + 2]
-        self.forward(p + 1)
-        self.forward(p + 2)
-        self.forward(p + 2)
-        self.forward(p + 1)
-        assert self.factors[p] == x
-        assert self.factors[p + 2] == conjugate_factor(x, y)
+    def move_cell(self, p: int, q: int) -> None:
+        """Swap the doubled cell at slot p to slot q, cell by cell; the cells
+        in between shift one cell towards p.  Swapping equal cells changes
+        nothing, so it costs no moves."""
+        f = self.factors
+        for s in [*range(p, q, 2), *range(p - 2, q - 2, -2)]:
+            if f[s] != f[s + 2]:
+                self.rewrite_cells(s, _SWAP)
 
     def walk_pair(
-        self, lo: int, dpos: int, steps: Sequence[tuple[int, Factor]], end: int
+        self, lo: int, gap: int, steps: Sequence[tuple[int, Factor]], end: int
     ) -> None:
-        """Conjugate the doubled pair at cell dpos by the path cells of steps.
+        """Conjugate the doubled pair at gap by the path cells of steps.
 
-        Cell c is the pair at (lo + 2c, lo + 2c + 1).  For each step (c,
-        expected) the pair is swapped to cell c + 1, conjugated by cell c,
-        and must then equal expected.  Finally it is parked at cell end.
+        The pair at gap g sits between path cells g - 1 and g, so path cell
+        c is the cell at slot lo + 2c for c < g and one cell further right
+        otherwise.  For each step (c, expected) the pair swaps up to cell c
+        on the side it is on and is conjugated by it, crossing it when the
+        next step's cell, or the end gap, lies beyond it; the pair must then
+        equal expected.  Finally it swaps to gap end.
         """
-        # a last step without a shift parks the pair at cell end
-        for c, expected in [*steps, (end - 1, None)]:
-            for p in range(dpos - 1, c, -1):
-                self.swap_cells(lo + 2 * p)
-            for p in range(dpos, c + 1):
-                self.swap_cells(lo + 2 * p)
-            dpos = c + 1
-            if expected is None:
-                return
-            self.shift_cells(lo + 2 * c)
-            assert self.factors[lo + 2 * dpos] == expected
+        nexts = [c for c, _ in steps[1:]] + [end]
+        for (c, expected), nxt in zip(steps, nexts):
+            right, stay_right = gap > c, nxt > c
+            self.move_cell(lo + 2 * gap, lo + 2 * (c + right))
+            self.rewrite_cells(lo + 2 * c, _CONJUGATE[right, stay_right])
+            gap = c + stay_right
+            assert self.factors[lo + 2 * gap] == expected
+        self.move_cell(lo + 2 * gap, lo + 2 * end)
 
     def pair_over_single_left(self, p: int) -> None:
         """Slide the doubled pair at (p, p+1) left past the single at p-1."""
@@ -347,37 +398,50 @@ class _Planner:
             assert self.factors[suffix_lo + 1] == (vertices[k - 1], target_v)
 
     def _normalize_tail(self, lo: int, hi: int, vertices: list[int]) -> None:
-        """Stage 2: convert the leftover weight into (v0, v1) copies."""
+        """Stage 2: convert the leftover weight into (v0, v1) copies.
+
+        Each leftover factor is doubled and its pair walked down to (v0, v1).
+        The walk ends the pair next to path cell 0, so finished pairs park in
+        front of path cell 1 at no cost; pairs that already are (v0, v1)
+        stay behind the path.  At the end the parked block moves behind the
+        path once.
+        """
         v01 = (vertices[0], vertices[1])
         path_cells = len(vertices) - 1
-        proc_base = lo + 2 * path_cells
-        f_count = 0
-        while proc_base + f_count < hi:
-            u0 = proc_base + f_count
+        parked = 0  # finished pairs between path cells 0 and 1
+        behind = 0  # (v0, v1) factors behind the path
+        while True:
+            base = lo + 2 * (parked + path_cells)  # first slot behind the path
+            u0 = base + behind
+            if u0 == hi:
+                break
             factor = self.factors[u0]
             assert factor is not None
             a, b = factor
             # double it: the rest of the unprocessed region multiplies to
             # (a,b), so it connects a to b and a second copy can be pulled
             self.pull(u0 + 1, hi, a, b)
-            if (a, b) != v01:
-                p = u0
-                for _ in range(f_count):
-                    self.pair_over_single_left(p)
-                    p -= 1
-                i, j = vertices.index(a), vertices.index(b)
-                # lower the far endpoint until the pair spans (v_i, v_{i+1}),
-                # then cascade both endpoints down to (v_0, v_1)
-                steps = [
-                    (c, (vertices[i], vertices[c])) for c in range(j - 1, i, -1)
-                ]
-                for t in range(i, 0, -1):
-                    steps.append((t - 1, (vertices[t - 1], vertices[t + 1])))
-                    steps.append((t, (vertices[t - 1], vertices[t])))
-                self.walk_pair(lo, path_cells, steps, path_cells)
-            assert self.factors[proc_base] == v01
-            assert self.factors[proc_base + 1] == v01
-            f_count += 2
+            assert self.factors[u0 + 1] == factor
+            if (a, b) == v01:
+                behind += 2
+                continue
+            for p in range(u0, base, -1):
+                self.pair_over_single_left(p)
+            i, j = vertices.index(a), vertices.index(b)
+            # lower the far endpoint until the pair spans (v_i, v_{i+1}),
+            # then cascade both endpoints down to (v_0, v_1)
+            steps = [
+                (c, (vertices[i], vertices[c])) for c in range(j - 1, i, -1)
+            ]
+            for t in range(i, 0, -1):
+                steps.append((t - 1, (vertices[t - 1], vertices[t + 1])))
+                steps.append((t, (vertices[t - 1], vertices[t])))
+            # seen from the walk, path cell 0 is the last (v0, v1) copy in
+            # front of path cell 1
+            self.walk_pair(lo + 2 * parked, path_cells, steps, 1)
+            parked += 1
+        for q in range(parked, 0, -1):
+            self.move_cell(lo + 2 * q, lo + 2 * (q + path_cells - 1))
 
 
 def pull_edge_to_front(

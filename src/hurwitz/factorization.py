@@ -30,6 +30,10 @@ from .perm import Permutation, transposition_product
 # A factor: a normalized transposition (a < b) or None for the identity.
 Factor = Optional[tuple[int, int]]
 
+# The largest degree the package accepts, in the parsers and at construction:
+# products, signatures and DOT output allocate arrays of size degree.
+MAX_DEGREE = 10**6
+
 
 def normalize_factor(factor: Factor, degree: int) -> Factor:
     """Validate a single factor against ``degree`` and order its entries.
@@ -92,9 +96,9 @@ class Factorization:
     """An immutable factor sequence over the points ``1..degree``.
 
     ``factors`` is normalized on construction: each transposition is stored
-    with its smaller entry first, and every entry is range-checked.  A factor
-    that is not ``None`` or a pair of distinct int points in range raises
-    PreconditionError.
+    with its smaller entry first, and every entry is range-checked.  A degree
+    outside ``1..MAX_DEGREE``, or a factor that is not ``None`` or a pair of
+    distinct int points in range, raises PreconditionError.
     """
 
     degree: int
@@ -103,6 +107,10 @@ class Factorization:
     def __init__(self, degree: int, factors: Iterable[Factor]):
         if type(degree) is not int or degree < 1:
             raise PreconditionError(f"degree must be a positive int, got {degree!r}")
+        if degree > MAX_DEGREE:
+            raise PreconditionError(
+                f"degree must be at most {MAX_DEGREE}, got {degree}"
+            )
         normalized = tuple(normalize_factor(f, degree) for f in factors)
         object.__setattr__(self, "degree", degree)
         object.__setattr__(self, "factors", normalized)
@@ -220,10 +228,6 @@ def invert_certificate(moves: Sequence[HurwitzMove]) -> MoveCertificate:
     """
     return tuple(move.inverted() for move in reversed(moves))
 
-
-# The largest degree the parsers accept: products, signatures and DOT output
-# allocate arrays of size degree.
-MAX_DEGREE = 10**6
 
 # Digit runs are length-checked before int(), which refuses runs longer than
 # 4,300 digits.  A factor entry with more significant digits than the largest

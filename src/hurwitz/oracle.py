@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Iterator, Optional
 
 from .errors import PreconditionError
-from .factorization import Factor, Factorization, move_pair
+from .factorization import MAX_DEGREE, Factor, Factorization, move_pair
 from .graph import ComponentSignature, signature
 
 # An orbit's members are bare factor tuples; Factorization wrappers are built
@@ -166,8 +166,10 @@ def enumerate_identity_factorizations(
     >>> [f.factors for f in enumerate_identity_factorizations(3, 2)]
     [((1, 2), (1, 2)), ((1, 3), (1, 3)), ((2, 3), (2, 3))]
     """
-    if degree < 2:
-        raise PreconditionError(f"degree must be at least 2, got {degree}")
+    if not 2 <= degree <= MAX_DEGREE:
+        raise PreconditionError(
+            f"degree must be in 2..{MAX_DEGREE}, got {degree}"
+        )
     if length < 0:
         raise PreconditionError(f"length must be non-negative, got {length}")
     alphabet_size = degree * (degree - 1) // 2
@@ -181,6 +183,9 @@ def enumerate_identity_factorizations(
             f"exceed the enumeration guard ({ENUMERATION_GUARD}); use smaller "
             "degree or length"
         )
+    if length == 0:  # one empty tuple; n(n-1)/2 transpositions would be waste
+        yield Factorization._trusted(degree, ())
+        return
     transpositions = [
         (a, b)
         for a in range(1, degree + 1)

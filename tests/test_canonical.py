@@ -6,7 +6,9 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from hurwitz import canonical
 from hurwitz.canonical import (
+    _Planner,
     canonical_form,
     canonical_shape,
     group_components,
@@ -32,6 +34,27 @@ from hurwitz.oracle import enumerate_identity_factorizations, enumerate_orbit
 F1 = parse_factorization("n=6; [(2,6),(1,4),(1,5),(3,6),(4,5),(1,5),(2,3),(3,6)]")
 F2 = parse_factorization("n=6; [(2,6),(1,5),(3,6),(3,6),(2,6),(1,5),(1,4),(1,4)]")
 CANONICAL_6 = "n=6; [(1,4),(1,4),(4,5),(4,5),(2,3),(2,3),(3,6),(3,6)]"
+
+
+def scrambled(f, rng):
+    """f after 4m random moves drawn from rng."""
+    for _ in range(4 * len(f)):
+        d = rng.choice([Direction.FORWARD, Direction.INVERSE])
+        f = apply_move(f, HurwitzMove(d, rng.randrange(len(f) - 1)))
+    return f
+
+
+def deep_single_component_block(seed):
+    """One component on 6..12 points: a random doubled spanning tree plus
+    1..4 extra doubled edges, scrambled by 4m moves.  This reaches long
+    path-building walks, far-endpoint lowering and multi-step cascades."""
+    rng = random.Random(f"deep-canonical:{seed}")
+    n = rng.randint(6, 14)
+    points = rng.sample(range(1, n + 1), rng.randint(6, min(n, 12)))
+    edges = [(p, rng.choice(points[:i])) for i, p in enumerate(points) if i]
+    edges += [rng.sample(points, 2) for _ in range(rng.randint(1, 4))]
+    factors = [tuple(sorted(e)) for e in edges for _ in range(2)]
+    return scrambled(Factorization(n, factors), rng)
 
 
 @st.composite
@@ -253,9 +276,7 @@ class TestCanonicalForm:
         rng = random.Random("shared-moves")
         pairs = [(a, b) for a in range(1, 9) for b in range(a + 1, 9)]
         f = Factorization(8, [p for p in rng.choices(pairs, k=20) for _ in range(2)])
-        for _ in range(4 * len(f)):
-            d = rng.choice([Direction.FORWARD, Direction.INVERSE])
-            f = apply_move(f, HurwitzMove(d, rng.randrange(len(f) - 1)))
+        f = scrambled(f, rng)
         cert = canonical_form(f).certificate
         assert len(f) == 40 and len(cert) > 2 * (len(f) - 1)
         assert len({id(move) for move in cert}) <= 2 * (len(f) - 1)
@@ -297,19 +318,54 @@ class TestCanonicalForm:
 
     @pytest.mark.parametrize("seed", range(40))
     def test_deep_single_component_blocks(self, seed):
-        # one component on 6..12 points: a random doubled spanning tree plus
-        # 1..4 extra doubled edges, scrambled by 4m moves; this reaches long
-        # path-building walks, far-endpoint lowering and multi-step cascades
-        rng = random.Random(f"deep-canonical:{seed}")
-        n = rng.randint(6, 14)
-        points = rng.sample(range(1, n + 1), rng.randint(6, min(n, 12)))
-        edges = [(p, rng.choice(points[:i])) for i, p in enumerate(points) if i]
-        edges += [rng.sample(points, 2) for _ in range(rng.randint(1, 4))]
-        factors = [tuple(sorted(e)) for e in edges for _ in range(2)]
-        f = Factorization(n, factors)
-        for _ in range(4 * len(f)):
-            d = rng.choice([Direction.FORWARD, Direction.INVERSE])
-            f = apply_move(f, HurwitzMove(d, rng.randrange(len(f) - 1)))
+        f = deep_single_component_block(seed)
         result = canonical_form(f)
         assert result.canonical == canonical_shape(signature(f))
         assert apply_certificate(f, result.certificate) == result.canonical
+
+
+def xyx(x, y):
+    """The transposition x y x: x applied to both points of y."""
+    a, b = (x[1] if p == x[0] else x[0] if p == x[1] else p for p in y)
+    return (a, b) if a < b else (b, a)
+
+
+S4_TRANSPOSITIONS = [(a, b) for a in range(1, 5) for b in range(a + 1, 5)]
+
+
+class TestCellRewrites:
+    @pytest.mark.parametrize(
+        "name,moves,source,target",
+        [
+            ("_SWAP", "F@1 F@0 F@2 F@1", "xxyy", "yyxx"),
+            ("_SHIFT_RIGHT", "F@1 F@2 F@2 F@1", "xxyy", "xxzz"),
+            ("_SHIFT_LEFT", "F@1 F@0 F@0 F@1", "yyxx", "zzxx"),
+            ("_CROSS_RIGHT", "F@1 F@0 I@2 I@1", "yyxx", "xxzz"),
+            ("_CROSS_LEFT", "F@1 F@2 I@0 I@1", "xxyy", "zzxx"),
+        ],
+    )
+    def test_every_pair_of_transpositions(self, name, moves, source, target):
+        # equal, sharing a point and disjoint pairs all occur in S_4
+        for x, y in itertools.product(S4_TRANSPOSITIONS, repeat=2):
+            cells = {"x": x, "y": y, "z": xyx(x, y)}
+            planner = _Planner(Factorization(4, [cells[c] for c in source]))
+            planner.rewrite_cells(0, getattr(canonical, name))
+            assert planner.factors == [cells[c] for c in target]
+            assert " ".join(map(str, planner.moves)) == moves
+
+
+class TestCertificateLength:
+    def test_palindromic_n6_m800(self):
+        # w + w[::-1] is an identity factorization with a heavy tail: 321,603
+        # moves before front parking
+        rng = random.Random("palindromic:6")
+        pairs = [(a, b) for a in range(1, 7) for b in range(a + 1, 7)]
+        w = rng.choices(pairs, k=400)
+        assert len(canonical_form(Factorization(6, w + w[::-1])).certificate) <= 80_000
+
+    def test_deep_single_component_corpus(self):
+        total = sum(
+            len(canonical_form(deep_single_component_block(seed)).certificate)
+            for seed in range(40)
+        )
+        assert total <= 17_639

@@ -300,6 +300,30 @@ class TestErrorHandling:
         assert "guard" in proc.stderr
         assert "Traceback" not in proc.stderr
 
+    def test_census_length_zero_at_a_large_degree(self):
+        # the one empty factorization, without listing n(n-1)/2 transpositions
+        proc = subprocess.run(
+            [sys.executable, "-m", "hurwitz.cli", "census", "100000", "0", "--quiet"],
+            capture_output=True,
+            text=True,
+            timeout=10,
+        )
+        assert proc.returncode == 0
+        assert proc.stdout == "total factorizations=1 orbits=1 signatures=1 theorem=OK\n"
+        assert "Traceback" not in proc.stderr
+
+    def test_census_degree_beyond_bound(self):
+        proc = subprocess.run(
+            [sys.executable, "-m", "hurwitz.cli", "census", "1000000000000", "0"],
+            capture_output=True,
+            text=True,
+            timeout=20,
+        )
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("error: ")
+        assert "Traceback" not in proc.stderr
+
     def test_missing_file(self, run):
         code, _, err = run("sig", "/nonexistent/nope.txt")
         assert code == 2

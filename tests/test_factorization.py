@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 from hurwitz.braid import parse_braid_tuple
 from hurwitz.errors import FormatError, MoveRangeError, PreconditionError
 from hurwitz.factorization import (
+    MAX_DEGREE,
     Direction,
     Factorization,
     HurwitzMove,
@@ -66,6 +67,12 @@ class TestFactorizationType:
     def test_rejects_degenerate_pair(self):
         with pytest.raises(PreconditionError):
             Factorization(3, [(2, 2)])
+
+    def test_degree_bounded_at_construction(self):
+        assert Factorization(MAX_DEGREE, []).degree == MAX_DEGREE
+        for degree in (MAX_DEGREE + 1, 10**12):
+            with pytest.raises(PreconditionError, match="at most"):
+                Factorization(degree, [])
 
     @pytest.mark.parametrize(
         "bad", [(1.5, 2), (True, 2), (1, 2, 3), (1,), 5, ("1", 2), "12"]

@@ -7,7 +7,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hurwitz.errors import PreconditionError
-from hurwitz.factorization import Direction, Factorization, HurwitzMove, apply_move
+from hurwitz.factorization import (
+    MAX_DEGREE,
+    Direction,
+    Factorization,
+    HurwitzMove,
+    apply_move,
+)
 from hurwitz.graph import signature
 from hurwitz.oracle import (
     DEFAULT_CAP,
@@ -213,6 +219,18 @@ class TestEnumeration:
             next(enumerate_identity_factorizations(1, 2))
         with pytest.raises(PreconditionError):
             next(enumerate_identity_factorizations(3, -1))
+
+    def test_degree_bounded(self):
+        with pytest.raises(PreconditionError, match="degree"):
+            next(enumerate_identity_factorizations(MAX_DEGREE + 1, 0))
+        with pytest.raises(PreconditionError, match="degree"):
+            next(enumerate_identity_factorizations(10**12, 0))
+
+    def test_length_zero_at_the_largest_degree(self):
+        # one empty factorization, without listing the n(n-1)/2 transpositions
+        factorizations = list(enumerate_identity_factorizations(MAX_DEGREE, 0))
+        assert [f.factors for f in factorizations] == [()]
+        assert factorizations[0].degree == MAX_DEGREE
 
 
 class TestOrbitPartition:
