@@ -22,10 +22,10 @@ import re
 import sys
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Iterator, NoReturn, Optional, Sequence
 
 from .errors import FormatError, MoveRangeError, PreconditionError
-from .perm import Permutation, transposition_product
+from .perm import Permutation, product_images, transposition_product
 
 # A factor: a normalized transposition (a < b) or None for the identity.
 Factor = Optional[tuple[int, int]]
@@ -138,7 +138,8 @@ class Factorization:
 
     def is_identity_factorization(self) -> bool:
         """True when the product is the identity permutation."""
-        return self.product().is_identity()
+        images = product_images(self.degree, self.factors)
+        return images == list(range(self.degree + 1))
 
     def __str__(self) -> str:
         return format_factorization(self)
@@ -249,15 +250,17 @@ def _parse_degree(match: re.Match[str]) -> int:
 
 
 # Text form: "n=6; [(2,6),(1,4),e,(4,5)]".  Whitespace is insignificant
-# everywhere outside tokens; the factor list may be empty.
+# everywhere outside tokens; the factor list may be empty, which group 2 of
+# the header matches.
 
-_HEADER_RE = re.compile(r"\s*n\s*=\s*(\d+)\s*;\s*\[")
-# The first pattern is the fast path; longer entries, leading zeros
-# included, match only the second and are counted before int().
-_PAIR_RE = re.compile(
-    r"\(\s*(\d{1,%d})\s*,\s*(\d{1,%d})\s*\)" % (_DEGREE_DIGITS, _DEGREE_DIGITS)
+_HEADER_RE = re.compile(r"\s*n\s*=\s*(\d+)\s*;\s*\[(\s*\])?")
+# One factor and the separator after it.  Leading zeros are skipped, so a
+# point has at most as many digits as MAX_DEGREE; a longer entry is left to
+# _reject_factor.
+_TOKEN_RE = re.compile(
+    r"\s*(?:\(\s*0*(\d{1,%d})\s*,\s*0*(\d{1,%d})\s*\)|e)\s*([,\]])"
+    % (_DEGREE_DIGITS, _DEGREE_DIGITS)
 )
-_LONG_PAIR_RE = re.compile(r"\(\s*(\d+)\s*,\s*(\d+)\s*\)")
 
 
 def parse_factorization(text: str) -> Factorization:
@@ -266,59 +269,49 @@ def parse_factorization(text: str) -> Factorization:
     >>> parse_factorization("n=3; [(1,2), e, (3,1)]").factors
     ((1, 2), None, (1, 3))
     """
-    match = _HEADER_RE.match(text)
-    if not match:
+    header = _HEADER_RE.match(text)
+    if not header:
         raise FormatError(
             "expected factorization of the form 'n=<int>; [...]'", position=0
         )
-    degree = _parse_degree(match)
-    pos = match.end()
+    degree = _parse_degree(header)
+    pos = header.end()
     factors: list[Factor] = []
-    expect_factor = True
-    while True:
-        while pos < len(text) and text[pos].isspace():
-            pos += 1
-        if pos >= len(text):
-            raise FormatError("unterminated factor list", position=pos)
-        ch = text[pos]
-        if ch == "]":
-            if factors and expect_factor:
-                raise FormatError("trailing comma in factor list", position=pos)
-            pos += 1
-            break
-        if not expect_factor:
-            if ch != ",":
-                raise FormatError(
-                    f"expected ',' or ']' but found {ch!r}", position=pos
-                )
-            pos += 1
-            expect_factor = True
-            continue
-        if ch == "e":
-            factors.append(None)
-            pos += 1
-        elif ch == "(":
-            m = _PAIR_RE.match(text, pos)
-            if not m:
-                m = _LONG_PAIR_RE.match(text, pos)
-                if not m:
-                    raise FormatError("malformed transposition", position=pos)
-                if max(len(d.lstrip("0")) for d in m.groups()) > _DEGREE_DIGITS:
-                    raise FormatError(
-                        f"factor entry out of range for degree {degree}",
-                        position=pos,
-                    )
-            a, b = int(m.group(1)), int(m.group(2))
-            try:
-                factors.append(normalize_factor((a, b), degree))
-            except PreconditionError as exc:
-                raise FormatError(str(exc), position=pos) from exc
-            pos = m.end()
-        else:
-            raise FormatError(
-                f"expected '(', 'e', or ']' but found {ch!r}", position=pos
-            )
-        expect_factor = False
+    if header.group(2) is None:
+        # Each distinct digit string is converted and range-checked once, so
+        # a factor costs two lookups and repeated points share one int; 0
+        # marks a point out of range.
+        points: dict[str, int] = {}
+        get = points.get
+
+        def point(digits: str) -> int:
+            value = int(digits)
+            if not 0 < value <= degree:
+                return 0
+            points[digits] = value
+            return value
+
+        match = _TOKEN_RE.match
+        append = factors.append
+        while True:
+            token = match(text, pos)
+            if token is None:
+                _reject_factor(text, pos, degree)
+            a, b, separator = token.groups()
+            if a is None:
+                append(None)
+            else:
+                x = get(a) or point(a)
+                y = get(b) or point(b)
+                if 0 < x < y:
+                    append((x, y))
+                elif 0 < y < x:
+                    append((y, x))
+                else:
+                    _reject_factor(text, pos, degree)
+            pos = token.end()
+            if separator == "]":
+                break
     tail = text[pos:].strip()
     if tail:
         raise FormatError(
@@ -326,6 +319,46 @@ def parse_factorization(text: str) -> Factorization:
             position=len(text) - len(text[pos:].lstrip()),
         )
     return Factorization._trusted(degree, tuple(factors))
+
+
+def _reject_factor(text: str, pos: int, degree: int) -> NoReturn:
+    """Raise the FormatError for the factor after '[' or ',' at ``pos`` that
+    _TOKEN_RE refused or whose points failed their checks.
+
+    The factor is read again piece by piece, so each kind of mistake gets
+    its own message, at the offending character: the '(' of a bad pair, the
+    separator that is missing, or the end of the text.
+    """
+    start = len(text) - len(text[pos:].lstrip())
+    if start == len(text):
+        raise FormatError("unterminated factor list", position=start)
+    ch = text[start]
+    if ch == "]":
+        raise FormatError("trailing comma in factor list", position=start)
+    if ch == "e":
+        end = start + 1
+    elif ch == "(":
+        # a pair with digit runs of any length, counted before int()
+        pair = re.compile(r"\(\s*(\d+)\s*,\s*(\d+)\s*\)").match(text, start)
+        if not pair:
+            raise FormatError("malformed transposition", position=start)
+        if max(len(d.lstrip("0")) for d in pair.groups()) > _DEGREE_DIGITS:
+            raise FormatError(
+                f"factor entry out of range for degree {degree}", position=start
+            )
+        try:
+            normalize_factor((int(pair.group(1)), int(pair.group(2))), degree)
+        except PreconditionError as exc:
+            raise FormatError(str(exc), position=start) from exc
+        end = pair.end()
+    else:
+        raise FormatError(
+            f"expected '(', 'e', or ']' but found {ch!r}", position=start
+        )
+    end = len(text) - len(text[end:].lstrip())
+    if end == len(text):
+        raise FormatError("unterminated factor list", position=end)
+    raise FormatError(f"expected ',' or ']' but found {text[end]!r}", position=end)
 
 
 def format_factorization(factorization: Factorization) -> str:

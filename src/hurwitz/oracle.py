@@ -25,8 +25,8 @@ CodedState = tuple[int, ...]
 
 DEFAULT_CAP = 10**6
 
-# Raw enumeration space (n(n-1)/2)^m above this is refused, and so is a length
-# above it at degree 2, where that space is always 1.
+# Raw enumeration space (n(n-1)/2)^m above this is refused.  A length above
+# DEFAULT_CAP slots is refused too: at degree 2 that space is always 1.
 ENUMERATION_GUARD = 10**8
 
 
@@ -172,12 +172,16 @@ def enumerate_identity_factorizations(
         )
     if length < 0:
         raise PreconditionError(f"length must be non-negative, got {length}")
+    if length > DEFAULT_CAP:
+        raise PreconditionError(
+            f"length {length} exceeds the enumeration guard of {DEFAULT_CAP} "
+            "slots; use a smaller length"
+        )
     alphabet_size = degree * (degree - 1) // 2
-    # Never form alphabet_size**length for a huge length: past bit_length
-    # factors a power of 2 or more is over the guard already.  A one-letter
-    # alphabet never grows, so there the length itself is bounded.
+    # Never form alphabet_size**length for a long length: past bit_length
+    # factors a power of 2 or more is over the guard already.
     candidates = alphabet_size ** min(length, ENUMERATION_GUARD.bit_length())
-    if candidates > ENUMERATION_GUARD or length > ENUMERATION_GUARD:
+    if candidates > ENUMERATION_GUARD:
         raise PreconditionError(
             f"{alphabet_size}^{length} candidate tuples over {length} slots "
             f"exceed the enumeration guard ({ENUMERATION_GUARD}); use smaller "

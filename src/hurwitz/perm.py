@@ -80,16 +80,16 @@ def compose(p: Permutation, q: Permutation) -> Permutation:
     return Permutation(p.degree, tuple(qi[i - 1] for i in p.images))
 
 
-def transposition_product(n: int, factors: Iterable["Pair | None"]) -> Permutation:
-    """Left-to-right product of transposition factors (None factors are the identity).
+def product_images(n: int, factors: Iterable["Pair | None"]) -> list[int]:
+    """Image array of the left-to-right product of transposition factors
+    (None factors are the identity): entry x is the image of the point x,
+    and entry 0 is 0.
 
     Maintains the running product's image and preimage arrays so each factor
     costs O(1); the whole product is O(n + number of factors).
 
-    >>> transposition_product(3, [(1, 2), (2, 3)]).images
-    (3, 1, 2)
-    >>> transposition_product(5, []).is_identity()
-    True
+    >>> product_images(3, [(1, 2), (2, 3)])
+    [0, 3, 1, 2]
     """
     img = list(range(n + 1))   # img[x] = image of x under the product so far
     pre = list(range(n + 1))   # pre[y] = preimage of y
@@ -101,4 +101,15 @@ def transposition_product(n: int, factors: Iterable["Pair | None"]) -> Permutati
         xa, xb = pre[a], pre[b]
         img[xa], img[xb] = b, a
         pre[a], pre[b] = xb, xa
-    return Permutation(n, tuple(img[1:]))
+    return img
+
+
+def transposition_product(n: int, factors: Iterable["Pair | None"]) -> Permutation:
+    """Left-to-right product of transposition factors (None factors are the identity).
+
+    >>> transposition_product(3, [(1, 2), (2, 3)]).images
+    (3, 1, 2)
+    >>> transposition_product(5, []).is_identity()
+    True
+    """
+    return Permutation(n, tuple(product_images(n, factors)[1:]))

@@ -209,7 +209,7 @@ class TestOrbitAndCensus:
         assert out == "total factorizations=27 orbits=4 signatures=4 theorem=OK\n"
 
     def test_census_deep_enumeration(self):
-        # at degree 2 the enumeration guard trips only past 10^8 slots, so the
+        # at degree 2 the enumeration guard trips only past 10^6 slots, so the
         # search runs one slot per factor; it must not hit Python's recursion
         # limit
         proc = subprocess.run(
@@ -299,6 +299,21 @@ class TestErrorHandling:
         assert proc.stderr.startswith("error: ")
         assert "guard" in proc.stderr
         assert "Traceback" not in proc.stderr
+
+    def test_census_degree_two_beyond_slot_guard(self):
+        # one candidate tuple at degree 2, but 10^8 slots: refused at once
+        proc = subprocess.run(
+            [sys.executable, "-m", "hurwitz.cli", "census", "2", "100000000"],
+            capture_output=True,
+            text=True,
+            timeout=10,
+        )
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr == (
+            "error: length 100000000 exceeds the enumeration guard of 1000000 "
+            "slots; use a smaller length\n"
+        )
 
     def test_census_length_zero_at_a_large_degree(self):
         # the one empty factorization, without listing n(n-1)/2 transpositions

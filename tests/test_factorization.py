@@ -1,5 +1,8 @@
 """Move engine: single moves, certificates, text formats."""
 
+import random
+import tracemalloc
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -87,6 +90,10 @@ class TestFactorizationType:
         assert not f.is_identity_factorization()
         assert Factorization(3, [(1, 2), (1, 2)]).is_identity_factorization()
         assert Factorization(3, []).is_identity_factorization()
+
+    @given(factorizations(max_len=6))
+    def test_identity_check_agrees_with_product(self, f):
+        assert f.is_identity_factorization() == f.product().is_identity()
 
 
 class TestConjugation:
@@ -243,6 +250,149 @@ class TestFactorizationText:
     @settings(max_examples=80)
     def test_round_trip(self, f):
         assert parse_factorization(format_factorization(f)) == f
+
+
+HEADER = "expected factorization of the form 'n=<int>; [...]'"
+
+
+class TestFactorizationErrorContract:
+    """Every FormatError branch of parse_factorization, with its exact
+    message and position."""
+
+    @pytest.mark.parametrize(
+        "text, message, position",
+        [
+            ("", HEADER, 0),
+            ("[(1,2)]", HEADER, 0),
+            ("n=3 [(1,2)]", HEADER, 0),
+            ("n=; []", HEADER, 0),
+            (" n = 0; []", "degree must be in 1..1000000", 5),
+            ("n=99999999999999; [(1,2)]", "degree must be in 1..1000000", 2),
+            ("n=3; [", "unterminated factor list", 6),
+            ("n=3; [(1,2)", "unterminated factor list", 11),
+            ("n=3; [(1,2),  ", "unterminated factor list", 14),
+            ("n=3; [(1,2),]", "trailing comma in factor list", 12),
+            ("n=3; [e , ]", "trailing comma in factor list", 10),
+            ("n=3; [(1,2) (1,3)]", "expected ',' or ']' but found '('", 12),
+            ("n=3; [e e]", "expected ',' or ']' but found 'e'", 8),
+            ("n=3; [(1,2)e]", "expected ',' or ']' but found 'e'", 11),
+            ("n=3; [(1,)]", "malformed transposition", 6),
+            ("n=3; [(1 2)]", "malformed transposition", 6),
+            ("n=3; [(1,2]", "malformed transposition", 6),
+            ("n=3; [(12345678 1)]", "malformed transposition", 6),
+            ("n=3; [(12345678,1)]", "factor entry out of range for degree 3", 6),
+            ("n=3; [e, (1, 000012345678)]", "factor entry out of range for degree 3", 9),
+            ("n=3; [(1,4)]", "factor (1,4) out of range for degree 3", 6),
+            ("n=3; [(04,1)]", "factor (4,1) out of range for degree 3", 6),
+            ("n=3; [(0,1)]", "factor (0,1) out of range for degree 3", 6),
+            ("n=3; [(5,5)]", "factor (5,5) out of range for degree 3", 6),
+            ("n=3; [(2,2)]", "factor (2,2) is not a transposition", 6),
+            ("n=3; [e, (0002,2)]", "factor (2,2) is not a transposition", 9),
+            ("n=3; [x]", "expected '(', 'e', or ']' but found 'x'", 6),
+            ("n=3; [e,x]", "expected '(', 'e', or ']' but found 'x'", 8),
+            ("n=3; [,]", "expected '(', 'e', or ']' but found ','", 6),
+            ("n=3; [(1,2)] trailing", "unexpected trailing content 'trailing'", 13),
+            ("n=3; [] ]", "unexpected trailing content ']'", 8),
+            ("n=3; [e]\n ; ", "unexpected trailing content ';'", 10),
+        ],
+    )
+    def test_message_and_position(self, text, message, position):
+        with pytest.raises(FormatError) as info:
+            parse_factorization(text)
+        assert str(info.value) == f"{message} (at position {position})"
+        assert info.value.position == position
+
+    @pytest.mark.parametrize(
+        "text, degree, factors",
+        [
+            ("n=3; []", 3, ()),
+            ("\tn = 3 ;[ \n ]\n", 3, ()),
+            ("n=0000003; [(000000003,01)]", 3, ((1, 3),)),
+            ("n=3; [(2, 0000000000000000001),e]", 3, ((1, 2), None)),
+            ("\n n\t=\t4 ; [\t( 4 ,\n1 ) ,e\t,\r\n(2,3)\n]\t\n", 4, ((1, 4), None, (2, 3))),
+        ],
+    )
+    def test_accepted(self, text, degree, factors):
+        f = parse_factorization(text)
+        assert (f.degree, f.factors) == (degree, factors)
+
+
+@st.composite
+def rendered_factorizations(draw):
+    """A factorization and a text of it with random whitespace between
+    tokens and random leading zeros on every number."""
+    f = draw(factorizations())
+    space = st.text(alphabet=" \t\r\n", max_size=2)
+    zeros = st.sampled_from(["", "", "0", "00", "0" * 9])
+
+    def number(value):
+        return draw(zeros) + str(value)
+
+    def pad(token):
+        return draw(space) + token + draw(space)
+
+    tokens = []
+    for factor in f.factors:
+        if factor is None:
+            tokens.append(pad("e"))
+        else:
+            a, b = factor if draw(st.booleans()) else factor[::-1]
+            tokens.append(pad("(" + pad(number(a)) + "," + pad(number(b)) + ")"))
+    text = (
+        pad("n") + "=" + pad(number(f.degree)) + ";" + pad("[")
+        + ",".join(tokens) + pad("]")
+    )
+    return f, text
+
+
+class TestFactorizationFuzz:
+    @given(rendered_factorizations())
+    @settings(max_examples=150)
+    def test_rendered_text_parses_back(self, case):
+        f, text = case
+        assert parse_factorization(text) == f
+
+    @given(
+        rendered_factorizations(),
+        st.integers(0, 2),
+        st.floats(0, 1, exclude_max=True),
+        st.sampled_from(list("()[],;=ne0123456789x \t")),
+    )
+    @settings(max_examples=300)
+    def test_one_edit_parses_or_raises_format_error(self, case, edit, where, char):
+        _, text = case
+        k = int(where * (len(text) + 1))
+        if edit == 0:
+            text = text[:k] + char + text[k:]
+        elif edit == 1:
+            text = text[:k] + text[k + 1:]
+        else:
+            text = text[:k] + char + text[k + 1:]
+        try:
+            parse_factorization(text)
+        except FormatError as exc:
+            assert 0 <= exc.position <= len(text)
+
+
+def test_parse_streams_factors():
+    """The parse holds little beyond the Factorization it returns: no list of
+    all tokens or digit strings is built first."""
+    rng = random.Random(5)
+    n, m = 10_000, 100_000
+    factors = [
+        None if rng.random() < 0.05 else tuple(sorted(rng.sample(range(1, n + 1), 2)))
+        for _ in range(m)
+    ]
+    text = format_factorization(Factorization(n, factors))
+    del factors
+    tracemalloc.start()
+    try:
+        f = parse_factorization(text)
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(f) == m
+    assert peak <= 1.5 * retained
 
 
 class TestCertificateText:

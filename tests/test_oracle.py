@@ -214,6 +214,11 @@ class TestEnumeration:
         with pytest.raises(PreconditionError, match="guard"):
             next(enumerate_identity_factorizations(2, 10**8 + 1))
 
+    def test_slot_guard_at_degree_two(self):
+        # one candidate tuple at any length; the length itself is bounded
+        with pytest.raises(PreconditionError, match="1000000 slots"):
+            next(enumerate_identity_factorizations(2, DEFAULT_CAP + 1))
+
     def test_degenerate_arguments(self):
         with pytest.raises(PreconditionError):
             next(enumerate_identity_factorizations(1, 2))
