@@ -59,7 +59,7 @@ from .oracle import (
     enumerate_orbit,
     orbit_partition,
 )
-from .perm import Permutation, compose, transposition_product
+from .perm import Permutation, transposition_product
 
 __all__ = [
     "BraidTuple",
@@ -86,7 +86,6 @@ __all__ = [
     "build_graph",
     "canonical_form",
     "canonical_shape",
-    "compose",
     "enumerate_identity_factorizations",
     "enumerate_orbit",
     "format_braid_tuple",

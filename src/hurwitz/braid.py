@@ -28,7 +28,7 @@ from typing import Iterable, Iterator
 
 from .errors import FormatError, MoveRangeError, PreconditionError
 from .factorization import Direction, Factor, Factorization, HurwitzMove, _parse_degree
-from .perm import Permutation, transposition_product
+from .perm import Permutation, product_images, transposition_product
 
 
 @dataclass(frozen=True)
@@ -98,7 +98,7 @@ def project_word(word: BraidWord) -> Permutation:
 
     >>> project_word(BraidWord(3, (1, 2, -1))).images
     (3, 2, 1)
-    >>> project_word(BraidWord(3, ())).is_identity()
+    >>> project_word(BraidWord(3, ())) == Permutation.identity(3)
     True
     """
     return transposition_product(
@@ -107,8 +107,15 @@ def project_word(word: BraidWord) -> Permutation:
 
 
 def _projection_factor(word: BraidWord) -> Factor:
-    perm = project_word(word)
-    moved = [i for i in range(1, perm.degree + 1) if perm(i) != i]
+    """The factor ``word`` projects to.  Only the strands it touches can
+    move, so they are relabelled 1..k in order, multiplied there and mapped
+    back: the cost follows the word's length, not its degree."""
+    strands = set(map(abs, word.letters))
+    points = sorted(strands.union([s + 1 for s in strands]))
+    label = {p: i for i, p in enumerate(points, 1)}
+    swap = {s: (label[s], label[s + 1]) for s in strands}
+    images = product_images(len(points), map(swap.__getitem__, map(abs, word.letters)))
+    moved = [p for i, p in enumerate(points, 1) if images[i] != i]
     if not moved:
         return None
     if len(moved) == 2:
@@ -212,15 +219,11 @@ def parse_braid_tuple(text: str) -> BraidTuple:
     return BraidTuple(degree, words)
 
 
-def format_word(word: BraidWord) -> str:
-    return " ".join(str(x) for x in word.letters)
-
-
 def format_braid_tuple(braid: BraidTuple) -> str:
     """Render the text form, inverse to parse_braid_tuple.
 
     >>> format_braid_tuple(BraidTuple(3, [BraidWord(3, (1, 2, -1)), BraidWord(3, (2,))]))
     'n=3; [1 2 -1 | 2]'
     """
-    body = " | ".join(format_word(w) for w in braid.words)
+    body = " | ".join(" ".join(map(str, w.letters)) for w in braid.words)
     return f"n={braid.degree}; [{body}]"

@@ -29,9 +29,16 @@ from .oracle import DEFAULT_CAP, enumerate_orbit, orbit_partition
 
 
 def _read_text(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
-    return Path(path).read_text()
+    try:
+        if path == "-":
+            return sys.stdin.read()
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        # exc.start counts bytes, so it is no character offset into the text
+        name = "stdin" if path == "-" else path
+        raise FormatError(
+            f"{name}: not {exc.encoding} text, bad byte at offset {exc.start}"
+        ) from None
 
 
 def _load_factorization(path: str) -> Factorization:

@@ -179,21 +179,13 @@ class HurwitzMove:
 MoveCertificate = tuple[HurwitzMove, ...]
 
 
-def forward(position: int) -> HurwitzMove:
-    return HurwitzMove(Direction.FORWARD, position)
-
-
-def inverse(position: int) -> HurwitzMove:
-    return HurwitzMove(Direction.INVERSE, position)
-
-
 def apply_move(factorization: Factorization, move: HurwitzMove) -> Factorization:
     """Apply one elementary move, returning a new factorization.
 
     >>> f = Factorization(3, [(1, 2), (2, 3)])
-    >>> apply_move(f, forward(0)).factors
+    >>> apply_move(f, HurwitzMove(Direction.FORWARD, 0)).factors
     ((1, 3), (1, 2))
-    >>> apply_move(f, inverse(0)).factors
+    >>> apply_move(f, HurwitzMove(Direction.INVERSE, 0)).factors
     ((2, 3), (1, 3))
     """
     return apply_certificate(factorization, (move,))

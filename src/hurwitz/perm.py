@@ -2,9 +2,9 @@
 
 Permutations are stored in image form: `images[i]` is the image of the point
 i+1 (points are 1-based throughout, images are a tuple of length n).
-Products are read left to right: in `compose(p, q)` the permutation p is
-applied first, then q.  This matches the way factorizations are written as
-ordered products of factors.
+Products are read left to right: in `transposition_product(n, [s, t])` the
+transposition s is applied first, then t.  This matches the way
+factorizations are written as ordered products of factors.
 """
 from __future__ import annotations
 
@@ -48,37 +48,6 @@ class Permutation:
         images[a - 1], images[b - 1] = b, a
         return Permutation(n, tuple(images))
 
-    def __call__(self, point: int) -> int:
-        """Image of a single point.
-
-        >>> Permutation.transposition(3, 1, 2)(1)
-        2
-        """
-        return self.images[point - 1]
-
-    def is_identity(self) -> bool:
-        return all(img == i + 1 for i, img in enumerate(self.images))
-
-    def inverse(self) -> Permutation:
-        inv = [0] * self.degree
-        for i, img in enumerate(self.images):
-            inv[img - 1] = i + 1
-        return Permutation(self.degree, tuple(inv))
-
-
-def compose(p: Permutation, q: Permutation) -> Permutation:
-    """Left-to-right product: apply p first, then q.
-
-    >>> t12 = Permutation.transposition(3, 1, 2)
-    >>> t23 = Permutation.transposition(3, 2, 3)
-    >>> compose(t12, t23).images   # 1 -> 2 -> 3, 2 -> 1 -> 1, 3 -> 3 -> 2
-    (3, 1, 2)
-    """
-    if p.degree != q.degree:
-        raise PreconditionError(f"cannot compose permutations of degrees {p.degree} and {q.degree}")
-    qi = q.images
-    return Permutation(p.degree, tuple(qi[i - 1] for i in p.images))
-
 
 def product_images(n: int, factors: Iterable["Pair | None"]) -> list[int]:
     """Image array of the left-to-right product of transposition factors
@@ -109,7 +78,7 @@ def transposition_product(n: int, factors: Iterable["Pair | None"]) -> Permutati
 
     >>> transposition_product(3, [(1, 2), (2, 3)]).images
     (3, 1, 2)
-    >>> transposition_product(5, []).is_identity()
+    >>> transposition_product(5, []) == Permutation.identity(5)
     True
     """
     return Permutation(n, tuple(product_images(n, factors)[1:]))

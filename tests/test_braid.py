@@ -1,6 +1,7 @@
 """Braid words, projection, and compatibility of the two move actions."""
 
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,20 +9,33 @@ from hypothesis import given, settings, strategies as st
 from hurwitz.braid import (
     BraidTuple,
     BraidWord,
+    _projection_factor,
     braid_hurwitz_move,
     format_braid_tuple,
-    format_word,
     parse_braid_tuple,
     project_tuple,
     project_word,
 )
 from hurwitz.errors import FormatError, MoveRangeError, PreconditionError
-from hurwitz.factorization import Direction, HurwitzMove, apply_move
-from hurwitz.perm import Permutation, compose
+from hurwitz.factorization import MAX_DEGREE, Direction, HurwitzMove, apply_move
+from hurwitz.perm import Permutation
 
 
 def word(degree, *letters):
     return BraidWord(degree, letters)
+
+
+def compose(p, q):
+    """Reference left-to-right product of two permutations: p first, then q."""
+    return Permutation(p.degree, tuple(q.images[i - 1] for i in p.images))
+
+
+def inverse(p):
+    """Reference inverse of a permutation."""
+    images = [0] * p.degree
+    for i, image in enumerate(p.images, 1):
+        images[image - 1] = i
+    return Permutation(p.degree, tuple(images))
 
 
 class TestBraidWord:
@@ -56,11 +70,11 @@ class TestProjection:
         assert project_word(word(3, -1)) == project_word(word(3, 1))
 
     def test_empty_word_is_identity(self):
-        assert project_word(word(5)).is_identity()
+        assert project_word(word(5)) == Permutation.identity(5)
 
     def test_braid_relator_projects_to_identity(self):
         # sigma1 sigma2 sigma1 sigma2 sigma1 sigma2 maps to ((1,2)(2,3))^3 = id
-        assert project_word(word(3, 1, 2, 1, 2, 1, 2)).is_identity()
+        assert project_word(word(3, 1, 2, 1, 2, 1, 2)) == Permutation.identity(3)
 
     @given(st.data())
     @settings(max_examples=80)
@@ -74,7 +88,24 @@ class TestProjection:
 
     def test_inverse_projects_to_inverse(self):
         w = word(4, 1, 3, 2, -1)
-        assert project_word(w.inverse()) == project_word(w).inverse()
+        assert project_word(w.inverse()) == inverse(project_word(w))
+
+    @given(st.data())
+    @settings(max_examples=300)
+    def test_projection_factor_agrees_with_full_permutation(self, data):
+        """The factor taken on the touched strands alone is the one the
+        degree-n permutation shows: the identity, its one transposition, or
+        PreconditionError for any other image."""
+        n = data.draw(st.integers(2, 7))
+        alphabet = [s * i for i in range(1, n) for s in (1, -1)]
+        w = BraidWord(n, data.draw(st.lists(st.sampled_from(alphabet), max_size=8)))
+        images = project_word(w).images
+        moved = [i for i, image in enumerate(images, 1) if image != i]
+        if len(moved) in (0, 2):
+            assert _projection_factor(w) == (tuple(moved) or None)
+        else:
+            with pytest.raises(PreconditionError):
+                _projection_factor(w)
 
 
 class TestProjectTuple:
@@ -94,6 +125,20 @@ class TestProjectTuple:
 
     def test_empty_tuple(self):
         assert len(project_tuple(BraidTuple(3, []))) == 0
+
+    def test_large_degree_projects_in_small_memory(self):
+        """Projection works on the strands each word touches, so a tuple of
+        short words at the largest degree allocates nothing degree-sized."""
+        n = MAX_DEGREE
+        t = BraidTuple(n, [word(n, 1), word(n, n - 1), word(n, 500, -500), word(n, 7, 8, -7)])
+        tracemalloc.start()
+        try:
+            f = project_tuple(t)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert f.factors == ((1, 2), (n - 1, n), None, (7, 9))
+        assert peak < 1_000_000
 
     def test_degree_mismatch_in_tuple(self):
         with pytest.raises(PreconditionError):
@@ -159,7 +204,7 @@ class TestBraidText:
         assert [w.letters for w in b.words] == [(), (2,)]
 
     def test_format_word(self):
-        assert format_word(word(4, 1, -3, 2)) == "1 -3 2"
+        assert format_braid_tuple(BraidTuple(4, [word(4, 1, -3, 2)])) == "n=4; [1 -3 2]"
 
     def test_malformed_header(self):
         with pytest.raises(FormatError):

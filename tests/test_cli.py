@@ -339,6 +339,24 @@ class TestErrorHandling:
         assert proc.stderr.startswith("error: ")
         assert "Traceback" not in proc.stderr
 
+    @pytest.mark.parametrize("command", ["sig", "equiv", "replay", "project"])
+    def test_non_utf8_file(self, run, tmp_path, command):
+        bad = tmp_path / "bad.txt"
+        bad.write_bytes(b"\xff\xfe\x00bad")
+        good = tmp_path / "f.txt"
+        good.write_text("n=3; [(1,2),(1,2)]")
+        files = {"sig": [bad], "equiv": [good, bad], "replay": [good, bad], "project": [bad]}
+        code, out, err = run(command, *map(str, files[command]))
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {bad}: not utf-8 text, bad byte at offset 0\n"
+
+    def test_non_utf8_stdin(self, capsys, monkeypatch):
+        stdin = io.TextIOWrapper(io.BytesIO(b"n=3; [\xff]"), encoding="utf-8")
+        monkeypatch.setattr(sys, "stdin", stdin)
+        assert main(["sig", "-"]) == 2
+        assert capsys.readouterr().err == "error: stdin: not utf-8 text, bad byte at offset 6\n"
+
     def test_missing_file(self, run):
         code, _, err = run("sig", "/nonexistent/nope.txt")
         assert code == 2
@@ -353,6 +371,58 @@ class TestErrorHandling:
         with pytest.raises(SystemExit) as excinfo:
             main([])
         assert excinfo.value.code == 2
+
+
+# Every file slot of every subcommand, each given a directory, a missing file
+# and a non-UTF-8 file; then the hostile values of the other arguments.
+# {f} is a good factorization file.
+_FILE_SLOTS = [
+    ("sig", "{x}"), ("equiv", "{x}", "{f}"), ("equiv", "{f}", "{x}"),
+    ("canon", "{x}"), ("move", "{x}", "F@0"), ("replay", "{x}", "{f}"),
+    ("replay", "{f}", "{x}"), ("orbit", "{x}"), ("project", "{x}"), ("dot", "{x}"),
+]
+_HOSTILE_ARGV = [
+    tuple(arg.replace("{x}", bad) for arg in slot)
+    for slot in _FILE_SLOTS
+    for bad in ("{dir}", "{missing}", "{non_utf8}")
+] + [
+    ("orbit", "{f}", "--cap", "0"),
+    ("orbit", "{f}", "--cap", "-5"),
+    ("orbit", "{f}", "--cap", "x"),
+    ("census", "3", "2", "--cap", "0"),
+    ("census", "3", "2", "--cap", "-5"),
+    ("census", "3", "-1"),
+    ("census", "0", "2"),
+    ("census", "1000001", "2"),
+    ("census", "3", "4.5"),
+    ("move", "{f}", "F@5"),
+    ("move", "{f}", "I@-1"),
+    ("move", "{f}", "F@0\nI@0"),
+    ("sig", "{f}", "--dot", "{dir}/missing/g.dot"),
+    ("dot", "{f}", "--dot", "{dir}/missing/g.dot"),
+    ("dot", "{f}", "--dot", "{dir}"),
+]
+
+
+@pytest.mark.parametrize("argv", _HOSTILE_ARGV, ids=" ".join)
+def test_hostile_arguments_exit_0_1_or_2(run, tmp_path, argv):
+    """Every outcome is an exit code or argparse's usage exit, never an
+    exception."""
+    (tmp_path / "f.txt").write_text("n=3; [(1,2),(1,2)]")
+    (tmp_path / "bad.txt").write_bytes(b"\xff\xfe\x00bad")
+    paths = {
+        "f": tmp_path / "f.txt",
+        "dir": tmp_path,
+        "missing": tmp_path / "missing.txt",
+        "non_utf8": tmp_path / "bad.txt",
+    }
+    try:
+        code, _, err = run(*(arg.format(**paths) for arg in argv))
+    except SystemExit as exc:
+        assert exc.code == 2
+    else:
+        assert code in (0, 1, 2)
+        assert code != 2 or err.startswith("error: ")
 
 
 class TestEntryPoint:

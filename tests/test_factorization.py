@@ -6,7 +6,7 @@ import tracemalloc
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hurwitz.braid import parse_braid_tuple
+from hurwitz.braid import BraidTuple, BraidWord, format_braid_tuple, parse_braid_tuple
 from hurwitz.errors import FormatError, MoveRangeError, PreconditionError
 from hurwitz.factorization import (
     MAX_DEGREE,
@@ -18,12 +18,19 @@ from hurwitz.factorization import (
     conjugate_factor,
     format_certificate,
     format_factorization,
-    forward,
-    inverse,
     invert_certificate,
     parse_certificate,
     parse_factorization,
 )
+from hurwitz.perm import Permutation
+
+
+def forward(k):
+    return HurwitzMove(Direction.FORWARD, k)
+
+
+def inverse(k):
+    return HurwitzMove(Direction.INVERSE, k)
 
 
 @st.composite
@@ -93,7 +100,8 @@ class TestFactorizationType:
 
     @given(factorizations(max_len=6))
     def test_identity_check_agrees_with_product(self, f):
-        assert f.is_identity_factorization() == f.product().is_identity()
+        identity = Permutation.identity(f.degree)
+        assert f.is_identity_factorization() == (f.product() == identity)
 
 
 class TestConjugation:
@@ -345,6 +353,29 @@ def rendered_factorizations(draw):
     return f, text
 
 
+def one_edit(text, edit, where, char):
+    """``text`` after one insertion (edit 0), deletion (1) or substitution
+    (2) of ``char`` at the fraction ``where`` of its length."""
+    k = int(where * (len(text) + 1))
+    if edit == 0:
+        return text[:k] + char + text[k:]
+    if edit == 1:
+        return text[:k] + text[k + 1:]
+    return text[:k] + char + text[k + 1:]
+
+
+def parses_or_raises_format_error(parse, text):
+    try:
+        parse(text)
+    except FormatError as exc:
+        assert 0 <= exc.position <= len(text)
+
+
+EDITS = (st.integers(0, 2), st.floats(0, 1, exclude_max=True))
+# line breaks str.splitlines knows, '#', and digits int() accepts beyond ASCII
+HOSTILE_CHARS = ["\r", "\x85", "\u2028", "#", "\u0663", "\uff15"]
+
+
 class TestFactorizationFuzz:
     @given(rendered_factorizations())
     @settings(max_examples=150)
@@ -354,24 +385,79 @@ class TestFactorizationFuzz:
 
     @given(
         rendered_factorizations(),
-        st.integers(0, 2),
-        st.floats(0, 1, exclude_max=True),
+        *EDITS,
         st.sampled_from(list("()[],;=ne0123456789x \t")),
     )
     @settings(max_examples=300)
     def test_one_edit_parses_or_raises_format_error(self, case, edit, where, char):
         _, text = case
-        k = int(where * (len(text) + 1))
-        if edit == 0:
-            text = text[:k] + char + text[k:]
-        elif edit == 1:
-            text = text[:k] + text[k + 1:]
-        else:
-            text = text[:k] + char + text[k + 1:]
-        try:
-            parse_factorization(text)
-        except FormatError as exc:
-            assert 0 <= exc.position <= len(text)
+        parses_or_raises_format_error(parse_factorization, one_edit(text, edit, where, char))
+
+
+@st.composite
+def rendered_certificates(draw):
+    """A certificate and a text of it with padded moves, blank lines and
+    comments between them, under any of the line breaks the parser splits on."""
+    moves = draw(st.lists(
+        st.builds(HurwitzMove, st.sampled_from(Direction), st.integers(0, 10**19 - 1)),
+        max_size=8,
+    ))
+    space = st.text(alphabet=" \t", max_size=2)
+    lines = []
+    for move in moves:
+        lines.extend(draw(st.lists(st.sampled_from(["", "# note", " #F@1"]), max_size=2)))
+        lines.append(
+            draw(space) + move.direction.value + draw(space) + "@" + draw(space)
+            + "0" * draw(st.integers(0, 2)) + str(move.position) + draw(space)
+        )
+    return moves, draw(st.sampled_from(["\n", "\r\n", "\r", "\x85"])).join(lines)
+
+
+class TestCertificateFuzz:
+    @given(rendered_certificates())
+    @settings(max_examples=50)
+    def test_rendered_text_parses_back(self, case):
+        moves, text = case
+        assert parse_certificate(text) == moves
+        assert parse_certificate(format_certificate(moves)) == moves
+
+    @given(
+        rendered_certificates(),
+        *EDITS,
+        st.sampled_from(list("FI@0123456789x \t\n") + HOSTILE_CHARS),
+    )
+    @settings(max_examples=120)
+    def test_one_edit_parses_or_raises_format_error(self, case, edit, where, char):
+        _, text = case
+        parses_or_raises_format_error(parse_certificate, one_edit(text, edit, where, char))
+
+
+@st.composite
+def braid_tuples(draw):
+    n = draw(st.integers(1, 6))
+    alphabet = [s * i for i in range(1, n) for s in (1, -1)]
+    letters = st.lists(st.sampled_from(alphabet), max_size=4) if alphabet else st.just([])
+    return BraidTuple(n, [BraidWord(n, w) for w in draw(st.lists(letters, max_size=5))])
+
+
+class TestBraidFuzz:
+    @given(braid_tuples())
+    @settings(max_examples=60)
+    def test_rendered_text_parses_back(self, b):
+        # the one exception: a single empty word prints as "[]", the empty tuple
+        if [w.letters for w in b.words] == [()]:
+            b = BraidTuple(b.degree, [])
+        assert parse_braid_tuple(format_braid_tuple(b)) == b
+
+    @given(
+        braid_tuples(),
+        *EDITS,
+        st.sampled_from(list("n=;[]|-0123456789x \t\n") + HOSTILE_CHARS),
+    )
+    @settings(max_examples=200)
+    def test_one_edit_parses_or_raises_format_error(self, b, edit, where, char):
+        text = one_edit(format_braid_tuple(b), edit, where, char)
+        parses_or_raises_format_error(parse_braid_tuple, text)
 
 
 def test_parse_streams_factors():
