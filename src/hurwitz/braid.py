@@ -173,7 +173,10 @@ def braid_hurwitz_move(braid: BraidTuple, move: HurwitzMove) -> BraidTuple:
 # word, so "[ | 2]" has two words.  "[]" is the empty tuple; a tuple holding
 # a single empty word prints the same way and parses back as empty.
 
-_TUPLE_RE = re.compile(r"\s*n\s*=\s*(\d+)\s*;\s*\[(.*)\]\s*$", re.DOTALL)
+_TUPLE_RE = re.compile(r"\s*n\s*=\s*([0-9]+)\s*;\s*\[(.*)\]\s*$", re.DOTALL)
+# A letter in ASCII digits: int() alone would also take other Unicode digits,
+# underscores and a '+' sign.
+_LETTER_RE = re.compile(r"-?[0-9]+")
 
 
 def parse_braid_tuple(text: str) -> BraidTuple:
@@ -204,6 +207,8 @@ def parse_braid_tuple(text: str) -> BraidTuple:
         letters = []
         for j, token in enumerate(segment.split()):
             try:
+                if not _LETTER_RE.fullmatch(token):
+                    raise ValueError(token)
                 x = int(token)
             except ValueError:
                 raise FormatError(

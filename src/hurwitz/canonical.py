@@ -19,6 +19,10 @@ a ``_Planner`` method:
   forward moves, its own value preserved, conjugating what it passes;
   carried onto a factor for an adjacent graph edge, it merges the two into
   a factor for the shortcut edge, shortening a path by one;
+* ``pull``: one BFS of the window graph fixes a shortest path from one
+  endpoint of the wanted edge to the other; its first two edges merge d - 1
+  times, each merge landing the shortcut at the smaller slot when that
+  leaves the rest of the path intact, then the edge is carried to the front;
 * ``rewrite_cells``: one kernel for two adjacent doubled cells, driven by
   a table of five four-move rewrites that hold for any transpositions x, y
   (with ``z = x y x``): swap ``x x y y -> y y x x``, shift right by left
@@ -34,7 +38,7 @@ The leftover weight of a component is walked down to ``(v_0,v_1)`` one
 doubled pair at a time.  Each finished pair ends next to path cell 0 and
 is parked there, in front of the rest of the path, so later pairs never
 slide past finished ones; the parked block moves behind the path once, at
-the end.
+the end.  The last pair walks straight on behind the path.
 
 Every intermediate state is produced by a legal move, so the final move log
 is itself the equivalence certificate.
@@ -54,6 +58,7 @@ from .factorization import (
     MoveCertificate,
     apply_certificate,
     conjugate_factor,
+    format_factorization,
     move_pair,
 )
 from .graph import ComponentSignature, component_labels, signature
@@ -172,6 +177,18 @@ _CONJUGATE = {
 }
 
 
+# A window graph: adjacency, and BFS distances from one vertex.
+_Graph = tuple[dict[int, set[int]], dict[int, int]]
+
+
+def _index(factors: list[Factor], u: int, v: int, lo: int, hi: int) -> int:
+    """The first slot in [lo, hi) holding the edge {u, v}, or -1."""
+    try:
+        return factors.index((u, v) if u < v else (v, u), lo, hi)
+    except ValueError:
+        return -1
+
+
 class _Planner:
     """Mutable factor list plus the move log that shaped it.
 
@@ -181,6 +198,7 @@ class _Planner:
     """
 
     def __init__(self, factorization: Factorization):
+        self.source = factorization
         self.degree = factorization.degree
         self.factors: list[Factor] = list(factorization.factors)
         self.moves: list[HurwitzMove] = []
@@ -192,6 +210,14 @@ class _Planner:
         return CanonicalResult(
             canonical=Factorization._trusted(self.degree, tuple(self.factors)),
             certificate=tuple(self.moves),
+        )
+
+    def _fail(self, stage: str, problem: str) -> InternalError:
+        """An InternalError naming the stage and the planner's input, so
+        ``hurwitz canon`` on that text reproduces it."""
+        return InternalError(
+            f"{stage}: {problem}; this is a planner bug; input "
+            f"{format_factorization(self.source)}"
         )
 
     # -- elementary moves --------------------------------------------------
@@ -269,9 +295,7 @@ class _Planner:
 
     # -- the pull rewrite ---------------------------------------------------
 
-    def _bfs(
-        self, lo: int, hi: int, start: int
-    ) -> tuple[dict[int, set[int]], dict[int, int]]:
+    def _bfs(self, lo: int, hi: int, start: int) -> _Graph:
         """The window graph of factors[lo:hi] and BFS distances from start."""
         adj: dict[int, set[int]] = {}
         for f in self.factors[lo:hi]:
@@ -288,33 +312,63 @@ class _Planner:
                     queue.append(w)
         return adj, dist
 
-    def pull(self, lo: int, hi: int, a: int, b: int) -> None:
+    def pull(
+        self, lo: int, hi: int, a: int, b: int, graph: _Graph | None = None
+    ) -> None:
         """Make factors[lo] equal (a, b) using moves inside [lo, hi) only.
 
-        Requires a path between a and b in the window graph.  Repeatedly
-        merges the first two edges of the lexicographically smallest
-        shortest path (strictly shortening it, since conjugation by the
-        carried factor cannot touch the path's later edges), then carries
-        the resulting factor to lo.
+        Requires a path between a and b in the window graph.  A window that
+        holds (a, b) needs only the carry to lo.  Otherwise one BFS from b
+        (graph, when the caller already built it for this window) fixes the
+        lexicographically smallest shortest path a = u0, u1, ..., ud = b.
+        Each merge carries the factors (u0,u1) and (u1,u2) onto each other,
+        which turns (u1,u2) into the shortcut (u0,u2), and drops u1 from the
+        path.  A carried factor conjugates only the passed factors that touch
+        its own points, and the path is simple, so carrying (u0,u1) leaves
+        every later path edge intact.  When (u0,u1) lies left of (u1,u2),
+        (u1,u2) is carried left instead, so the shortcut lands nearer lo; that
+        carry conjugates by u2, so it is taken only when a copy of (u2,u3)
+        lies outside the carried span or the path ends at u2.  Either way
+        the path loses exactly one edge: d - 1 merges, then one carry of
+        (a, b) to lo.
         """
-        target = (a, b) if a < b else (b, a)
-        while True:
-            adj, dist = self._bfs(lo, hi, b)
-            if a not in dist:
-                raise InternalError(
-                    f"no path between {a} and {b} in window [{lo},{hi}); "
-                    "connectivity invariant broken"
-                )
-            if dist[a] == 1:
-                break
-            u1 = min(w for w in adj[a] if dist.get(w) == dist[a] - 1)
-            u2 = min(w for w in adj[u1] if dist.get(w) == dist[u1] - 1)
-            x = (a, u1) if a < u1 else (u1, a)
-            y = (u1, u2) if u1 < u2 else (u2, u1)
-            j1 = self.factors.index(x, lo, hi)
-            j2 = self.factors.index(y, lo, hi)
-            self.carry(j1, j2)
-        self.carry(self.factors.index(target, lo, hi), lo)
+        f = self.factors
+        j = _index(f, a, b, lo, hi)
+        if j >= 0:
+            self.carry(j, lo)
+            return
+        adj, dist = graph or self._bfs(lo, hi, b)
+        if a not in dist:
+            raise self._fail(
+                "pull", f"no path between {a} and {b} in window [{lo},{hi})"
+            )
+        path = [a]
+        while path[-1] != b:
+            u = path[-1]
+            path.append(min(w for w in adj[u] if dist[w] == dist[u] - 1))
+        while len(path) > 2:
+            j1 = self._slot(path[0], path[1], lo, hi)
+            j2 = self._slot(path[1], path[2], lo, hi)
+            if j1 < j2 and (
+                len(path) == 3
+                or _index(f, path[2], path[3], lo, j1) >= 0
+                or _index(f, path[2], path[3], j2 + 1, hi) >= 0
+            ):
+                self.carry(j2, j1)
+            else:
+                self.carry(j1, j2)
+            del path[1]
+        self.carry(self._slot(a, b, lo, hi), lo)
+
+    def _slot(self, u: int, v: int, lo: int, hi: int) -> int:
+        """The first slot in [lo, hi) holding the edge {u, v}; a window
+        without one is a planner bug."""
+        j = _index(self.factors, u, v, lo, hi)
+        if j < 0:
+            raise self._fail(
+                "pull", f"no copy of edge {{{u},{v}}} in window [{lo},{hi})"
+            )
+        return j
 
     # -- grouping ------------------------------------------------------------
 
@@ -375,18 +429,20 @@ class _Planner:
             target_v = vertices[k]
             suffix_lo = lo + 2 * (k - 1)
             # the spanned vertex nearest to the target; ties go to the smallest
-            _, dist = self._bfs(suffix_lo, hi, target_v)
+            graph = self._bfs(suffix_lo, hi, target_v)
+            dist = graph[1]
             vs = min(
                 (v for v in vertices[:k] if v in dist),
                 key=dist.__getitem__,
                 default=None,
             )
             if vs is None:
-                raise InternalError(
-                    f"no path from {{{target_v}}} to the spanned vertices; "
-                    "connectivity invariant broken"
+                raise self._fail(
+                    "path",
+                    f"no path from {{{target_v}}} to the spanned vertices in "
+                    f"window [{suffix_lo},{hi})",
                 )
-            self.pull(suffix_lo, hi, vs, target_v)
+            self.pull(suffix_lo, hi, vs, target_v, graph)
             self.pull(suffix_lo + 1, hi, vs, target_v)
             # walk the doubled pair's lower endpoint up to vertices[k-1]
             steps = [
@@ -404,7 +460,9 @@ class _Planner:
         The walk ends the pair next to path cell 0, so finished pairs park in
         front of path cell 1 at no cost; pairs that already are (v0, v1)
         stay behind the path.  At the end the parked block moves behind the
-        path once.
+        path once.  The last pair that is not (v0, v1), the one after which
+        only (v0, v1) copies remain, walks straight behind the path: 4 moves
+        fewer than parking it and moving it there with the block.
         """
         v01 = (vertices[0], vertices[1])
         path_cells = len(vertices) - 1
@@ -437,9 +495,17 @@ class _Planner:
                 steps.append((t - 1, (vertices[t - 1], vertices[t + 1])))
                 steps.append((t, (vertices[t - 1], vertices[t])))
             # seen from the walk, path cell 0 is the last (v0, v1) copy in
-            # front of path cell 1
-            self.walk_pair(lo + 2 * parked, path_cells, steps, 1)
-            parked += 1
+            # front of path cell 1; the last pair that is not (v0, v1) walks
+            # straight behind the path instead
+            rest = self.factors[u0 + 2 : hi]
+            last = rest.count(v01) == len(rest)
+            self.walk_pair(
+                lo + 2 * parked, path_cells, steps, path_cells if last else 1
+            )
+            if last:
+                behind += 2
+            else:
+                parked += 1
         for q in range(parked, 0, -1):
             self.move_cell(lo + 2 * q, lo + 2 * (q + path_cells - 1))
 
@@ -509,10 +575,9 @@ def canonical_form(factorization: Factorization) -> CanonicalResult:
     result = planner.result()
     expected = canonical_shape(signature(factorization))
     if result.canonical != expected:
-        raise InternalError(
-            "canonicalizer output does not match the canonical shape; "
-            "this is a planner bug"
+        raise planner._fail(
+            "cross-check", "output does not match the canonical shape"
         )
     if apply_certificate(factorization, result.certificate) != result.canonical:
-        raise InternalError("certificate does not replay to the output")
+        raise planner._fail("replay", "certificate does not replay to the output")
     return result

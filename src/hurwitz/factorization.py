@@ -158,20 +158,29 @@ class HurwitzMove:
 
     Instances are immutable and may be shared: the canonicalizer emits one
     object per (direction, slot) and ``parse_certificate`` one per distinct
-    line.  Compare moves with ``==``, never ``is``.
+    line.  Compare moves with ``==``, never ``is``.  The text form is built
+    once, at construction, outside the fields, so ``==``, ``hash`` and
+    ``repr`` see only direction and position.
     """
 
     direction: Direction
     position: int
+
+    def __init__(self, direction: Direction, position: int):
+        # Set like the generated __init__ of a frozen dataclass: touching
+        # self.__dict__ would build a dict per instance and slow every later
+        # attribute read.  _value_ is a plain attribute; on Python 3.11 the
+        # ``value`` property costs more than the rest.
+        object.__setattr__(self, "direction", direction)
+        object.__setattr__(self, "position", position)
+        object.__setattr__(self, "_text", f"{direction._value_}@{position}")
 
     def inverted(self) -> "HurwitzMove":
         flip = Direction.INVERSE if self.direction is Direction.FORWARD else Direction.FORWARD
         return HurwitzMove(flip, self.position)
 
     def __str__(self) -> str:
-        # _value_ is a plain attribute; on Python 3.11 the ``value`` property
-        # and the ``Direction.FORWARD`` lookup each cost more than the rest
-        return f"{self.direction._value_}@{self.position}"
+        return self._text
 
 
 # A replayable move sequence; positions are relative to the evolving
@@ -243,14 +252,15 @@ def _parse_degree(match: re.Match[str]) -> int:
 
 # Text form: "n=6; [(2,6),(1,4),e,(4,5)]".  Whitespace is insignificant
 # everywhere outside tokens; the factor list may be empty, which group 2 of
-# the header matches.
+# the header matches.  Numbers are ASCII digits: ``\d`` in a str pattern and
+# int() would also take other Unicode digits, and int() underscores.
 
-_HEADER_RE = re.compile(r"\s*n\s*=\s*(\d+)\s*;\s*\[(\s*\])?")
+_HEADER_RE = re.compile(r"\s*n\s*=\s*([0-9]+)\s*;\s*\[(\s*\])?")
 # One factor and the separator after it.  Leading zeros are skipped, so a
 # point has at most as many digits as MAX_DEGREE; a longer entry is left to
 # _reject_factor.
 _TOKEN_RE = re.compile(
-    r"\s*(?:\(\s*0*(\d{1,%d})\s*,\s*0*(\d{1,%d})\s*\)|e)\s*([,\]])"
+    r"\s*(?:\(\s*0*([0-9]{1,%d})\s*,\s*0*([0-9]{1,%d})\s*\)|e)\s*([,\]])"
     % (_DEGREE_DIGITS, _DEGREE_DIGITS)
 )
 
@@ -331,7 +341,7 @@ def _reject_factor(text: str, pos: int, degree: int) -> NoReturn:
         end = start + 1
     elif ch == "(":
         # a pair with digit runs of any length, counted before int()
-        pair = re.compile(r"\(\s*(\d+)\s*,\s*(\d+)\s*\)").match(text, start)
+        pair = re.compile(r"\(\s*([0-9]+)\s*,\s*([0-9]+)\s*\)").match(text, start)
         if not pair:
             raise FormatError("malformed transposition", position=start)
         if max(len(d.lstrip("0")) for d in pair.groups()) > _DEGREE_DIGITS:
@@ -365,7 +375,7 @@ def format_factorization(factorization: Factorization) -> str:
     return f"n={factorization.degree}; [{','.join(parts)}]"
 
 
-_MOVE_RE = re.compile(r"([FI])\s*@\s*(\d+)$")
+_MOVE_RE = re.compile(r"([FI])\s*@\s*([0-9]+)$")
 
 
 def parse_certificate(text: str) -> list[HurwitzMove]:
@@ -401,4 +411,4 @@ def parse_certificate(text: str) -> list[HurwitzMove]:
 
 def format_certificate(moves: Iterable[HurwitzMove]) -> str:
     """One move per line; empty sequence renders as the empty string."""
-    return "\n".join(map(str, moves))
+    return "\n".join([move._text for move in moves])

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+from unittest.mock import patch
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -15,7 +16,7 @@ from hurwitz.canonical import (
     hurwitz_equivalent,
     pull_edge_to_front,
 )
-from hurwitz.errors import PreconditionError
+from hurwitz.errors import InternalError, PreconditionError
 from hurwitz.factorization import (
     Direction,
     Factorization,
@@ -57,6 +58,17 @@ def deep_single_component_block(seed):
     return scrambled(Factorization(n, factors), rng)
 
 
+def doubled_random_tree(seed):
+    """A doubled random spanning tree on 8..40 points, scrambled by 4m
+    moves: the tree shape of the benchmark's certify inputs, all path
+    building and no leftover."""
+    rng = random.Random(f"doubled-tree:{seed}")
+    n = rng.randint(8, 40)
+    points = rng.sample(range(1, n + 1), n)
+    edges = [tuple(sorted((p, rng.choice(points[:i])))) for i, p in enumerate(points) if i]
+    return scrambled(Factorization(n, [e for e in edges for _ in range(2)]), rng)
+
+
 @st.composite
 def scrambled_identity_factorizations(draw):
     """An identity factorization reached by moves from doubled pairs."""
@@ -72,6 +84,36 @@ def scrambled_identity_factorizations(draw):
         d = draw(st.sampled_from([Direction.FORWARD, Direction.INVERSE]))
         f = apply_move(f, HurwitzMove(d, k))
     return f
+
+
+@st.composite
+def connected_pulls(draw):
+    """Transposition factors forming one connected component (a random
+    spanning tree on 2..9 points plus random extra edges and copies, in
+    random order) and two distinct points of it."""
+    rng = draw(st.randoms(use_true_random=False))
+    n = rng.randint(2, 12)
+    points = rng.sample(range(1, n + 1), rng.randint(2, min(n, 9)))
+    edges = [(p, rng.choice(points[:i])) for i, p in enumerate(points) if i]
+    edges += [tuple(rng.sample(points, 2)) for _ in range(rng.randint(0, 6))]
+    factors = edges + rng.choices(edges, k=rng.randint(0, 4))
+    rng.shuffle(factors)
+    v1, v2 = rng.sample(points, 2)
+    return Factorization(n, factors), v1, v2
+
+
+def distance(factors, a, b):
+    """The number of edges on a shortest path from a to b in the graph of
+    factors."""
+    dist, queue = {a: 0}, [a]
+    for v in queue:
+        for f in factors:
+            if v in f:
+                w = f[0] + f[1] - v
+                if w not in dist:
+                    dist[w] = dist[v] + 1
+                    queue.append(w)
+    return dist[b]
 
 
 class TestHurwitzEquivalent:
@@ -208,6 +250,45 @@ class TestPullEdgeToFront:
         assert result.canonical.factors[0] == (1, 5)
         assert result.canonical.product() == f.product()
 
+    @given(connected_pulls())
+    @settings(max_examples=200, deadline=None)
+    def test_random_connected_component(self, case):
+        f, v1, v2 = case
+        carries = []
+        carry = _Planner.carry
+
+        def counted(planner, j, dest):
+            carries.append((j, dest))
+            carry(planner, j, dest)
+
+        with patch.object(_Planner, "carry", counted):
+            result = pull_edge_to_front(f, v1, v2)
+        assert result.canonical.factors[0] == tuple(sorted((v1, v2)))
+        assert result.canonical.product() == f.product()
+        assert apply_certificate(f, result.certificate) == result.canonical
+        # one BFS path of d edges: d - 1 merges, then the carry to the front
+        assert len(carries) - 1 <= distance(f.factors, v1, v2) - 1
+
+    def test_missing_path_names_stage_window_and_input(self):
+        planner = _Planner(Factorization(4, [(1, 2), (3, 4)]))
+        with pytest.raises(InternalError) as info:
+            planner.pull(0, 2, 1, 3)
+        message = str(info.value)
+        assert message.startswith("pull: no path between 1 and 3 in window [0,2)")
+        assert message.endswith("input n=4; [(1,2),(3,4)]")
+
+    def test_missing_edge_copy_names_stage_window_and_input(self):
+        # a window graph that claims the edge {2,3}, which the window lacks
+        adj = {1: {2}, 2: {1, 3}, 3: {2}}
+        dist = {3: 0, 2: 1, 1: 2}
+        planner = _Planner(Factorization(3, [(1, 2), (1, 2)]))
+        with pytest.raises(InternalError) as info:
+            planner.pull(0, 2, 1, 3, (adj, dist))
+        message = str(info.value)
+        assert message.startswith("pull: no copy of edge {2,3} in window [0,2)")
+        text = message.rsplit("input ", 1)[1]
+        assert parse_factorization(text) == Factorization(3, [(1, 2), (1, 2)])
+
     def test_same_endpoints_rejected(self):
         with pytest.raises(PreconditionError):
             pull_edge_to_front(Factorization(3, [(1, 2), (2, 3)]), 2, 2)
@@ -316,6 +397,14 @@ class TestCanonicalForm:
         assert result.canonical == canonical_shape(signature(f))
         assert apply_certificate(f, result.certificate) == result.canonical
 
+    def test_last_tail_pair_walks_behind_the_path(self):
+        # the path is built; the one leftover pair (2,3) is walked down to
+        # (1,2) by path cells 0 and 1 and on behind the path, 24 moves;
+        # parking it in front of cell 1 and moving it behind later took 28
+        f = Factorization(5, [(1, 2), (1, 2), (2, 3), (2, 3), (3, 4), (3, 4),
+                              (4, 5), (4, 5), (2, 3), (2, 3)])
+        assert len(canonical_form(f).certificate) == 24
+
     @pytest.mark.parametrize("seed", range(40))
     def test_deep_single_component_blocks(self, seed):
         f = deep_single_component_block(seed)
@@ -369,3 +458,12 @@ class TestCertificateLength:
             for seed in range(40)
         )
         assert total <= 17_639
+
+    def test_doubled_random_trees(self):
+        # 30 doubled spanning trees on 8..40 points: 46,188 moves before the
+        # pulls fixed one BFS path and merged towards the front
+        total = sum(
+            len(canonical_form(doubled_random_tree(seed)).certificate)
+            for seed in range(30)
+        )
+        assert total <= 42_024

@@ -1,5 +1,6 @@
 """Move engine: single moves, certificates, text formats."""
 
+import dataclasses
 import random
 import tracemalloc
 
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hurwitz.braid import BraidTuple, BraidWord, format_braid_tuple, parse_braid_tuple
+from hurwitz.canonical import canonical_form
 from hurwitz.errors import FormatError, MoveRangeError, PreconditionError
 from hurwitz.factorization import (
     MAX_DEGREE,
@@ -528,6 +530,68 @@ class TestCertificateText:
         assert text == "\n".join(str(move) for move in moves)
         assert str(forward(3)) == "F@3"
         assert str(inverse(0)) == "I@0"
+
+
+class TestMoveText:
+    def test_format_joins_str_for_moves_built_every_way(self):
+        built = [forward(3), inverse(0), forward(10**18)]
+        f = Factorization(3, [(2, 3), (2, 3), (1, 2), (1, 2)])
+        for moves in (
+            built,
+            [move.inverted() for move in built],
+            invert_certificate(built),
+            parse_certificate("F@3\n I @ 007 \nF@0\nF@0"),
+            [dataclasses.replace(move, position=move.position + 1) for move in built],
+            canonical_form(f).certificate,
+        ):
+            assert moves
+            assert format_certificate(moves) == "\n".join(map(str, moves))
+        assert format_certificate(built) == "F@3\nI@0\nF@1000000000000000000"
+
+    def test_cached_text_is_not_a_field(self):
+        move = forward(3)
+        assert [field.name for field in dataclasses.fields(move)] == ["direction", "position"]
+        assert move == HurwitzMove(Direction.FORWARD, 3) != inverse(3)
+        assert hash(move) == hash((Direction.FORWARD, 3))
+        assert repr(move) == "HurwitzMove(direction=<Direction.FORWARD: 'F'>, position=3)"
+        assert dataclasses.astuple(move) == (Direction.FORWARD, 3)
+        moved = dataclasses.replace(move, position=4)
+        assert (moved, str(moved)) == (forward(4), "F@4")
+        flipped = dataclasses.replace(move, direction=Direction.INVERSE)
+        assert (flipped, str(flipped), str(move)) == (inverse(3), "I@3", "F@3")
+
+
+@pytest.mark.parametrize(
+    "parse, text, message, position",
+    [
+        (parse_certificate, "F@\u0663", "malformed move 'F@\u0663' on line 1", 0),
+        (parse_certificate, "F@0\nI@1\uff12", "malformed move 'I@1\uff12' on line 2", 4),
+        (
+            parse_factorization,
+            "n=\u0663; [(\u0661,\u0662),(1,2)]",
+            "expected factorization of the form 'n=<int>; [...]'",
+            0,
+        ),
+        (parse_factorization, "n=3; [(\u0661,\u0662),(1,2)]", "malformed transposition", 6),
+        (parse_factorization, "n=3; [(1,2),(1,\uff13)]", "malformed transposition", 12),
+        (parse_braid_tuple, "n=12; [1_0 | \uff12]", "word 0: invalid letter '1_0'", 7),
+        (parse_braid_tuple, "n=12; [1 | \uff12]", "word 1: invalid letter '\uff12'", 11),
+        (parse_braid_tuple, "n=3; [+1]", "word 0: invalid letter '+1'", 6),
+        (
+            parse_braid_tuple,
+            "n=\u0661\u0662; [1]",
+            "expected braid tuple of the form 'n=<int>; [ ... ]'",
+            0,
+        ),
+    ],
+)
+def test_numbers_are_ascii_digits(parse, text, message, position):
+    # \d and int() take any Unicode decimal digit, int() also '_' and '+';
+    # no formatter writes them, so no parser reads them
+    with pytest.raises(FormatError) as info:
+        parse(text)
+    assert str(info.value) == f"{message} (at position {position})"
+    assert info.value.position == position
 
 
 @pytest.mark.parametrize(
