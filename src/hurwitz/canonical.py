@@ -61,7 +61,12 @@ from .factorization import (
     format_factorization,
     move_pair,
 )
-from .graph import ComponentSignature, component_labels, signature
+from .graph import (
+    ComponentSignature,
+    component_labels,
+    format_signature,
+    signature,
+)
 
 
 @dataclass(frozen=True)
@@ -118,22 +123,31 @@ def canonical_shape(sig: ComponentSignature) -> Factorization:
     This is the target the planner must reach; building it independently
     from the signature gives a cross-check that costs O(m).
     """
+    def fail(stage: str, problem: str) -> InternalError:
+        return InternalError(
+            f"{stage}: {problem}; signature {format_signature(sig)}"
+        )
+
     factors: list[Factor] = [None] * sig.identity_factor_count
     for vertices, weight in sig.components:
-        leftover = _leftover(vertices, weight)
+        leftover = _leftover(vertices, weight, fail)
         for t in range(len(vertices) - 1):
             factors += [(vertices[t], vertices[t + 1])] * 2
         factors += [(vertices[0], vertices[1])] * leftover
     return Factorization(sig.degree, factors)
 
 
-def _leftover(vertices: Sequence[int], weight: int) -> int:
-    """Weight beyond the doubled path; it must be even and non-negative."""
+def _leftover(
+    vertices: Sequence[int], weight: int, fail: Callable[[str, str], InternalError]
+) -> int:
+    """Weight beyond the doubled path; unless it is even and non-negative,
+    raises ``fail("leftover", problem)``, which names the caller's input."""
     leftover = weight - 2 * (len(vertices) - 1)
     if leftover < 0 or leftover % 2:
-        raise InternalError(
+        raise fail(
+            "leftover",
             f"component {set(vertices)} with weight {weight}: leftover "
-            f"{leftover} is not a non-negative even count"
+            f"{leftover} is not a non-negative even count",
         )
     return leftover
 
@@ -419,7 +433,7 @@ class _Planner:
         grouping an identity factorization.
         """
         vertices = sorted({v for f in self.factors[lo:hi] for v in f})
-        _leftover(vertices, hi - lo)
+        _leftover(vertices, hi - lo, self._fail)
         self._build_path(lo, hi, vertices)
         self._normalize_tail(lo, hi, vertices)
 

@@ -18,6 +18,7 @@ both moves.
 
 from __future__ import annotations
 
+import operator
 import re
 import sys
 from dataclasses import dataclass
@@ -268,6 +269,12 @@ _TOKEN_RE = re.compile(
 def parse_factorization(text: str) -> Factorization:
     """Parse the textual factorization form.
 
+    A factor list without whitespace, the form format_factorization writes,
+    is parsed in bulk by string methods.  A list with whitespace, and any
+    list the bulk checks refuse, is read token by token, and only that loop
+    raises for a bad factor: a text gives the same factors, or the same
+    FormatError message and position, whichever path reads it.
+
     >>> parse_factorization("n=3; [(1,2), e, (3,1)]").factors
     ((1, 2), None, (1, 3))
     """
@@ -280,40 +287,9 @@ def parse_factorization(text: str) -> Factorization:
     pos = header.end()
     factors: list[Factor] = []
     if header.group(2) is None:
-        # Each distinct digit string is converted and range-checked once, so
-        # a factor costs two lookups and repeated points share one int; 0
-        # marks a point out of range.
-        points: dict[str, int] = {}
-        get = points.get
-
-        def point(digits: str) -> int:
-            value = int(digits)
-            if not 0 < value <= degree:
-                return 0
-            points[digits] = value
-            return value
-
-        match = _TOKEN_RE.match
-        append = factors.append
-        while True:
-            token = match(text, pos)
-            if token is None:
-                _reject_factor(text, pos, degree)
-            a, b, separator = token.groups()
-            if a is None:
-                append(None)
-            else:
-                x = get(a) or point(a)
-                y = get(b) or point(b)
-                if 0 < x < y:
-                    append((x, y))
-                elif 0 < y < x:
-                    append((y, x))
-                else:
-                    _reject_factor(text, pos, degree)
-            pos = token.end()
-            if separator == "]":
-                break
+        factors, pos = _parse_bulk(text, pos, degree) or _parse_tokens(
+            text, pos, degree
+        )
     tail = text[pos:].strip()
     if tail:
         raise FormatError(
@@ -321,6 +297,143 @@ def parse_factorization(text: str) -> Factorization:
             position=len(text) - len(text[pos:].lstrip()),
         )
     return Factorization._trusted(degree, tuple(factors))
+
+
+# The bulk path takes the list a chunk of about _CHUNK characters at a time,
+# so its scratch lists stay small beside the factors it returns.  An "e" is
+# two characters and its scratch outweighs the None it returns: at 64K
+# characters an all-identity list peaked at 4 times its result, at 16K
+# under 2 times.
+_CHUNK = 1 << 14
+# Distinct left fields "(a" and right fields "b)", joined by commas.  A
+# point is leading zeros, then a nonzero digit and at most MAX_DEGREE's
+# other digits: a field matches in one way only, so a failed match
+# backtracks in linear time, and a point is at least 1.  A zero point is
+# out of range for every degree and is left to the token loop.
+_POINT = r"0*[1-9][0-9]{0,%d}" % (_DEGREE_DIGITS - 1)
+_LEFT_FIELDS_RE = re.compile(r"\(%s(?:,\(%s)*" % (_POINT, _POINT))
+_RIGHT_FIELDS_RE = re.compile(r"%s\)(?:,%s\))*" % (_POINT, _POINT))
+_NO_PARENS = str.maketrans("", "", "()")
+
+
+def _parse_bulk(
+    text: str, pos: int, degree: int
+) -> Optional[tuple[list[Factor], int]]:
+    """The factors of a whitespace-free list from ``pos`` to the first ']'
+    and the offset after it, or None where the token loop must decide.
+
+    Every factor of a chunk becomes two comma-separated fields, "(a" and
+    "b)", or "e" and "e" once each "e" is doubled.  Each distinct field is
+    checked and converted once per call, into a table of its point: 0 for a
+    left "e" and 1 for a right one, so a pair passes ``x < y`` only when it
+    is an ascending transposition in range or "e", "e".  None is returned,
+    never an error raised, for whitespace, a pair not in ascending order, a
+    field out of range or malformed, or a list without ']'.
+    """
+    close = text.find("]", pos)
+    if close < 0:
+        return None
+    left = {"e": 0}
+    right = {"e": 1}
+    shared: dict[int, int] = {}
+    factors: list[Factor] = []
+    while True:
+        # cut at a comma after ')' or 'e': a pair has one comma inside it
+        cut = text.find(",", pos + _CHUNK, close)
+        if cut >= 0 and text[cut - 1] not in ")e":
+            cut = text.find(",", cut + 1, close)
+            if cut >= 0 and text[cut - 1] not in ")e":
+                return None
+        if cut < 0:
+            cut = close
+        fields = text[pos:cut].replace("e", "e,e").split(",")
+        xs = fields[0::2]
+        ys = fields[1::2]
+        del fields
+        if not (
+            len(xs) == len(ys)
+            and _add_fields(left, xs, _LEFT_FIELDS_RE, degree, shared)
+            and _add_fields(right, ys, _RIGHT_FIELDS_RE, degree, shared)
+        ):
+            return None
+        xv = list(map(left.__getitem__, xs))
+        yv = list(map(right.__getitem__, ys))
+        # a right "e" passes only after a left "e", so equal counts pair them
+        identities = xs.count("e")
+        if not all(map(operator.lt, xv, yv)) or ys.count("e") != identities:
+            return None
+        base = len(factors)
+        factors += zip(xv, yv)
+        slot = -1
+        for _ in range(identities):
+            slot = xs.index("e", slot + 1)
+            factors[base + slot] = None
+        if cut == close:
+            return factors, close + 1
+        pos = cut + 1
+
+
+def _add_fields(
+    table: dict[str, int],
+    fields: list[str],
+    pattern: re.Pattern[str],
+    degree: int,
+    shared: dict[int, int],
+) -> bool:
+    """Enter the fields not yet in ``table`` with their points; False if one
+    does not match ``pattern`` or its point is above ``degree``.  ``shared``
+    holds one int per point, so "(12" and "12)" map to the same object."""
+    new = list(set(fields).difference(table))
+    if not new:
+        return True
+    joined = ",".join(new)
+    if not pattern.fullmatch(joined):
+        return False
+    points = list(map(int, joined.translate(_NO_PARENS).split(",")))
+    if max(points) > degree:
+        return False
+    table.update(zip(new, map(shared.setdefault, points, points)))
+    return True
+
+
+def _parse_tokens(text: str, pos: int, degree: int) -> tuple[list[Factor], int]:
+    """The factors of the list from ``pos``, read with _TOKEN_RE, and the
+    offset after its ']'; FormatError at the first bad factor."""
+    factors: list[Factor] = []
+    # Each distinct digit string is converted and range-checked once, so
+    # a factor costs two lookups and repeated points share one int; 0
+    # marks a point out of range.
+    points: dict[str, int] = {}
+    get = points.get
+
+    def point(digits: str) -> int:
+        value = int(digits)
+        if not 0 < value <= degree:
+            return 0
+        points[digits] = value
+        return value
+
+    match = _TOKEN_RE.match
+    append = factors.append
+    while True:
+        token = match(text, pos)
+        if token is None:
+            _reject_factor(text, pos, degree)
+        a, b, separator = token.groups()
+        if a is None:
+            append(None)
+        else:
+            x = get(a) or point(a)
+            y = get(b) or point(b)
+            if 0 < x < y:
+                append((x, y))
+            elif 0 < y < x:
+                append((y, x))
+            else:
+                _reject_factor(text, pos, degree)
+        pos = token.end()
+        if separator == "]":
+            return factors, pos
 
 
 def _reject_factor(text: str, pos: int, degree: int) -> NoReturn:

@@ -29,7 +29,7 @@ from hurwitz.factorization import (
     parse_certificate,
     parse_factorization,
 )
-from hurwitz.graph import signature
+from hurwitz.graph import ComponentSignature, signature
 from hurwitz.oracle import enumerate_identity_factorizations, enumerate_orbit
 
 F1 = parse_factorization("n=6; [(2,6),(1,4),(1,5),(3,6),(4,5),(1,5),(2,3),(3,6)]")
@@ -187,6 +187,30 @@ class TestCanonicalShape:
         assert canonical_shape(signature(f)).factors == (
             None, None, (1, 2), (1, 2),
         )
+
+    def test_odd_leftover_names_stage_and_signature(self):
+        # a hand-built signature: weight 3 cannot cover a doubled path on
+        # three points
+        sig = ComponentSignature(3, 3, 0, (((1, 2, 3), 3),))
+        with pytest.raises(InternalError) as info:
+            canonical_shape(sig)
+        assert str(info.value) == (
+            "leftover: component {1, 2, 3} with weight 3: leftover -1 is not "
+            "a non-negative even count; signature n=3; m=3; e=0; [{1,2,3}:3]"
+        )
+
+    def test_planner_leftover_names_stage_and_input(self):
+        # a block of two factors spanning three points, which grouping an
+        # identity factorization never produces
+        f = Factorization(3, [(1, 2), (2, 3)])
+        with pytest.raises(InternalError) as info:
+            _Planner(f).canonicalize_block(0, 2)
+        message = str(info.value)
+        assert message.startswith(
+            "leftover: component {1, 2, 3} with weight 2: leftover -2 is not "
+            "a non-negative even count"
+        )
+        assert parse_factorization(message.rsplit("input ", 1)[1]) == f
 
 
 class TestGroupComponents:

@@ -3,10 +3,12 @@
 import dataclasses
 import random
 import tracemalloc
+from unittest.mock import patch
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from hurwitz import factorization
 from hurwitz.braid import BraidTuple, BraidWord, format_braid_tuple, parse_braid_tuple
 from hurwitz.canonical import canonical_form
 from hurwitz.errors import FormatError, MoveRangeError, PreconditionError
@@ -397,6 +399,101 @@ class TestFactorizationFuzz:
 
 
 @st.composite
+def whitespace_free_texts(draw):
+    """A factorization text without whitespace, as the bulk path reads it:
+    leading zeros, pairs in either order, equal or out of range, and runs of
+    'e'.  Also whether every pair is in range and ascending, and whether
+    every pair is in range with distinct points."""
+    n = draw(st.integers(1, 12))
+    zeros = st.sampled_from(["", "", "0", "00", "0" * 9])
+    tokens = []
+    ascending = valid = True
+    for run in draw(st.lists(st.integers(0, 5), max_size=25)):
+        if run:
+            tokens += ["e"] * run
+            continue
+        a, b = draw(st.integers(1, n + 1)), draw(st.integers(1, n + 1))
+        valid = valid and a != b and max(a, b) <= n
+        ascending = ascending and a < b <= n
+        tokens.append(f"({draw(zeros)}{a},{draw(zeros)}{b})")
+    return f"n={draw(zeros)}{n}; [{','.join(tokens)}]", ascending, valid
+
+
+def parsed_or_error(text):
+    """The factorization of ``text``, or FormatError if it does not parse."""
+    try:
+        return parse_factorization(text)
+    except FormatError:
+        return FormatError
+
+
+class TestBulkParse:
+    """A whitespace-free list is parsed in bulk; a space after each comma
+    sends the same text through the token loop, which is the reference."""
+
+    @given(whitespace_free_texts(), st.integers(1, 30))
+    @settings(max_examples=300)
+    def test_matches_token_loop(self, case, chunk):
+        text, ascending, valid = case
+        with patch.object(factorization, "_CHUNK", chunk):
+            got = parsed_or_error(text)
+            if ascending and "[]" not in text:
+                start = text.index("[") + 1
+                degree = parse_factorization(text).degree
+                assert factorization._parse_bulk(text, start, degree) is not None
+        assert got == parsed_or_error(text.replace(",", ", "))
+        assert (got is FormatError) == (not valid)
+
+    @given(
+        whitespace_free_texts(),
+        st.integers(1, 30),
+        *EDITS,
+        st.sampled_from(list("()[],;=ne0123456789x \t")),
+    )
+    @settings(max_examples=300)
+    def test_one_edit_matches_token_loop(self, case, chunk, edit, where, char):
+        text = one_edit(case[0], edit, where, char)
+        with patch.object(factorization, "_CHUNK", chunk):
+            got = parsed_or_error(text)
+        assert got == parsed_or_error(text.replace(",", ", "))
+
+    @pytest.mark.parametrize("shift", range(8))
+    def test_every_cut_offset_at_full_chunk_size(self, shift):
+        # an 8-character unit holds a comma inside a pair, one after ')' and
+        # one after 'e'; shifting it puts each character at every cut
+        body = "(" + "0" * shift + "1,2),e," + "(1,2),e," * (3 * factorization._CHUNK // 8)
+        text = f"n=2; [{body}e]"
+        start = text.index("[") + 1
+        bulk = factorization._parse_bulk(text, start, 2)
+        assert bulk is not None and bulk[1] == len(text)
+        f = parse_factorization(text)
+        assert list(f.factors) == bulk[0] == [(1, 2), None] * (1 + 3 * factorization._CHUNK // 8) + [None]
+        assert f == parse_factorization(text.replace(",", ", "))
+
+    @pytest.mark.parametrize(
+        "text, message, position",
+        [
+            ("n=3; [(1,2),(2,1)]", None, None),
+            ("n=3; [(1,2),(2,2)]", "factor (2,2) is not a transposition", 12),
+            ("n=3; [(1,2),(1,4)]", "factor (1,4) out of range for degree 3", 12),
+            ("n=3; [(1,2),(0,1)]", "factor (0,1) out of range for degree 3", 12),
+            ("n=3; [(1,2),(1,2) ]", None, None),
+            ("n=3; [(1,2),(1,2e]", "malformed transposition", 12),
+            ("n=3; [(1,2),(1]", "malformed transposition", 12),
+            ("n=3; [e,e,(1]", "malformed transposition", 10),
+        ],
+    )
+    def test_refused_by_bulk_path_read_by_token_loop(self, text, message, position):
+        assert factorization._parse_bulk(text, text.index("[") + 1, 3) is None
+        if message is None:
+            assert parse_factorization(text) == parse_factorization(text.replace(",", ", "))
+            return
+        with pytest.raises(FormatError) as info:
+            parse_factorization(text)
+        assert str(info.value) == f"{message} (at position {position})"
+
+
+@st.composite
 def rendered_certificates(draw):
     """A certificate and a text of it with padded moves, blank lines and
     comments between them, under any of the line breaks the parser splits on."""
@@ -481,6 +578,28 @@ def test_parse_streams_factors():
         tracemalloc.stop()
     assert len(f) == m
     assert peak <= 1.5 * retained
+
+
+@pytest.mark.parametrize(
+    "factors, bound",
+    [
+        ([None] * 100_000, 2.5),
+        ([edge for edge in [(1, 2), (2, 3), (3, 4), (4, 5)] for _ in range(25_000)], 1.5),
+    ],
+    ids=["all-identity", "blocky"],
+)
+def test_parse_memory_on_every_shape(factors, bound):
+    """The bulk path's scratch lists stay small beside the factors, also for
+    the shortest factor text ('e') and for few distinct points."""
+    text = format_factorization(Factorization(10_000, factors))
+    tracemalloc.start()
+    try:
+        f = parse_factorization(text)
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert f.factors == tuple(factors)
+    assert peak <= bound * retained
 
 
 class TestCertificateText:
