@@ -13,7 +13,6 @@ from .braid import (
     format_braid_tuple,
     parse_braid_tuple,
     project_tuple,
-    project_word,
 )
 from .canonical import (
     CanonicalResult,
@@ -46,8 +45,6 @@ from .factorization import (
 )
 from .graph import (
     ComponentSignature,
-    FactorizationGraph,
-    build_graph,
     format_signature,
     signature,
     to_dot,
@@ -70,7 +67,6 @@ __all__ = [
     "Direction",
     "Factor",
     "Factorization",
-    "FactorizationGraph",
     "FormatError",
     "HurwitzError",
     "HurwitzMove",
@@ -83,7 +79,6 @@ __all__ = [
     "apply_certificate",
     "apply_move",
     "braid_hurwitz_move",
-    "build_graph",
     "canonical_form",
     "canonical_shape",
     "enumerate_identity_factorizations",
@@ -100,7 +95,6 @@ __all__ = [
     "parse_certificate",
     "parse_factorization",
     "project_tuple",
-    "project_word",
     "pull_edge_to_front",
     "signature",
     "to_dot",

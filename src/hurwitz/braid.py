@@ -28,7 +28,7 @@ from typing import Iterable, Iterator
 
 from .errors import FormatError, MoveRangeError, PreconditionError
 from .factorization import Direction, Factor, Factorization, HurwitzMove, _parse_degree
-from .perm import Permutation, product_images, transposition_product
+from .perm import product_images
 
 
 @dataclass(frozen=True)
@@ -88,22 +88,6 @@ class BraidTuple:
 
     def __iter__(self) -> Iterator[BraidWord]:
         return iter(self.words)
-
-
-def project_word(word: BraidWord) -> Permutation:
-    """Image of a word in the symmetric group.
-
-    Each letter maps to the transposition swapping its strand pair,
-    regardless of sign (a transposition is its own inverse).
-
-    >>> project_word(BraidWord(3, (1, 2, -1))).images
-    (3, 2, 1)
-    >>> project_word(BraidWord(3, ())) == Permutation.identity(3)
-    True
-    """
-    return transposition_product(
-        word.degree, ((abs(x), abs(x) + 1) for x in word.letters)
-    )
 
 
 def _projection_factor(word: BraidWord) -> Factor:

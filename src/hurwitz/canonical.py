@@ -35,10 +35,12 @@ a ``_Planner`` method:
   one rewrite, and it swaps past equal cells for free.
 
 The leftover weight of a component is walked down to ``(v_0,v_1)`` one
-doubled pair at a time.  Each finished pair ends next to path cell 0 and
-is parked there, in front of the rest of the path, so later pairs never
-slide past finished ones; the parked block moves behind the path once, at
-the end.  The last pair walks straight on behind the path.
+doubled pair at a time, every pair the same way, until only ``(v_0,v_1)``
+copies remain behind the path; those stay where they are.  Each finished
+pair ends next to path cell 0 and is parked there, in front of the rest of
+the path, so no pair ever slides past another leftover pair; the parked
+block moves behind the path once, at the end.  The last pair walks straight
+on behind the path.
 
 Every intermediate state is produced by a legal move, so the final move log
 is itself the equivalence certificate.
@@ -300,13 +302,6 @@ class _Planner:
             assert self.factors[lo + 2 * gap] == expected
         self.move_cell(lo + 2 * gap, lo + 2 * end)
 
-    def pair_over_single_left(self, p: int) -> None:
-        """Slide the doubled pair at (p, p+1) left past the single at p-1."""
-        single = self.factors[p - 1]
-        self.inverse(p - 1)
-        self.inverse(p)
-        assert self.factors[p + 1] == single
-
     # -- the pull rewrite ---------------------------------------------------
 
     def _bfs(self, lo: int, hi: int, start: int) -> _Graph:
@@ -470,35 +465,38 @@ class _Planner:
     def _normalize_tail(self, lo: int, hi: int, vertices: list[int]) -> None:
         """Stage 2: convert the leftover weight into (v0, v1) copies.
 
-        Each leftover factor is doubled and its pair walked down to (v0, v1).
-        The walk ends the pair next to path cell 0, so finished pairs park in
-        front of path cell 1 at no cost; pairs that already are (v0, v1)
-        stay behind the path.  At the end the parked block moves behind the
-        path once.  The last pair that is not (v0, v1), the one after which
-        only (v0, v1) copies remain, walks straight behind the path: 4 moves
-        fewer than parking it and moving it there with the block.
+        Every leftover pair takes one path.  Once everything behind the path
+        is a (v0, v1) copy, those copies stay where they are and the stage
+        ends, so a tail that is already canonical costs nothing.  Otherwise
+        the first factor behind the path is doubled by a pull, and the pair
+        is walked down to (v0, v1), one rewrite per path cell it is
+        conjugated by (none when it already is (v0, v1)).  The walk parks
+        the pair in front of path cell 1; at the end the parked block moves
+        behind the path once, 4(l - 2) moves per parked pair, l being the
+        number of vertices.  No pair pays for the pairs finished before it,
+        so for a fixed degree the tail grows linearly in m.  A (v0, v1) pair
+        met before the last other factor costs 8(l - 2): its swap in front
+        of path cell 1 plus the block move.  The pair after which only
+        (v0, v1) copies remain walks straight behind the path, 4(l - 2)
+        moves fewer than parking it.
         """
+        f = self.factors
         v01 = (vertices[0], vertices[1])
         path_cells = len(vertices) - 1
         parked = 0  # finished pairs between path cells 0 and 1
-        behind = 0  # (v0, v1) factors behind the path
-        while True:
-            base = lo + 2 * (parked + path_cells)  # first slot behind the path
-            u0 = base + behind
-            if u0 == hi:
-                break
-            factor = self.factors[u0]
+        u0 = lo + 2 * path_cells  # the first slot behind the path
+        done = not any(map(v01.__ne__, f[u0:hi]))
+        while not done:
+            factor = f[u0]
             assert factor is not None
             a, b = factor
             # double it: the rest of the unprocessed region multiplies to
             # (a,b), so it connects a to b and a second copy can be pulled
             self.pull(u0 + 1, hi, a, b)
-            assert self.factors[u0 + 1] == factor
-            if (a, b) == v01:
-                behind += 2
-                continue
-            for p in range(u0, base, -1):
-                self.pair_over_single_left(p)
+            assert f[u0 + 1] == factor
+            # the walk touches only slots left of u0 + 2, so when this pair
+            # is not the last, the next one needs no fresh check
+            done = not any(map(v01.__ne__, f[u0 + 2 : hi]))
             i, j = vertices.index(a), vertices.index(b)
             # lower the far endpoint until the pair spans (v_i, v_{i+1}),
             # then cascade both endpoints down to (v_0, v_1)
@@ -509,17 +507,13 @@ class _Planner:
                 steps.append((t - 1, (vertices[t - 1], vertices[t + 1])))
                 steps.append((t, (vertices[t - 1], vertices[t])))
             # seen from the walk, path cell 0 is the last (v0, v1) copy in
-            # front of path cell 1; the last pair that is not (v0, v1) walks
-            # straight behind the path instead
-            rest = self.factors[u0 + 2 : hi]
-            last = rest.count(v01) == len(rest)
+            # front of path cell 1
             self.walk_pair(
-                lo + 2 * parked, path_cells, steps, path_cells if last else 1
+                lo + 2 * parked, path_cells, steps, path_cells if done else 1
             )
-            if last:
-                behind += 2
-            else:
+            if not done:
                 parked += 1
+                u0 += 2
         for q in range(parked, 0, -1):
             self.move_cell(lo + 2 * q, lo + 2 * (q + path_cells - 1))
 

@@ -47,9 +47,10 @@ def _load_factorization(path: str) -> Factorization:
 
 def _cmd_sig(args: argparse.Namespace) -> int:
     f = _load_factorization(args.file)
-    print(format_signature(signature(f)))
+    # write the side file first, so a failed write leaves stdout empty
     if args.dot:
         Path(args.dot).write_text(to_dot(f))
+    print(format_signature(signature(f)))
     return 0
 
 

@@ -19,20 +19,6 @@ from .factorization import Factorization
 
 
 @dataclass(frozen=True)
-class FactorizationGraph:
-    """Multigraph on the points ``1..degree`` collected from the factors.
-
-    ``edges`` maps each present edge ``(a, b)`` with ``a < b`` to its
-    multiplicity.  Stored as a sorted tuple of ``((a, b), weight)`` pairs so
-    instances hash and compare by value.
-    """
-
-    degree: int
-    edges: tuple[tuple[tuple[int, int], int], ...]
-    identity_factor_count: int
-
-
-@dataclass(frozen=True)
 class ComponentSignature:
     """The complete equivalence invariant.
 
@@ -49,17 +35,6 @@ class ComponentSignature:
 
     def __str__(self) -> str:
         return format_signature(self)
-
-
-def build_graph(factorization: Factorization) -> FactorizationGraph:
-    """Collect edge multiplicities and the identity-factor count."""
-    counts = Counter(factorization.factors)
-    identity = counts.pop(None, 0)
-    return FactorizationGraph(
-        degree=factorization.degree,
-        edges=tuple(sorted(counts.items())),
-        identity_factor_count=identity,
-    )
 
 
 def component_labels(degree: int, edges: Iterable[tuple[int, int]]) -> list[int]:
@@ -141,11 +116,12 @@ def to_dot(factorization: Factorization) -> str:
     Vertices appear in ascending order, then edges sorted by endpoint pair,
     each labeled with its weight.
     """
-    graph = build_graph(factorization)
+    counts = Counter(factorization.factors)
+    counts.pop(None, None)
     lines = ["graph factorization {"]
-    for v in range(1, graph.degree + 1):
+    for v in range(1, factorization.degree + 1):
         lines.append(f"  {v};")
-    for (a, b), weight in graph.edges:
+    for (a, b), weight in sorted(counts.items()):
         lines.append(f'  {a} -- {b} [label="w={weight}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -8,11 +8,12 @@ asserted, not just reported.
 import functools
 import random
 import time
+from collections import Counter
 from types import SimpleNamespace
 
 import pytest
 
-from hurwitz.braid import BraidTuple, BraidWord, braid_hurwitz_move, project_tuple, project_word
+from hurwitz.braid import BraidTuple, BraidWord, braid_hurwitz_move, project_tuple
 from hurwitz.canonical import canonical_form, hurwitz_equivalent
 from hurwitz.cli import main
 from hurwitz.factorization import (
@@ -23,9 +24,9 @@ from hurwitz.factorization import (
     apply_move,
     parse_factorization,
 )
-from hurwitz.graph import build_graph, signature
+from hurwitz.graph import signature
 from hurwitz.oracle import enumerate_identity_factorizations, enumerate_orbit
-from hurwitz.perm import Permutation
+from hurwitz.perm import Permutation, transposition_product
 
 F1 = parse_factorization("n=6; [(2,6),(1,4),(1,5),(3,6),(4,5),(1,5),(2,3),(3,6)]")
 F2 = parse_factorization("n=6; [(2,6),(1,5),(3,6),(3,6),(2,6),(1,5),(1,4),(1,4)]")
@@ -217,6 +218,14 @@ def _random_projectable_word(rng, n):
     return BraidWord(n, conj + core + [-x for x in reversed(conj)])
 
 
+def _word_permutation(word):
+    """Reference image of a braid word: its letters' transpositions
+    (|x|, |x|+1) multiplied over all its degree."""
+    return transposition_product(
+        word.degree, ((abs(x), abs(x) + 1) for x in word.letters)
+    )
+
+
 def _factor_permutation(factor, degree):
     if factor is None:
         return Permutation.identity(degree)
@@ -247,7 +256,7 @@ def test_criterion_5_projection_commutes_with_moves():
                 assert project_tuple(b) == f
             else:
                 for j in (k, k + 1):
-                    assert project_word(b.words[j]) == _factor_permutation(f[j], n)
+                    assert _word_permutation(b.words[j]) == _factor_permutation(f[j], n)
         assert project_tuple(b) == f
     print(
         f"PASS criterion 5: projection commuted with {moves_checked} moves "
@@ -268,8 +277,9 @@ def test_criterion_6_signature_scales_to_a_million_factors():
     f = Factorization(n, factors)
     best = min(_timed(lambda: signature(f)) for _ in range(3))
     assert best < 1.0
-    # retained structure is one entry per distinct edge, nothing per factor
-    assert len(build_graph(f).edges) == len(set(f.factors))
+    # the component weights account for every factor of every edge
+    edges = Counter(f.factors)
+    assert sum(w for _, w in signature(f).components) == sum(edges.values()) == m
     print(
         f"PASS criterion 6: signature of m=10^6, n=10^4 in {best * 1e3:.0f} ms"
     )

@@ -14,15 +14,22 @@ from hurwitz.braid import (
     format_braid_tuple,
     parse_braid_tuple,
     project_tuple,
-    project_word,
 )
 from hurwitz.errors import FormatError, MoveRangeError, PreconditionError
 from hurwitz.factorization import MAX_DEGREE, Direction, HurwitzMove, apply_move
-from hurwitz.perm import Permutation
+from hurwitz.perm import Permutation, transposition_product
 
 
 def word(degree, *letters):
     return BraidWord(degree, letters)
+
+
+def project_word(word):
+    """Reference image of a word: the product of its letters'
+    transpositions (|x|, |x|+1), sign ignored, over all its degree."""
+    return transposition_product(
+        word.degree, ((abs(x), abs(x) + 1) for x in word.letters)
+    )
 
 
 def compose(p, q):

@@ -467,14 +467,45 @@ class TestCellRewrites:
             assert " ".join(map(str, planner.moves)) == moves
 
 
+def palindromic(m):
+    """w + w[::-1] on 6 points, w m/2 random transpositions: an identity
+    factorization with a heavy tail."""
+    rng = random.Random("palindromic:6")
+    pairs = [(a, b) for a in range(1, 7) for b in range(a + 1, 7)]
+    w = rng.choices(pairs, k=m // 2)
+    return Factorization(6, w + w[::-1])
+
+
 class TestCertificateLength:
     def test_palindromic_n6_m800(self):
-        # w + w[::-1] is an identity factorization with a heavy tail: 321,603
-        # moves before front parking
-        rng = random.Random("palindromic:6")
-        pairs = [(a, b) for a in range(1, 7) for b in range(a + 1, 7)]
-        w = rng.choices(pairs, k=400)
-        assert len(canonical_form(Factorization(6, w + w[::-1])).certificate) <= 80_000
+        # 321,603 moves before front parking
+        assert len(canonical_form(palindromic(800)).certificate) <= 80_000
+
+    def test_palindromic_n6_m6400(self):
+        # 1,317,473 moves while (v0,v1) pairs stayed behind the path and
+        # every later pair slid past them
+        assert len(canonical_form(palindromic(6400)).certificate) <= 200_000
+
+    def test_palindromic_moves_per_factor_stay_flat(self):
+        per_factor = {
+            m: len(canonical_form(palindromic(m)).certificate) / m
+            for m in (1600, 6400)
+        }
+        assert per_factor[6400] <= 1.25 * per_factor[1600]
+
+    def test_tail_pair_of_first_edge_parks_like_any_other(self):
+        # the path is built; the (1,2) pair met before the last other pair
+        # swaps in front of path cell 1 and later moves behind the path with
+        # the parked block, 8(l - 2) = 16 moves; the (2,3) pair walks down
+        # and on behind the path, 16 moves
+        f = Factorization(4, [(1, 2), (1, 2), (2, 3), (2, 3), (3, 4), (3, 4),
+                              (1, 2), (1, 2), (2, 3), (2, 3)])
+        assert len(canonical_form(f).certificate) == 32
+
+    def test_canonical_heavy_tail_costs_nothing(self):
+        f = Factorization(4, [(1, 2), (1, 2), (2, 3), (2, 3), (3, 4), (3, 4)]
+                          + [(1, 2)] * 40)
+        assert canonical_form(f).certificate == ()
 
     def test_deep_single_component_corpus(self):
         total = sum(

@@ -62,6 +62,12 @@ class TestSig:
         assert text.startswith("graph factorization {\n")
         assert '  1 -- 4 [label="w=1"];\n' in text
 
+    def test_unwritable_dot_side_file_prints_no_signature(self, run, f1_file, tmp_path):
+        code, out, err = run("sig", f1_file, "--dot", str(tmp_path / "missing" / "g.dot"))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ")
+
 
 class TestEquiv:
     def test_equivalent_pair(self, run, f1_file, f2_file):

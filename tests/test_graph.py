@@ -1,6 +1,7 @@
 """Graph invariant: edge weights, components, signature, DOT."""
 
-from collections import deque
+import re
+from collections import Counter, deque
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -14,7 +15,6 @@ from hurwitz.factorization import (
 )
 from hurwitz.graph import (
     ComponentSignature,
-    build_graph,
     component_labels,
     format_signature,
     signature,
@@ -25,10 +25,24 @@ F1 = parse_factorization("n=6; [(2,6),(1,4),(1,5),(3,6),(4,5),(1,5),(2,3),(3,6)]
 F2 = parse_factorization("n=6; [(2,6),(1,5),(3,6),(3,6),(2,6),(1,5),(1,4),(1,4)]")
 
 
-class TestBuildGraph:
+def edge_weights(f):
+    """Reference edge multiplicities: a Counter fold over the factors."""
+    counts = Counter(f.factors)
+    counts.pop(None, None)
+    return dict(counts)
+
+
+def dot_edges(f):
+    """The edge weights to_dot renders, as {(a, b): weight}."""
+    return {
+        (int(a), int(b)): int(w)
+        for a, b, w in re.findall(r'  (\d+) -- (\d+) \[label="w=(\d+)"\];', to_dot(f))
+    }
+
+
+class TestEdgeWeights:
     def test_worked_example_edge_weights(self):
-        g = build_graph(F1)
-        assert dict(g.edges) == {
+        expected = {
             (1, 4): 1,
             (1, 5): 2,
             (4, 5): 1,
@@ -36,18 +50,26 @@ class TestBuildGraph:
             (3, 6): 2,
             (2, 3): 1,
         }
-        assert g.identity_factor_count == 0
-        assert sum(w for _, w in g.edges) == 8
+        assert dot_edges(F1) == edge_weights(F1) == expected
+        assert signature(F1).identity_factor_count == 0
+        assert sum(dot_edges(F1).values()) == len(F1) == 8
 
     def test_empty(self):
-        g = build_graph(Factorization(4, []))
-        assert g.edges == ()
-        assert g.identity_factor_count == 0
+        assert dot_edges(Factorization(4, [])) == edge_weights(Factorization(4, [])) == {}
 
     def test_identity_factors_counted_separately(self):
-        g = build_graph(Factorization(3, [None, None]))
-        assert g.edges == ()
-        assert g.identity_factor_count == 2
+        f = Factorization(3, [None, None])
+        assert dot_edges(f) == {}
+        assert signature(f).identity_factor_count == 2
+
+    @given(st.data())
+    @settings(max_examples=100)
+    def test_dot_edges_agree_with_counter_fold(self, data):
+        n = data.draw(st.integers(2, 8))
+        pairs = [(a, b) for a in range(1, n + 1) for b in range(a + 1, n + 1)]
+        f = Factorization(n, data.draw(st.lists(st.sampled_from(pairs + [None]), max_size=20)))
+        assert dot_edges(f) == edge_weights(f)
+        assert list(dot_edges(f)) == sorted(edge_weights(f))
 
 
 class TestComponentLabels:
