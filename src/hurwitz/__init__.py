@@ -56,7 +56,6 @@ from .oracle import (
     enumerate_orbit,
     orbit_partition,
 )
-from .perm import Permutation, transposition_product
 
 __all__ = [
     "BraidTuple",
@@ -74,7 +73,6 @@ __all__ = [
     "MoveCertificate",
     "MoveRangeError",
     "OrbitReport",
-    "Permutation",
     "PreconditionError",
     "apply_certificate",
     "apply_move",
@@ -98,5 +96,4 @@ __all__ = [
     "pull_edge_to_front",
     "signature",
     "to_dot",
-    "transposition_product",
 ]

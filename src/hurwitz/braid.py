@@ -24,11 +24,18 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from operator import neg
 from typing import Iterable, Iterator
 
 from .errors import FormatError, MoveRangeError, PreconditionError
-from .factorization import Direction, Factor, Factorization, HurwitzMove, _parse_degree
-from .perm import product_images
+from .factorization import (
+    Direction,
+    Factor,
+    Factorization,
+    HurwitzMove,
+    _parse_degree,
+    product_images,
+)
 
 
 @dataclass(frozen=True)
@@ -39,10 +46,12 @@ class BraidWord:
     letters: tuple[int, ...]
 
     def __init__(self, degree: int, letters: Iterable[int]):
-        if degree < 1:
-            raise PreconditionError(f"degree must be positive, got {degree}")
+        if type(degree) is not int or degree < 1:
+            raise PreconditionError(f"degree must be a positive int, got {degree!r}")
         letters = tuple(letters)
         for x in letters:
+            if type(x) is not int:
+                raise PreconditionError(f"letter {x!r} is not an int")
             if x == 0 or abs(x) >= degree:
                 raise PreconditionError(
                     f"letter {x} out of range for degree {degree} "
@@ -50,17 +59,6 @@ class BraidWord:
                 )
         object.__setattr__(self, "degree", degree)
         object.__setattr__(self, "letters", letters)
-
-    def inverse(self) -> "BraidWord":
-        """Reverse the word and negate each letter."""
-        return BraidWord(self.degree, tuple(-x for x in reversed(self.letters)))
-
-    def concat(self, other: "BraidWord") -> "BraidWord":
-        if other.degree != self.degree:
-            raise PreconditionError(
-                f"degree mismatch: {self.degree} vs {other.degree}"
-            )
-        return BraidWord(self.degree, self.letters + other.letters)
 
     def __len__(self) -> int:
         return len(self.letters)
@@ -74,8 +72,12 @@ class BraidTuple:
     words: tuple[BraidWord, ...]
 
     def __init__(self, degree: int, words: Iterable[BraidWord]):
+        if type(degree) is not int or degree < 1:
+            raise PreconditionError(f"degree must be a positive int, got {degree!r}")
         words = tuple(words)
         for w in words:
+            if type(w) is not BraidWord:
+                raise PreconditionError(f"{w!r} is not a BraidWord")
             if w.degree != degree:
                 raise PreconditionError(
                     f"word of degree {w.degree} in a degree-{degree} tuple"
@@ -145,10 +147,13 @@ def braid_hurwitz_move(braid: BraidTuple, move: HurwitzMove) -> BraidTuple:
         )
     words = list(braid.words)
     u, v = words[k], words[k + 1]
+    # the conjugated word's letters in one tuple, validated once
     if move.direction is Direction.FORWARD:
-        words[k], words[k + 1] = u.concat(v).concat(u.inverse()), u
+        letters = u.letters + v.letters + tuple(map(neg, reversed(u.letters)))
+        words[k], words[k + 1] = BraidWord(braid.degree, letters), u
     else:
-        words[k], words[k + 1] = v, v.inverse().concat(u).concat(v)
+        letters = tuple(map(neg, reversed(v.letters))) + u.letters + v.letters
+        words[k], words[k + 1] = v, BraidWord(braid.degree, letters)
     return BraidTuple(braid.degree, words)
 
 

@@ -495,8 +495,9 @@ class _Planner:
             self.pull(u0 + 1, hi, a, b)
             assert f[u0 + 1] == factor
             # the walk touches only slots left of u0 + 2, so when this pair
-            # is not the last, the next one needs no fresh check
-            done = not any(map(v01.__ne__, f[u0 + 2 : hi]))
+            # is not the last, the next one needs no fresh check; the scan
+            # stops at the first other factor and copies nothing
+            done = all(f[k] == v01 for k in range(u0 + 2, hi))
             i, j = vertices.index(a), vertices.index(b)
             # lower the far endpoint until the pair spans (v_i, v_{i+1}),
             # then cascade both endpoints down to (v_0, v_1)

@@ -14,6 +14,9 @@ Both preserve the left-to-right product.  Conjugating a transposition by a
 transposition yields a transposition, and the identity marker conjugates to
 whatever it is conjugated against, so the factor alphabet is closed under
 both moves.
+
+``move_pair`` is the one move kernel and ``product_images`` the one product
+kernel: a product is an image list, entry ``x`` the image of the point ``x``.
 """
 
 from __future__ import annotations
@@ -26,7 +29,6 @@ from enum import Enum
 from typing import Iterable, Iterator, NoReturn, Optional, Sequence
 
 from .errors import FormatError, MoveRangeError, PreconditionError
-from .perm import Permutation, product_images, transposition_product
 
 # A factor: a normalized transposition (a < b) or None for the identity.
 Factor = Optional[tuple[int, int]]
@@ -92,6 +94,30 @@ def conjugate_factor(s: Factor, t: Factor) -> Factor:
     return move_pair(s, t, True)[0]
 
 
+def product_images(n: int, factors: Iterable[Factor]) -> list[int]:
+    """Image list of the left-to-right product of transposition factors
+    (None factors are the identity): entry x is the image of the point x,
+    and entry 0 is 0.
+
+    Maintains the running product's image and preimage arrays so each factor
+    costs O(1); the whole product is O(n + number of factors).
+
+    >>> product_images(3, [(1, 2), (2, 3)])
+    [0, 3, 1, 2]
+    """
+    img = list(range(n + 1))   # img[x] = image of x under the product so far
+    pre = list(range(n + 1))   # pre[y] = preimage of y
+    for factor in factors:
+        if factor is None:
+            continue
+        a, b = factor
+        # appending (a,b) post-composes: only the preimages of a and b change
+        xa, xb = pre[a], pre[b]
+        img[xa], img[xb] = b, a
+        pre[a], pre[b] = xb, xa
+    return img
+
+
 @dataclass(frozen=True)
 class Factorization:
     """An immutable factor sequence over the points ``1..degree``.
@@ -133,14 +159,13 @@ class Factorization:
     def __getitem__(self, i: int) -> Factor:
         return self.factors[i]
 
-    def product(self) -> Permutation:
-        """Left-to-right product of the factors as a permutation."""
-        return transposition_product(self.degree, self.factors)
+    def product(self) -> list[int]:
+        """Image list of the left-to-right product (see product_images)."""
+        return product_images(self.degree, self.factors)
 
     def is_identity_factorization(self) -> bool:
         """True when the product is the identity permutation."""
-        images = product_images(self.degree, self.factors)
-        return images == list(range(self.degree + 1))
+        return self.product() == list(range(self.degree + 1))
 
     def __str__(self) -> str:
         return format_factorization(self)
@@ -161,13 +186,19 @@ class HurwitzMove:
     object per (direction, slot) and ``parse_certificate`` one per distinct
     line.  Compare moves with ``==``, never ``is``.  The text form is built
     once, at construction, outside the fields, so ``==``, ``hash`` and
-    ``repr`` see only direction and position.
+    ``repr`` see only direction and position.  A direction that is not a
+    Direction, or a position that is not an int, raises PreconditionError.
     """
 
     direction: Direction
     position: int
 
     def __init__(self, direction: Direction, position: int):
+        if type(direction) is not Direction or type(position) is not int:
+            raise PreconditionError(
+                f"a move is a Direction and an int position, got "
+                f"{direction!r}, {position!r}"
+            )
         # Set like the generated __init__ of a frozen dataclass: touching
         # self.__dict__ would build a dict per instance and slow every later
         # attribute read.  _value_ is a plain attribute; on Python 3.11 the

@@ -26,7 +26,6 @@ from hurwitz.factorization import (
 )
 from hurwitz.graph import signature
 from hurwitz.oracle import enumerate_identity_factorizations, enumerate_orbit
-from hurwitz.perm import Permutation, transposition_product
 
 F1 = parse_factorization("n=6; [(2,6),(1,4),(1,5),(3,6),(4,5),(1,5),(2,3),(3,6)]")
 F2 = parse_factorization("n=6; [(2,6),(1,5),(3,6),(3,6),(2,6),(1,5),(1,4),(1,4)]")
@@ -209,7 +208,7 @@ def _random_projectable_word(rng, n):
             rng.choice([1, -1]) * rng.randint(1, n - 1)
             for _ in range(rng.randint(1, 4))
         ]
-        return BraidWord(n, half).concat(BraidWord(n, half).inverse())
+        return BraidWord(n, half + [-x for x in reversed(half)])
     conj = [
         rng.choice([1, -1]) * rng.randint(1, n - 1)
         for _ in range(rng.randint(0, 3))
@@ -219,17 +218,22 @@ def _random_projectable_word(rng, n):
 
 
 def _word_permutation(word):
-    """Reference image of a braid word: its letters' transpositions
-    (|x|, |x|+1) multiplied over all its degree."""
-    return transposition_product(
-        word.degree, ((abs(x), abs(x) + 1) for x in word.letters)
-    )
+    """Reference image tuple of a braid word (entry i - 1 is the image of
+    the point i): its letters' transpositions (|x|, |x|+1) applied left to
+    right over all its degree."""
+    return _fold(word.degree, [(abs(x), abs(x) + 1) for x in word.letters])
 
 
 def _factor_permutation(factor, degree):
-    if factor is None:
-        return Permutation.identity(degree)
-    return Permutation.transposition(degree, *factor)
+    return _fold(degree, [] if factor is None else [factor])
+
+
+def _fold(n, transpositions):
+    """Applying (a, b) after the product so far exchanges its images a and b."""
+    images = tuple(range(1, n + 1))
+    for a, b in transpositions:
+        images = tuple(b if y == a else a if y == b else y for y in images)
+    return images
 
 
 def test_criterion_5_projection_commutes_with_moves():

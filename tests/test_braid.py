@@ -17,32 +17,39 @@ from hurwitz.braid import (
 )
 from hurwitz.errors import FormatError, MoveRangeError, PreconditionError
 from hurwitz.factorization import MAX_DEGREE, Direction, HurwitzMove, apply_move
-from hurwitz.perm import Permutation, transposition_product
 
 
 def word(degree, *letters):
     return BraidWord(degree, letters)
 
 
+def inverse_letters(letters):
+    """Reference letters of a word's inverse: reversed, each negated."""
+    return tuple(-x for x in reversed(letters))
+
+
 def project_word(word):
-    """Reference image of a word: the product of its letters'
-    transpositions (|x|, |x|+1), sign ignored, over all its degree."""
-    return transposition_product(
-        word.degree, ((abs(x), abs(x) + 1) for x in word.letters)
-    )
+    """Reference image tuple of a word (entry i - 1 is the image of the
+    point i): its letters' transpositions (|x|, |x|+1), sign ignored,
+    applied left to right over all its degree."""
+    images = tuple(range(1, word.degree + 1))
+    for x in word.letters:
+        a, b = abs(x), abs(x) + 1
+        images = tuple(b if y == a else a if y == b else y for y in images)
+    return images
 
 
 def compose(p, q):
-    """Reference left-to-right product of two permutations: p first, then q."""
-    return Permutation(p.degree, tuple(q.images[i - 1] for i in p.images))
+    """Reference left-to-right product of two image tuples: p first, then q."""
+    return tuple(q[i - 1] for i in p)
 
 
 def inverse(p):
-    """Reference inverse of a permutation."""
-    images = [0] * p.degree
-    for i, image in enumerate(p.images, 1):
+    """Reference inverse of an image tuple."""
+    images = [0] * len(p)
+    for i, image in enumerate(p, 1):
         images[image - 1] = i
-    return Permutation(p.degree, tuple(images))
+    return tuple(images)
 
 
 class TestBraidWord:
@@ -59,29 +66,52 @@ class TestBraidWord:
         with pytest.raises(PreconditionError):
             BraidWord(0, ())
 
-    def test_inverse_reverses_and_negates(self):
-        assert word(4, 1, 2, -3).inverse().letters == (3, -2, -1)
-        assert word(4).inverse().letters == ()
 
-    def test_concat_checks_degree(self):
-        with pytest.raises(PreconditionError):
-            word(3, 1).concat(word(4, 1))
-        assert word(3, 1).concat(word(3, 2)).letters == (1, 2)
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: BraidWord(3, ["1"]),
+        lambda: BraidWord(3, [1.0]),
+        lambda: BraidWord(3, [True]),
+        lambda: BraidWord(3.5, [1, 2, 3]),
+        lambda: BraidTuple(2.5, []),
+        lambda: BraidTuple(0, []),
+        lambda: BraidTuple(3, [(1,)]),
+        lambda: HurwitzMove("F", 0),
+        lambda: HurwitzMove(Direction.FORWARD, 1.0),
+        lambda: HurwitzMove(Direction.FORWARD, True),
+    ],
+    ids=[
+        "str-letter",
+        "float-letter",
+        "bool-letter",
+        "float-word-degree",
+        "float-tuple-degree",
+        "zero-tuple-degree",
+        "tuple-not-word",
+        "str-direction",
+        "float-position",
+        "bool-position",
+    ],
+)
+def test_public_constructors_raise_precondition_error(build):
+    with pytest.raises(PreconditionError):
+        build()
 
 
 class TestProjection:
     def test_single_generator(self):
-        assert project_word(word(3, 1)) == Permutation.transposition(3, 1, 2)
+        assert project_word(word(3, 1)) == (2, 1, 3)
 
     def test_sign_ignored(self):
         assert project_word(word(3, -1)) == project_word(word(3, 1))
 
     def test_empty_word_is_identity(self):
-        assert project_word(word(5)) == Permutation.identity(5)
+        assert project_word(word(5)) == (1, 2, 3, 4, 5)
 
     def test_braid_relator_projects_to_identity(self):
         # sigma1 sigma2 sigma1 sigma2 sigma1 sigma2 maps to ((1,2)(2,3))^3 = id
-        assert project_word(word(3, 1, 2, 1, 2, 1, 2)) == Permutation.identity(3)
+        assert project_word(word(3, 1, 2, 1, 2, 1, 2)) == (1, 2, 3)
 
     @given(st.data())
     @settings(max_examples=80)
@@ -91,11 +121,13 @@ class TestProjection:
         letters = st.lists(st.sampled_from(alphabet), max_size=8)
         u = BraidWord(n, data.draw(letters))
         v = BraidWord(n, data.draw(letters))
-        assert project_word(u.concat(v)) == compose(project_word(u), project_word(v))
+        uv = BraidWord(n, u.letters + v.letters)
+        assert project_word(uv) == compose(project_word(u), project_word(v))
 
     def test_inverse_projects_to_inverse(self):
         w = word(4, 1, 3, 2, -1)
-        assert project_word(w.inverse()) == inverse(project_word(w))
+        w_inv = BraidWord(4, inverse_letters(w.letters))
+        assert project_word(w_inv) == inverse(project_word(w))
 
     @given(st.data())
     @settings(max_examples=300)
@@ -106,7 +138,7 @@ class TestProjection:
         n = data.draw(st.integers(2, 7))
         alphabet = [s * i for i in range(1, n) for s in (1, -1)]
         w = BraidWord(n, data.draw(st.lists(st.sampled_from(alphabet), max_size=8)))
-        images = project_word(w).images
+        images = project_word(w)
         moved = [i for i, image in enumerate(images, 1) if image != i]
         if len(moved) in (0, 2):
             assert _projection_factor(w) == (tuple(moved) or None)
@@ -170,6 +202,25 @@ class TestBraidMove:
         # free words do not cancel, so the tuple is textually longer
         assert sum(len(w) for w in back.words) > sum(len(w) for w in b.words)
         assert project_tuple(back) == project_tuple(b)
+
+    @given(st.data())
+    @settings(max_examples=150)
+    def test_matches_letter_reference(self, data):
+        """Forward gives u v u^-1, u and inverse v, v^-1 u v, letter for
+        letter; every other word stays."""
+        n = data.draw(st.integers(2, 6))
+        alphabet = [s * i for i in range(1, n) for s in (1, -1)]
+        letters = st.lists(st.sampled_from(alphabet), max_size=5).map(tuple)
+        words = data.draw(st.lists(letters, min_size=2, max_size=5))
+        k = data.draw(st.integers(0, len(words) - 2))
+        b = BraidTuple(n, [BraidWord(n, w) for w in words])
+        u, v = words[k], words[k + 1]
+        for direction, pair in (
+            (Direction.FORWARD, [u + v + inverse_letters(u), u]),
+            (Direction.INVERSE, [v, inverse_letters(v) + u + v]),
+        ):
+            moved = braid_hurwitz_move(b, HurwitzMove(direction, k))
+            assert [w.letters for w in moved.words] == words[:k] + pair + words[k + 2 :]
 
     def test_out_of_range(self):
         b = BraidTuple(3, [word(3, 1), word(3, 2)])

@@ -25,8 +25,8 @@ from hurwitz.factorization import (
     invert_certificate,
     parse_certificate,
     parse_factorization,
+    product_images,
 )
-from hurwitz.perm import Permutation
 
 
 def forward(k):
@@ -35,6 +35,18 @@ def forward(k):
 
 def inverse(k):
     return HurwitzMove(Direction.INVERSE, k)
+
+
+def fold_product(n, factors):
+    """Reference left-to-right product as an image tuple (entry i - 1 is the
+    image of the point i), one factor at a time: applying (a, b) after the
+    product so far exchanges its images a and b."""
+    images = tuple(range(1, n + 1))
+    for factor in factors:
+        if factor is not None:
+            a, b = factor
+            images = tuple(b if x == a else a if x == b else x for x in images)
+    return images
 
 
 @st.composite
@@ -97,15 +109,41 @@ class TestFactorizationType:
 
     def test_product(self):
         f = Factorization(3, [(1, 2), (2, 3)])
-        assert f.product().images == (3, 1, 2)
+        assert f.product() == [0, 3, 1, 2]
         assert not f.is_identity_factorization()
         assert Factorization(3, [(1, 2), (1, 2)]).is_identity_factorization()
         assert Factorization(3, []).is_identity_factorization()
 
     @given(factorizations(max_len=6))
     def test_identity_check_agrees_with_product(self, f):
-        identity = Permutation.identity(f.degree)
-        assert f.is_identity_factorization() == (f.product() == identity)
+        identity = tuple(range(1, f.degree + 1))
+        assert f.is_identity_factorization() == (fold_product(f.degree, f) == identity)
+
+
+class TestProductImages:
+    def test_order_is_left_to_right(self):
+        # apply (1,2) first: 1 -> 2 -> 3
+        assert product_images(3, [(1, 2), (2, 3)]) == [0, 3, 1, 2]
+        assert product_images(3, [(2, 3), (1, 2)]) == [0, 2, 3, 1]
+
+    def test_matches_fold(self):
+        rng = random.Random(42)
+        for _ in range(200):
+            n = rng.randint(2, 9)
+            m = rng.randint(0, 12)
+            factors = []
+            for _ in range(m):
+                if rng.random() < 0.15:
+                    factors.append(None)
+                else:
+                    a, b = rng.sample(range(1, n + 1), 2)
+                    factors.append((min(a, b), max(a, b)))
+            assert tuple(product_images(n, factors)[1:]) == fold_product(n, factors)
+
+    def test_empty_and_identity_factors(self):
+        assert product_images(4, []) == [0, 1, 2, 3, 4]
+        assert product_images(4, [None, None]) == [0, 1, 2, 3, 4]
+        assert product_images(2, [(1, 2), (1, 2)]) == [0, 1, 2]
 
 
 class TestConjugation:
