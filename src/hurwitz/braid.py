@@ -34,6 +34,8 @@ from .factorization import (
     Factorization,
     HurwitzMove,
     _parse_degree,
+    _require_int,
+    _require_iterable,
     product_images,
 )
 
@@ -46,9 +48,8 @@ class BraidWord:
     letters: tuple[int, ...]
 
     def __init__(self, degree: int, letters: Iterable[int]):
-        if type(degree) is not int or degree < 1:
-            raise PreconditionError(f"degree must be a positive int, got {degree!r}")
-        letters = tuple(letters)
+        _require_int(degree, "degree must be a positive int", 1)
+        letters = tuple(_require_iterable(letters, "letters"))
         for x in letters:
             if type(x) is not int:
                 raise PreconditionError(f"letter {x!r} is not an int")
@@ -72,9 +73,8 @@ class BraidTuple:
     words: tuple[BraidWord, ...]
 
     def __init__(self, degree: int, words: Iterable[BraidWord]):
-        if type(degree) is not int or degree < 1:
-            raise PreconditionError(f"degree must be a positive int, got {degree!r}")
-        words = tuple(words)
+        _require_int(degree, "degree must be a positive int", 1)
+        words = tuple(_require_iterable(words, "words"))
         for w in words:
             if type(w) is not BraidWord:
                 raise PreconditionError(f"{w!r} is not a BraidWord")
@@ -139,6 +139,8 @@ def braid_hurwitz_move(braid: BraidTuple, move: HurwitzMove) -> BraidTuple:
     >>> [w.letters for w in moved.words]
     [(1, 2, -1), (1,)]
     """
+    if type(move) is not HurwitzMove:
+        raise PreconditionError(f"move must be a HurwitzMove, got {move!r}")
     k = move.position
     m = len(braid.words)
     if k < 0 or k + 1 >= m:

@@ -19,6 +19,10 @@ a ``_Planner`` method:
   forward moves, its own value preserved, conjugating what it passes;
   carried onto a factor for an adjacent graph edge, it merges the two into
   a factor for the shortcut edge, shortening a path by one;
+* ``group``: each factor is carried left past the factors of later
+  component blocks in front of it; factors of different components are
+  disjoint and identity factors commute with all, so each such carry only
+  swaps, and the factors sort stably into identity-first blocks;
 * ``pull``: one BFS of the window graph fixes a shortest path from one
   endpoint of the wanted edge to the other; its first two edges merge d - 1
   times, each merge landing the shortcut at the smaller slot when that
@@ -58,17 +62,13 @@ from .factorization import (
     Factorization,
     HurwitzMove,
     MoveCertificate,
+    _require_int,
     apply_certificate,
     conjugate_factor,
     format_factorization,
     move_pair,
 )
-from .graph import (
-    ComponentSignature,
-    component_labels,
-    format_signature,
-    signature,
-)
+from .graph import ComponentSignature, format_signature, signature
 
 
 @dataclass(frozen=True)
@@ -381,58 +381,48 @@ class _Planner:
 
     # -- grouping ------------------------------------------------------------
 
-    def group(self) -> list[tuple[int, int]]:
-        """Stable-sort factors into identity-first component blocks.
+    def group(self, sig: ComponentSignature) -> None:
+        """Stable-sort factors into identity-first component blocks, in the
+        order of ``sig.components``.
 
-        Factors from different components are disjoint, and identity factors
-        commute with everything, so each executed forward move is a pure
-        swap.  Returns the (lo, hi) slot range of each transposition block,
-        in ascending component order.
+        Each factor in turn is carried left past the factors of later blocks
+        in front of it.  Factors from different components are disjoint, and
+        identity factors commute with everything, so a carry leaves every
+        factor it passes unchanged.  One move per inversion, and the scan
+        finds each carry's destination one passed slot at a time: O(m +
+        moves).
         """
-        labels = component_labels(
-            self.degree, (f for f in self.factors if f is not None)
-        )
-        keys = [-1 if f is None else labels[f[0]] for f in self.factors]
-        m = len(keys)
-        for end in range(m - 1, 0, -1):
-            dirty = False
-            for k in range(end):
-                if keys[k] > keys[k + 1]:
-                    swapped = (self.factors[k + 1], self.factors[k])
-                    self.forward(k)
-                    assert (self.factors[k], self.factors[k + 1]) == swapped
-                    keys[k], keys[k + 1] = keys[k + 1], keys[k]
-                    dirty = True
-            if not dirty:
-                break
-        blocks: list[tuple[int, int]] = []
-        lo = 0
-        while lo < m:
-            if keys[lo] == -1:
-                lo += 1
-                continue
-            hi = lo
-            while hi < m and keys[hi] == keys[lo]:
-                hi += 1
-            blocks.append((lo, hi))
-            lo = hi
-        return blocks
+        block = {v: i for i, (vs, _) in enumerate(sig.components) for v in vs}
+        keys = [-1 if f is None else block[f[0]] for f in self.factors]
+        for j in range(len(keys)):
+            key = keys[j]
+            dest = j
+            while dest and keys[dest - 1] > key:
+                dest -= 1
+            if dest < j:
+                passed = self.factors[dest:j]
+                self.carry(j, dest)
+                assert self.factors[dest + 1 : j + 1] == passed
+                keys[dest + 1 : j + 1] = keys[dest:j]
+                keys[dest] = key
 
     # -- per-block canonicalization -------------------------------------------
 
-    def canonicalize_block(self, lo: int, hi: int) -> None:
+    def canonicalize_block(
+        self, lo: int, hi: int, vertices: Sequence[int]
+    ) -> None:
         """Rewrite one component block into its canonical shape.
 
         The block must hold the transposition factors of a single connected
-        component whose subproduct is the identity; both are consequences of
-        grouping an identity factorization.
+        component on the ascending ``vertices`` whose subproduct is the
+        identity; both are consequences of grouping an identity
+        factorization.
         """
-        vertices = sorted({v for f in self.factors[lo:hi] for v in f})
         _leftover(vertices, hi - lo, self._fail)
         self._build_path(lo, hi, vertices)
         self._normalize_tail(lo, hi, vertices)
 
-    def _build_path(self, lo: int, hi: int, vertices: list[int]) -> None:
+    def _build_path(self, lo: int, hi: int, vertices: Sequence[int]) -> None:
         """Stage 1: produce the doubled ascending path cells."""
         for k in range(1, len(vertices)):
             target_v = vertices[k]
@@ -462,7 +452,9 @@ class _Planner:
             assert self.factors[suffix_lo] == (vertices[k - 1], target_v)
             assert self.factors[suffix_lo + 1] == (vertices[k - 1], target_v)
 
-    def _normalize_tail(self, lo: int, hi: int, vertices: list[int]) -> None:
+    def _normalize_tail(
+        self, lo: int, hi: int, vertices: Sequence[int]
+    ) -> None:
         """Stage 2: convert the leftover weight into (v0, v1) copies.
 
         Every leftover pair takes one path.  Once everything behind the path
@@ -532,6 +524,8 @@ def pull_edge_to_front(
     >>> r.canonical.factors[0]
     (1, 3)
     """
+    for v in (v1, v2):
+        _require_int(v, "a vertex must be a positive int", 1)
     if v1 == v2:
         raise PreconditionError(f"endpoints must differ, got {v1} twice")
     if any(f is None for f in factorization.factors):
@@ -561,7 +555,7 @@ def group_components(factorization: Factorization) -> CanonicalResult:
     """
     _require_identity(factorization, "grouping")
     planner = _Planner(factorization)
-    planner.group()
+    planner.group(signature(factorization))
     return planner.result()
 
 
@@ -578,12 +572,15 @@ def canonical_form(factorization: Factorization) -> CanonicalResult:
     ((1, 2), (1, 2), (2, 3), (2, 3))
     """
     _require_identity(factorization, "canonical form")
+    sig = signature(factorization)
     planner = _Planner(factorization)
-    for lo, hi in planner.group():
-        planner.canonicalize_block(lo, hi)
+    planner.group(sig)
+    lo = sig.identity_factor_count
+    for vertices, weight in sig.components:
+        planner.canonicalize_block(lo, lo + weight, vertices)
+        lo += weight
     result = planner.result()
-    expected = canonical_shape(signature(factorization))
-    if result.canonical != expected:
+    if result.canonical != canonical_shape(sig):
         raise planner._fail(
             "cross-check", "output does not match the canonical shape"
         )

@@ -38,6 +38,27 @@ Factor = Optional[tuple[int, int]]
 MAX_DEGREE = 10**6
 
 
+def _require_int(
+    value: object, rule: str, low: int, high: float = float("inf")
+) -> None:
+    """Raise PreconditionError "<rule>, got <value>" unless ``value`` is an
+    int (a bool is not) in ``low..high``."""
+    if type(value) is not int or not low <= value <= high:
+        raise PreconditionError(f"{rule}, got {value!r}")
+
+
+def _require_iterable(values: Iterable, what: str) -> Iterable:
+    """``values`` itself, so a tuple is not copied; PreconditionError if it
+    is not iterable."""
+    try:
+        iter(values)
+    except TypeError:
+        raise PreconditionError(
+            f"{what} must be iterable, got {type(values).__name__}"
+        ) from None
+    return values
+
+
 def normalize_factor(factor: Factor, degree: int) -> Factor:
     """Validate a single factor against ``degree`` and order its entries.
 
@@ -132,13 +153,14 @@ class Factorization:
     factors: tuple[Factor, ...]
 
     def __init__(self, degree: int, factors: Iterable[Factor]):
-        if type(degree) is not int or degree < 1:
-            raise PreconditionError(f"degree must be a positive int, got {degree!r}")
-        if degree > MAX_DEGREE:
-            raise PreconditionError(
-                f"degree must be at most {MAX_DEGREE}, got {degree}"
-            )
-        normalized = tuple(normalize_factor(f, degree) for f in factors)
+        _require_int(degree, "degree must be a positive int", 1)
+        _require_int(
+            degree, f"degree must be at most {MAX_DEGREE}", 1, MAX_DEGREE
+        )
+        normalized = tuple(
+            normalize_factor(f, degree)
+            for f in _require_iterable(factors, "factors")
+        )
         object.__setattr__(self, "degree", degree)
         object.__setattr__(self, "factors", normalized)
 
@@ -238,20 +260,29 @@ def apply_certificate(
     """Replay a move sequence left to right.
 
     A move whose position falls outside the current length raises
-    MoveRangeError naming the offending index within ``moves``.
+    MoveRangeError naming the offending index within ``moves``; a move that
+    is not a HurwitzMove raises PreconditionError.
     """
     factors = list(factorization.factors)
     m = len(factors)
     fwd = Direction.FORWARD
-    for i, move in enumerate(moves):
-        k = move.position
-        if k < 0 or k + 1 >= m:
-            raise MoveRangeError(
-                f"move {i} ({move}) out of range for length {m}"
+    move: object = None
+    try:
+        for i, move in enumerate(_require_iterable(moves, "moves")):
+            k = move.position
+            if k < 0 or k + 1 >= m:
+                raise MoveRangeError(
+                    f"move {i} ({move}) out of range for length {m}"
+                )
+            factors[k], factors[k + 1] = move_pair(
+                factors[k], factors[k + 1], move.direction is fwd
             )
-        factors[k], factors[k + 1] = move_pair(
-            factors[k], factors[k + 1], move.direction is fwd
-        )
+    except (AttributeError, TypeError):
+        # a HurwitzMove has a Direction and an int position, so only a move
+        # of another type gets here
+        raise PreconditionError(
+            f"moves must be HurwitzMoves, got {move!r}"
+        ) from None
     return Factorization._trusted(factorization.degree, tuple(factors))
 
 

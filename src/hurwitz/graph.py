@@ -15,6 +15,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable
 
+from .errors import PreconditionError
 from .factorization import Factorization
 
 
@@ -67,6 +68,10 @@ def signature(factorization: Factorization) -> ComponentSignature:
     Runs in near-linear time: one counting pass over the factors, then
     component labelling over the distinct edges.
     """
+    if type(factorization) is not Factorization:
+        raise PreconditionError(
+            f"signature needs a Factorization, got {type(factorization).__name__}"
+        )
     degree = factorization.degree
     counts = Counter(factorization.factors)
     identity = counts.pop(None, 0)

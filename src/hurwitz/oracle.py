@@ -13,7 +13,13 @@ from dataclasses import dataclass
 from typing import Iterator, Optional
 
 from .errors import PreconditionError
-from .factorization import MAX_DEGREE, Factor, Factorization, move_pair
+from .factorization import (
+    MAX_DEGREE,
+    Factor,
+    Factorization,
+    _require_int,
+    move_pair,
+)
 from .graph import ComponentSignature, signature
 
 # An orbit's members are bare factor tuples; Factorization wrappers are built
@@ -135,8 +141,7 @@ def enumerate_orbit(
     >>> enumerate_orbit(Factorization(3, [(1, 2), (2, 3)])).orbit_size
     3
     """
-    if cap < 1:
-        raise PreconditionError(f"cap must be positive, got {cap}")
+    _require_int(cap, "cap must be positive", 1)
     table = _MoveTable(factorization.factors)
     seed = tuple(map(table.encode, factorization.factors))
     visited = {seed}
@@ -166,12 +171,8 @@ def enumerate_identity_factorizations(
     >>> [f.factors for f in enumerate_identity_factorizations(3, 2)]
     [((1, 2), (1, 2)), ((1, 3), (1, 3)), ((2, 3), (2, 3))]
     """
-    if not 2 <= degree <= MAX_DEGREE:
-        raise PreconditionError(
-            f"degree must be in 2..{MAX_DEGREE}, got {degree}"
-        )
-    if length < 0:
-        raise PreconditionError(f"length must be non-negative, got {length}")
+    _require_int(degree, f"degree must be in 2..{MAX_DEGREE}", 2, MAX_DEGREE)
+    _require_int(length, "length must be non-negative", 0)
     if length > DEFAULT_CAP:
         raise PreconditionError(
             f"length {length} exceeds the enumeration guard of {DEFAULT_CAP} "

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import time
 from unittest.mock import patch
 
 import pytest
@@ -204,13 +205,31 @@ class TestCanonicalShape:
         # identity factorization never produces
         f = Factorization(3, [(1, 2), (2, 3)])
         with pytest.raises(InternalError) as info:
-            _Planner(f).canonicalize_block(0, 2)
+            _Planner(f).canonicalize_block(0, 2, [1, 2, 3])
         message = str(info.value)
         assert message.startswith(
             "leftover: component {1, 2, 3} with weight 2: leftover -2 is not "
             "a non-negative even count"
         )
         assert parse_factorization(message.rsplit("input ", 1)[1]) == f
+
+
+def smallest_points(f):
+    """Each point of f's graph mapped to the smallest point of its
+    component, by flood fill from each point in ascending order."""
+    edges = [x for x in f.factors if x is not None]
+    label = {}
+    for v in sorted({p for e in edges for p in e}):
+        if v in label:
+            continue
+        label[v] = v
+        queue = [v]
+        for u in queue:
+            for a, b in edges:
+                if u in (a, b) and a + b - u not in label:
+                    label[a + b - u] = v
+                    queue.append(a + b - u)
+    return label
 
 
 class TestGroupComponents:
@@ -241,6 +260,35 @@ class TestGroupComponents:
     def test_signature_preserved(self):
         result = group_components(F2)
         assert signature(result.canonical) == signature(F2)
+
+    @given(scrambled_identity_factorizations())
+    @settings(max_examples=200, deadline=None)
+    def test_stable_sort_one_swap_per_inversion(self, f):
+        smallest = smallest_points(f)
+        key = lambda x: 0 if x is None else smallest[x[0]]
+        keys = list(map(key, f.factors))
+        result = group_components(f)
+        assert result.canonical.factors == tuple(sorted(f.factors, key=key))
+        inversions = sum(a > b for a, b in itertools.combinations(keys, 2))
+        assert len(result.certificate) == inversions
+        current = f
+        for move in result.certificate:
+            k = move.position
+            s, t = current.factors[k : k + 2]
+            current = apply_move(current, move)
+            assert current.factors[k : k + 2] == (t, s)
+
+    def test_long_carries_take_linear_time(self):
+        # one carry of 20,000 slots, then two; a bubble sort made one pass
+        # per slot travelled and took about 14 s on each
+        for f, moves in [
+            (Factorization(2, [(1, 2)] * 20_000 + [None]), 20_000),
+            (Factorization(4, [(3, 4)] * 20_000 + [(1, 2), (1, 2)]), 40_000),
+        ]:
+            t0 = time.perf_counter()
+            result = canonical_form(f)
+            assert time.perf_counter() - t0 < 2.0
+            assert len(result.certificate) == moves
 
 
 class TestPullEdgeToFront:

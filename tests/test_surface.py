@@ -7,7 +7,23 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import hurwitz
+from hurwitz import (
+    BraidTuple,
+    BraidWord,
+    Factorization,
+    PreconditionError,
+    apply_certificate,
+    apply_move,
+    braid_hurwitz_move,
+    enumerate_identity_factorizations,
+    enumerate_orbit,
+    orbit_partition,
+    pull_edge_to_front,
+    signature,
+)
 
 PUBLIC = [
     "BraidTuple",
@@ -87,3 +103,49 @@ def test_import_loads_only_the_package_and_the_standard_library():
         and name.split(".")[0] not in sys.stdlib_module_names
     ]
     assert foreign == []
+
+
+F = Factorization(3, [(1, 2), (1, 2)])
+B = BraidTuple(3, [BraidWord(3, [1]), BraidWord(3, [1])])
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: Factorization(3, 5),
+        lambda: BraidWord(3, 5),
+        lambda: BraidTuple(3, 5),
+        lambda: apply_move(F, "F@0"),
+        lambda: apply_certificate(F, ["F@0"]),
+        lambda: braid_hurwitz_move(B, "F@0"),
+        lambda: signature([(1, 2)]),
+        lambda: enumerate_orbit(F, cap=2.5),
+        lambda: enumerate_orbit(F, cap="5"),
+        lambda: list(enumerate_identity_factorizations(3, 2.0)),
+        lambda: list(enumerate_identity_factorizations(3.5, 2)),
+        lambda: list(enumerate_identity_factorizations("3", 2)),
+        lambda: orbit_partition(3, "4"),
+        lambda: pull_edge_to_front(F, 1, 2.0),
+    ],
+    ids=[
+        "Factorization(3, 5)",
+        "BraidWord(3, 5)",
+        "BraidTuple(3, 5)",
+        "apply_move(f, 'F@0')",
+        "apply_certificate(f, ['F@0'])",
+        "braid_hurwitz_move(b, 'F@0')",
+        "signature([(1, 2)])",
+        "enumerate_orbit(f, cap=2.5)",
+        "enumerate_orbit(f, cap='5')",
+        "enumerate_identity_factorizations(3, 2.0)",
+        "enumerate_identity_factorizations(3.5, 2)",
+        "enumerate_identity_factorizations('3', 2)",
+        "orbit_partition(3, '4')",
+        "pull_edge_to_front(f, 1, 2.0)",
+    ],
+)
+def test_wrong_typed_arguments_raise_precondition_error(call):
+    """A public entry point given an argument of the wrong type raises a
+    HurwitzError, never TypeError or AttributeError, and never returns."""
+    with pytest.raises(PreconditionError):
+        call()
