@@ -36,6 +36,7 @@ from .factorization import (
     _parse_degree,
     _require_int,
     _require_iterable,
+    _require_type,
     product_images,
 )
 
@@ -76,8 +77,7 @@ class BraidTuple:
         _require_int(degree, "degree must be a positive int", 1)
         words = tuple(_require_iterable(words, "words"))
         for w in words:
-            if type(w) is not BraidWord:
-                raise PreconditionError(f"{w!r} is not a BraidWord")
+            _require_type(w, BraidWord, "a word")
             if w.degree != degree:
                 raise PreconditionError(
                     f"word of degree {w.degree} in a degree-{degree} tuple"
@@ -122,6 +122,7 @@ def project_tuple(braid: BraidTuple) -> Factorization:
     >>> project_tuple(t).factors
     ((1, 2), None)
     """
+    _require_type(braid, BraidTuple, "braid")
     factors: list[Factor] = []
     for i, word in enumerate(braid.words):
         try:
@@ -139,8 +140,8 @@ def braid_hurwitz_move(braid: BraidTuple, move: HurwitzMove) -> BraidTuple:
     >>> [w.letters for w in moved.words]
     [(1, 2, -1), (1,)]
     """
-    if type(move) is not HurwitzMove:
-        raise PreconditionError(f"move must be a HurwitzMove, got {move!r}")
+    _require_type(braid, BraidTuple, "braid")
+    _require_type(move, HurwitzMove, "move")
     k = move.position
     m = len(braid.words)
     if k < 0 or k + 1 >= m:
@@ -177,6 +178,7 @@ def parse_braid_tuple(text: str) -> BraidTuple:
     >>> [w.letters for w in b.words]
     [(1, 2, -1), (2,)]
     """
+    _require_type(text, str, "text")
     match = _TUPLE_RE.match(text)
     if not match:
         raise FormatError(

@@ -23,10 +23,12 @@ a ``_Planner`` method:
   component blocks in front of it; factors of different components are
   disjoint and identity factors commute with all, so each such carry only
   swaps, and the factors sort stably into identity-first blocks;
-* ``pull``: one BFS of the window graph fixes a shortest path from one
-  endpoint of the wanted edge to the other; its first two edges merge d - 1
-  times, each merge landing the shortcut at the smaller slot when that
-  leaves the rest of the path intact, then the edge is carried to the front;
+* ``pull``: one BFS of the window graph from a target vertex picks the
+  nearest of the given source vertices and fixes a shortest path between
+  them; its first two edges merge d - 1 times, each merge landing the
+  shortcut at the smaller slot when that leaves the rest of the path
+  intact, then the edge is carried to the front (a single source whose
+  edge the window already holds is only carried);
 * ``rewrite_cells``: one kernel for two adjacent doubled cells, driven by
   a table of five four-move rewrites that hold for any transpositions x, y
   (with ``z = x y x``): swap ``x x y y -> y y x x``, shift right by left
@@ -63,6 +65,7 @@ from .factorization import (
     HurwitzMove,
     MoveCertificate,
     _require_int,
+    _require_type,
     apply_certificate,
     conjugate_factor,
     format_factorization,
@@ -98,6 +101,8 @@ def hurwitz_equivalent(f1: Factorization, f2: Factorization) -> bool:
     >>> hurwitz_equivalent(a, b)
     False
     """
+    _require_type(f1, Factorization, "factorization")
+    _require_type(f2, Factorization, "factorization")
     if f1.degree != f2.degree:
         raise PreconditionError(
             f"degree mismatch: {f1.degree} vs {f2.degree}; equivalence is "
@@ -114,7 +119,9 @@ def hurwitz_equivalent(f1: Factorization, f2: Factorization) -> bool:
 
 
 def _require_identity(factorization: Factorization, what: str) -> None:
-    """Raise PreconditionError unless the product is the identity."""
+    """Raise PreconditionError unless ``factorization`` is a Factorization
+    whose product is the identity."""
+    _require_type(factorization, Factorization, "factorization")
     if not factorization.is_identity_factorization():
         raise PreconditionError(f"{what} requires an identity product")
 
@@ -125,6 +132,7 @@ def canonical_shape(sig: ComponentSignature) -> Factorization:
     This is the target the planner must reach; building it independently
     from the signature gives a cross-check that costs O(m).
     """
+    _require_type(sig, ComponentSignature, "signature")
     def fail(stage: str, problem: str) -> InternalError:
         return InternalError(
             f"{stage}: {problem}; signature {format_signature(sig)}"
@@ -193,10 +201,6 @@ _CONJUGATE = {
 }
 
 
-# A window graph: adjacency, and BFS distances from one vertex.
-_Graph = tuple[dict[int, set[int]], dict[int, int]]
-
-
 def _index(factors: list[Factor], u: int, v: int, lo: int, hi: int) -> int:
     """The first slot in [lo, hi) holding the edge {u, v}, or -1."""
     try:
@@ -208,9 +212,10 @@ def _index(factors: list[Factor], u: int, v: int, lo: int, hi: int) -> int:
 class _Planner:
     """Mutable factor list plus the move log that shaped it.
 
-    All mutation goes through forward()/inverse(), so the log and the list
-    can never disagree.  The log shares one immutable move per (direction,
-    slot), built once here.
+    All mutation goes through step(), so the log and the list can never
+    disagree.  The log shares one immutable move per (direction, slot),
+    made the first time that slot moves in that direction, so a slot that
+    never moves costs no move object.
     """
 
     def __init__(self, factorization: Factorization):
@@ -218,9 +223,8 @@ class _Planner:
         self.degree = factorization.degree
         self.factors: list[Factor] = list(factorization.factors)
         self.moves: list[HurwitzMove] = []
-        slots = range(len(self.factors) - 1)
-        self._forward = [HurwitzMove(Direction.FORWARD, k) for k in slots]
-        self._inverse = [HurwitzMove(Direction.INVERSE, k) for k in slots]
+        self._forward: list[HurwitzMove | None] = [None] * len(self.factors)
+        self._inverse: list[HurwitzMove | None] = [None] * len(self.factors)
 
     def result(self) -> CanonicalResult:
         return CanonicalResult(
@@ -238,15 +242,15 @@ class _Planner:
 
     # -- elementary moves --------------------------------------------------
 
-    def forward(self, k: int) -> None:
+    def step(self, k: int, forward: bool) -> None:
         f = self.factors
-        f[k], f[k + 1] = move_pair(f[k], f[k + 1], True)
-        self.moves.append(self._forward[k])
-
-    def inverse(self, k: int) -> None:
-        f = self.factors
-        f[k], f[k + 1] = move_pair(f[k], f[k + 1], False)
-        self.moves.append(self._inverse[k])
+        f[k], f[k + 1] = move_pair(f[k], f[k + 1], forward)
+        shared = self._forward if forward else self._inverse
+        move = shared[k]
+        if move is None:
+            direction = Direction.FORWARD if forward else Direction.INVERSE
+            move = shared[k] = HurwitzMove(direction, k)
+        self.moves.append(move)
 
     # -- verified composite rewrites ---------------------------------------
 
@@ -256,9 +260,9 @@ class _Planner:
         is conjugated by it, so carrying it onto a neighbour merges the two.
         """
         for k in range(j, dest):
-            self.forward(k)
+            self.step(k, True)
         for k in range(j - 1, dest - 1, -1):
-            self.inverse(k)
+            self.step(k, False)
 
     def rewrite_cells(self, p: int, rewrite: _CellRewrite) -> None:
         """Apply a four-move rewrite to the doubled cells at p and p + 2."""
@@ -266,10 +270,7 @@ class _Planner:
         moves, target = rewrite
         left, right = target(f[p], f[p + 2])
         for forward, k in moves:
-            if forward:
-                self.forward(p + k)
-            else:
-                self.inverse(p + k)
+            self.step(p + k, forward)
         assert f[p] == f[p + 1] == left and f[p + 2] == f[p + 3] == right
 
     def move_cell(self, p: int, q: int) -> None:
@@ -304,7 +305,9 @@ class _Planner:
 
     # -- the pull rewrite ---------------------------------------------------
 
-    def _bfs(self, lo: int, hi: int, start: int) -> _Graph:
+    def _bfs(
+        self, lo: int, hi: int, start: int
+    ) -> tuple[dict[int, set[int]], dict[int, int]]:
         """The window graph of factors[lo:hi] and BFS distances from start."""
         adj: dict[int, set[int]] = {}
         for f in self.factors[lo:hi]:
@@ -321,36 +324,40 @@ class _Planner:
                     queue.append(w)
         return adj, dist
 
-    def pull(
-        self, lo: int, hi: int, a: int, b: int, graph: _Graph | None = None
-    ) -> None:
-        """Make factors[lo] equal (a, b) using moves inside [lo, hi) only.
+    def pull(self, lo: int, hi: int, sources: Sequence[int], b: int) -> int:
+        """Make factors[lo] equal (a, b), for a source a nearest to b in the
+        window graph, using moves inside [lo, hi) only; returns a.
 
-        Requires a path between a and b in the window graph.  A window that
-        holds (a, b) needs only the carry to lo.  Otherwise one BFS from b
-        (graph, when the caller already built it for this window) fixes the
-        lexicographically smallest shortest path a = u0, u1, ..., ud = b.
-        Each merge carries the factors (u0,u1) and (u1,u2) onto each other,
-        which turns (u1,u2) into the shortcut (u0,u2), and drops u1 from the
-        path.  A carried factor conjugates only the passed factors that touch
-        its own points, and the path is simple, so carrying (u0,u1) leaves
-        every later path edge intact.  When (u0,u1) lies left of (u1,u2),
-        (u1,u2) is carried left instead, so the shortcut lands nearer lo; that
-        carry conjugates by u2, so it is taken only when a copy of (u2,u3)
-        lies outside the carried span or the path ends at u2.  Either way
-        the path loses exactly one edge: d - 1 merges, then one carry of
-        (a, b) to lo.
+        Requires a path from b to some source in the window graph.  One
+        source whose edge the window holds needs only the carry to lo.
+        Otherwise one BFS from b picks the nearest source a (ties go to the
+        smallest) and fixes the lexicographically smallest shortest path
+        a = u0, u1, ..., ud = b.  Each merge carries the factors (u0,u1) and
+        (u1,u2) onto each other, which turns (u1,u2) into the shortcut
+        (u0,u2), and drops u1 from the path.  A carried factor conjugates
+        only the passed factors that touch its own points, and the path is
+        simple, so carrying (u0,u1) leaves every later path edge intact.
+        When (u0,u1) lies left of (u1,u2), (u1,u2) is carried left instead,
+        so the shortcut lands nearer lo; that carry conjugates by u2, so it
+        is taken only when a copy of (u2,u3) lies outside the carried span
+        or the path ends at u2.  Either way the path loses exactly one edge:
+        d - 1 merges, then one carry of (a, b) to lo.
         """
         f = self.factors
-        j = _index(f, a, b, lo, hi)
-        if j >= 0:
-            self.carry(j, lo)
-            return
-        adj, dist = graph or self._bfs(lo, hi, b)
-        if a not in dist:
+        if len(sources) == 1:
+            j = _index(f, sources[0], b, lo, hi)
+            if j >= 0:
+                self.carry(j, lo)
+                return sources[0]
+        adj, dist = self._bfs(lo, hi, b)
+        reached = [(dist[v], v) for v in sources if v in dist]
+        if not reached:
             raise self._fail(
-                "pull", f"no path between {a} and {b} in window [{lo},{hi})"
+                "pull",
+                f"no path from {b} to any of {{{','.join(map(str, sources))}}} "
+                f"in window [{lo},{hi})",
             )
+        a = min(reached)[1]
         path = [a]
         while path[-1] != b:
             u = path[-1]
@@ -368,6 +375,7 @@ class _Planner:
                 self.carry(j1, j2)
             del path[1]
         self.carry(self._slot(a, b, lo, hi), lo)
+        return a
 
     def _slot(self, u: int, v: int, lo: int, hi: int) -> int:
         """The first slot in [lo, hi) holding the edge {u, v}; a window
@@ -427,22 +435,8 @@ class _Planner:
         for k in range(1, len(vertices)):
             target_v = vertices[k]
             suffix_lo = lo + 2 * (k - 1)
-            # the spanned vertex nearest to the target; ties go to the smallest
-            graph = self._bfs(suffix_lo, hi, target_v)
-            dist = graph[1]
-            vs = min(
-                (v for v in vertices[:k] if v in dist),
-                key=dist.__getitem__,
-                default=None,
-            )
-            if vs is None:
-                raise self._fail(
-                    "path",
-                    f"no path from {{{target_v}}} to the spanned vertices in "
-                    f"window [{suffix_lo},{hi})",
-                )
-            self.pull(suffix_lo, hi, vs, target_v, graph)
-            self.pull(suffix_lo + 1, hi, vs, target_v)
+            vs = self.pull(suffix_lo, hi, vertices[:k], target_v)
+            self.pull(suffix_lo + 1, hi, (vs,), target_v)
             # walk the doubled pair's lower endpoint up to vertices[k-1]
             steps = [
                 (c, (vertices[c + 1], target_v))
@@ -484,7 +478,7 @@ class _Planner:
             a, b = factor
             # double it: the rest of the unprocessed region multiplies to
             # (a,b), so it connects a to b and a second copy can be pulled
-            self.pull(u0 + 1, hi, a, b)
+            self.pull(u0 + 1, hi, (a,), b)
             assert f[u0 + 1] == factor
             # the walk touches only slots left of u0 + 2, so when this pair
             # is not the last, the next one needs no fresh check; the scan
@@ -524,6 +518,7 @@ def pull_edge_to_front(
     >>> r.canonical.factors[0]
     (1, 3)
     """
+    _require_type(factorization, Factorization, "factorization")
     for v in (v1, v2):
         _require_int(v, "a vertex must be a positive int", 1)
     if v1 == v2:
@@ -541,7 +536,7 @@ def pull_edge_to_front(
         if v not in vertices:
             raise PreconditionError(f"vertex {v} is not in the component")
     planner = _Planner(factorization)
-    planner.pull(0, len(planner.factors), v1, v2)
+    planner.pull(0, len(planner.factors), (v1,), v2)
     return planner.result()
 
 

@@ -47,6 +47,15 @@ def _require_int(
         raise PreconditionError(f"{rule}, got {value!r}")
 
 
+def _require_type(value: object, cls: type, what: str) -> None:
+    """Raise PreconditionError "<what> must be a <cls>, got <type>" unless
+    ``value`` is an instance of ``cls``."""
+    if not isinstance(value, cls):
+        raise PreconditionError(
+            f"{what} must be a {cls.__name__}, got {type(value).__name__}"
+        )
+
+
 def _require_iterable(values: Iterable, what: str) -> Iterable:
     """``values`` itself, so a tuple is not copied; PreconditionError if it
     is not iterable."""
@@ -263,6 +272,7 @@ def apply_certificate(
     MoveRangeError naming the offending index within ``moves``; a move that
     is not a HurwitzMove raises PreconditionError.
     """
+    _require_type(factorization, Factorization, "factorization")
     factors = list(factorization.factors)
     m = len(factors)
     fwd = Direction.FORWARD
@@ -291,7 +301,20 @@ def invert_certificate(moves: Sequence[HurwitzMove]) -> MoveCertificate:
 
     Replaying the result undoes the original certificate exactly.
     """
-    return tuple(move.inverted() for move in reversed(moves))
+    try:
+        return tuple(move.inverted() for move in reversed(moves))
+    except (AttributeError, TypeError):
+        raise _not_moves(moves) from None
+
+
+def _not_moves(moves: object) -> PreconditionError:
+    """The error for ``moves`` when a move loop failed on it: it is not
+    iterable, or holds something other than a HurwitzMove, which is named
+    when ``moves`` is a list or tuple.  Built after the loop, so the loop
+    itself checks nothing."""
+    items = moves if isinstance(moves, (list, tuple)) else ()
+    bad = next((m for m in items if not isinstance(m, HurwitzMove)), moves)
+    return PreconditionError(f"moves must be HurwitzMoves, got {bad!r}")
 
 
 # Digit runs are length-checked before int(), which refuses runs longer than
@@ -340,6 +363,7 @@ def parse_factorization(text: str) -> Factorization:
     >>> parse_factorization("n=3; [(1,2), e, (3,1)]").factors
     ((1, 2), None, (1, 3))
     """
+    _require_type(text, str, "text")
     header = _HEADER_RE.match(text)
     if not header:
         raise FormatError(
@@ -544,6 +568,7 @@ def format_factorization(factorization: Factorization) -> str:
     >>> format_factorization(Factorization(3, [(1, 2), None, (1, 3)]))
     'n=3; [(1,2),e,(1,3)]'
     """
+    _require_type(factorization, Factorization, "factorization")
     parts = [
         "e" if f is None else f"({f[0]},{f[1]})" for f in factorization.factors
     ]
@@ -560,6 +585,7 @@ def parse_certificate(text: str) -> list[HurwitzMove]:
     >>> [str(m) for m in parse_certificate("F@0\\n# comment\\nI@2\\n")]
     ['F@0', 'I@2']
     """
+    _require_type(text, str, "text")
     raw_lines = text.splitlines()
     lines = [raw.strip() for raw in raw_lines]
     # Certificates repeat their lines, so each distinct line is parsed once,
@@ -586,4 +612,7 @@ def parse_certificate(text: str) -> list[HurwitzMove]:
 
 def format_certificate(moves: Iterable[HurwitzMove]) -> str:
     """One move per line; empty sequence renders as the empty string."""
-    return "\n".join([move._text for move in moves])
+    try:
+        return "\n".join([move._text for move in moves])
+    except (AttributeError, TypeError):
+        raise _not_moves(moves) from None

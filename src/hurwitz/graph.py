@@ -15,8 +15,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable
 
-from .errors import PreconditionError
-from .factorization import Factorization
+from .factorization import Factorization, _require_type
 
 
 @dataclass(frozen=True)
@@ -68,10 +67,7 @@ def signature(factorization: Factorization) -> ComponentSignature:
     Runs in near-linear time: one counting pass over the factors, then
     component labelling over the distinct edges.
     """
-    if type(factorization) is not Factorization:
-        raise PreconditionError(
-            f"signature needs a Factorization, got {type(factorization).__name__}"
-        )
+    _require_type(factorization, Factorization, "factorization")
     degree = factorization.degree
     counts = Counter(factorization.factors)
     identity = counts.pop(None, 0)
@@ -105,6 +101,7 @@ def format_signature(sig: ComponentSignature) -> str:
     >>> format_signature(signature(f))
     'n=3; m=2; e=0; [{1,2}:2]'
     """
+    _require_type(sig, ComponentSignature, "signature")
     parts = [
         "{" + ",".join(str(v) for v in vertices) + "}:" + str(weight)
         for vertices, weight in sig.components
@@ -121,6 +118,7 @@ def to_dot(factorization: Factorization) -> str:
     Vertices appear in ascending order, then edges sorted by endpoint pair,
     each labeled with its weight.
     """
+    _require_type(factorization, Factorization, "factorization")
     counts = Counter(factorization.factors)
     counts.pop(None, None)
     lines = ["graph factorization {"]

@@ -18,6 +18,7 @@ from .factorization import (
     Factor,
     Factorization,
     _require_int,
+    _require_type,
     move_pair,
 )
 from .graph import ComponentSignature, signature
@@ -141,6 +142,7 @@ def enumerate_orbit(
     >>> enumerate_orbit(Factorization(3, [(1, 2), (2, 3)])).orbit_size
     3
     """
+    _require_type(factorization, Factorization, "factorization")
     _require_int(cap, "cap must be positive", 1)
     table = _MoveTable(factorization.factors)
     seed = tuple(map(table.encode, factorization.factors))
@@ -197,29 +199,16 @@ def enumerate_identity_factorizations(
         for b in range(a + 1, degree + 1)
     ]
 
-    # DFS over slots, tracking the running product as an image array.
-    # Prune when the remaining slots cannot cancel the running product:
-    # writing a permutation with c cycles (fixed points included) as a
-    # product of transpositions takes at least degree - c of them, and
-    # parity must match.  The stack is explicit, so no length recurses.
-    images = list(range(degree + 1))  # images[0] unused
-
-    def feasible(remaining: int) -> bool:
-        seen = [False] * (degree + 1)
-        cycles = 0
-        for start in range(1, degree + 1):
-            if seen[start]:
-                continue
-            cycles += 1
-            x = start
-            while not seen[x]:
-                seen[x] = True
-                x = images[x]
-        deficit = degree - cycles
-        return deficit <= remaining and (remaining - deficit) % 2 == 0
-
-    if not feasible(length):
+    # DFS over slots, tracking the running product as an image array and its
+    # deficit, degree minus cycles (fixed points included): the fewest
+    # transpositions that write it.  Appending (a, b) splits a's cycle when
+    # b lies on it and merges two cycles otherwise, so the deficit moves by
+    # one; a slot is filled only while the slots after it can still cancel
+    # the product.  The stack is explicit, so no length recurses.
+    if length % 2:  # each factor flips the product's parity
         return
+    images = list(range(degree + 1))  # images[0] unused
+    deficits = [0]  # the deficit after each filled slot
     choice: list[int] = []  # transposition index of each filled slot
     i = 0  # the next index to try in the first empty slot
     while True:
@@ -228,19 +217,26 @@ def enumerate_identity_factorizations(
             i = len(transpositions)
         if i < len(transpositions):
             a, b = transpositions[i]
-            images[a], images[b] = images[b], images[a]
-            if feasible(length - len(choice) - 1):
+            x = images[a]
+            while x != a and x != b:
+                x = images[x]
+            deficit = deficits[-1] + (1 if x == a else -1)
+            if deficit < length - len(choice):
+                images[a], images[b] = images[b], images[a]
                 choice.append(i)
+                deficits.append(deficit)
                 i = 0
-                continue
+            else:
+                i += 1
         elif not choice:
             return
         else:
+            # undo transposition i in the last filled slot, then try the next
             i = choice.pop()
-        # undo transposition i in the last slot tried, then try the next one
-        a, b = transpositions[i]
-        images[a], images[b] = images[b], images[a]
-        i += 1
+            deficits.pop()
+            a, b = transpositions[i]
+            images[a], images[b] = images[b], images[a]
+            i += 1
 
 
 def orbit_partition(

@@ -3,6 +3,7 @@
 import itertools
 import random
 import time
+import tracemalloc
 from unittest.mock import patch
 
 import pytest
@@ -344,9 +345,11 @@ class TestPullEdgeToFront:
     def test_missing_path_names_stage_window_and_input(self):
         planner = _Planner(Factorization(4, [(1, 2), (3, 4)]))
         with pytest.raises(InternalError) as info:
-            planner.pull(0, 2, 1, 3)
+            planner.pull(0, 2, (1, 2), 3)
         message = str(info.value)
-        assert message.startswith("pull: no path between 1 and 3 in window [0,2)")
+        assert message.startswith(
+            "pull: no path from 3 to any of {1,2} in window [0,2)"
+        )
         assert message.endswith("input n=4; [(1,2),(3,4)]")
 
     def test_missing_edge_copy_names_stage_window_and_input(self):
@@ -354,12 +357,32 @@ class TestPullEdgeToFront:
         adj = {1: {2}, 2: {1, 3}, 3: {2}}
         dist = {3: 0, 2: 1, 1: 2}
         planner = _Planner(Factorization(3, [(1, 2), (1, 2)]))
-        with pytest.raises(InternalError) as info:
-            planner.pull(0, 2, 1, 3, (adj, dist))
+        with patch.object(_Planner, "_bfs", lambda *_: (adj, dist)):
+            with pytest.raises(InternalError) as info:
+                planner.pull(0, 2, (1,), 3)
         message = str(info.value)
         assert message.startswith("pull: no copy of edge {2,3} in window [0,2)")
         text = message.rsplit("input ", 1)[1]
         assert parse_factorization(text) == Factorization(3, [(1, 2), (1, 2)])
+
+    def test_single_source_with_its_edge_only_carries(self):
+        def no_search(*_):
+            raise AssertionError("pull searched the window")
+
+        planner = _Planner(Factorization(3, [(2, 3), (1, 2), (1, 3), (1, 3)]))
+        with patch.object(_Planner, "_bfs", no_search):
+            assert planner.pull(0, 4, (3,), 1) == 3
+        assert planner.factors[0] == (1, 3)
+        assert " ".join(map(str, planner.moves)) == "I@1 I@0"
+
+    def test_nearest_source_wins_and_ties_go_to_the_smallest(self):
+        # from 4, source 3 is one edge away and 1 two; 2 and 3 both one
+        planner = _Planner(Factorization(4, [(1, 2), (2, 4), (3, 4)]))
+        assert planner.pull(0, 3, (1, 3), 4) == 3
+        assert planner.factors[0] == (3, 4)
+        planner = _Planner(Factorization(4, [(3, 4), (2, 4)]))
+        assert planner.pull(0, 2, (3, 2), 4) == 2
+        assert planner.factors[0] == (2, 4)
 
     def test_same_endpoints_rejected(self):
         with pytest.raises(PreconditionError):
@@ -434,6 +457,19 @@ class TestCanonicalForm:
         assert len(f) == 40 and len(cert) > 2 * (len(f) - 1)
         assert len({id(move) for move in cert}) <= 2 * (len(f) - 1)
         assert parse_certificate(format_certificate(cert)) == list(cert)
+
+    def test_canonical_input_builds_no_move_objects(self):
+        # moves are made on first use: building all 2(m - 1) of them up
+        # front peaked at about 90 MB here
+        f = Factorization(2, [(1, 2)] * 200_000)
+        tracemalloc.start()
+        try:
+            result = canonical_form(f)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert result.certificate == ()
+        assert peak < 40 * 2**20
 
     def test_certificate_length_stays_modest(self):
         for f in (F1, F2):

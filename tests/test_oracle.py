@@ -1,5 +1,6 @@
 """Brute-force oracle: orbit BFS and exhaustive enumeration."""
 
+import itertools
 import random
 from collections import deque
 
@@ -193,6 +194,29 @@ class TestEnumeration:
         factorizations = list(enumerate_identity_factorizations(3, 0))
         assert len(factorizations) == 1
         assert factorizations[0].factors == ()
+
+    @pytest.mark.parametrize(
+        "degree, length",
+        [(n, m) for n in (2, 3, 4) for m in range(6)] + [(5, m) for m in range(5)],
+    )
+    def test_equals_filtered_product(self, degree, length):
+        # every tuple of transpositions in product order, kept when its
+        # left-to-right product fixes every point
+        pairs = [
+            (a, b) for a in range(1, degree + 1) for b in range(a + 1, degree + 1)
+        ]
+
+        def is_identity(factors):
+            images = list(range(degree + 1))
+            for a, b in factors:
+                images = [b if x == a else a if x == b else x for x in images]
+            return images == list(range(degree + 1))
+
+        expected = [
+            t for t in itertools.product(pairs, repeat=length) if is_identity(t)
+        ]
+        got = [f.factors for f in enumerate_identity_factorizations(degree, length)]
+        assert got == expected
 
     def test_lexicographic_order(self):
         seen = [f.factors for f in enumerate_identity_factorizations(3, 4)]

@@ -13,16 +13,31 @@ import hurwitz
 from hurwitz import (
     BraidTuple,
     BraidWord,
+    Direction,
     Factorization,
+    HurwitzMove,
     PreconditionError,
     apply_certificate,
     apply_move,
     braid_hurwitz_move,
+    canonical_form,
+    canonical_shape,
     enumerate_identity_factorizations,
     enumerate_orbit,
+    format_certificate,
+    format_factorization,
+    format_signature,
+    group_components,
+    hurwitz_equivalent,
+    invert_certificate,
     orbit_partition,
+    parse_braid_tuple,
+    parse_certificate,
+    parse_factorization,
+    project_tuple,
     pull_edge_to_front,
     signature,
+    to_dot,
 )
 
 PUBLIC = [
@@ -126,6 +141,27 @@ B = BraidTuple(3, [BraidWord(3, [1]), BraidWord(3, [1])])
         lambda: list(enumerate_identity_factorizations("3", 2)),
         lambda: orbit_partition(3, "4"),
         lambda: pull_edge_to_front(F, 1, 2.0),
+        lambda: to_dot([(1, 2)]),
+        lambda: format_factorization([(1, 2)]),
+        lambda: canonical_form([(1, 2), (1, 2)]),
+        lambda: hurwitz_equivalent([(1, 2), (1, 2)], F),
+        lambda: hurwitz_equivalent(F, [(1, 2), (1, 2)]),
+        lambda: group_components([(1, 2), (1, 2)]),
+        lambda: pull_edge_to_front([(1, 2), (1, 2)], 1, 2),
+        lambda: enumerate_orbit([(1, 2), (1, 2)]),
+        lambda: apply_certificate([(1, 2), (1, 2)], []),
+        lambda: apply_move([(1, 2), (1, 2)], HurwitzMove(Direction.FORWARD, 0)),
+        lambda: canonical_shape(F),
+        lambda: format_signature(F),
+        lambda: project_tuple(F),
+        lambda: braid_hurwitz_move([], HurwitzMove(Direction.FORWARD, 0)),
+        lambda: format_certificate(["F@0"]),
+        lambda: format_certificate(5),
+        lambda: invert_certificate(["F@0"]),
+        lambda: invert_certificate(5),
+        lambda: parse_factorization(b"n=3; []"),
+        lambda: parse_certificate(5),
+        lambda: parse_braid_tuple(None),
     ],
     ids=[
         "Factorization(3, 5)",
@@ -142,6 +178,27 @@ B = BraidTuple(3, [BraidWord(3, [1]), BraidWord(3, [1])])
         "enumerate_identity_factorizations('3', 2)",
         "orbit_partition(3, '4')",
         "pull_edge_to_front(f, 1, 2.0)",
+        "to_dot(list)",
+        "format_factorization(list)",
+        "canonical_form(list)",
+        "hurwitz_equivalent(list, f)",
+        "hurwitz_equivalent(f, list)",
+        "group_components(list)",
+        "pull_edge_to_front(list, 1, 2)",
+        "enumerate_orbit(list)",
+        "apply_certificate(list, [])",
+        "apply_move(list, F@0)",
+        "canonical_shape(f)",
+        "format_signature(f)",
+        "project_tuple(f)",
+        "braid_hurwitz_move([], F@0)",
+        "format_certificate(['F@0'])",
+        "format_certificate(5)",
+        "invert_certificate(['F@0'])",
+        "invert_certificate(5)",
+        "parse_factorization(b'n=3; []')",
+        "parse_certificate(5)",
+        "parse_braid_tuple(None)",
     ],
 )
 def test_wrong_typed_arguments_raise_precondition_error(call):
