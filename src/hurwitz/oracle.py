@@ -24,11 +24,11 @@ from .factorization import (
 from .graph import ComponentSignature, signature
 
 # An orbit's members are bare factor tuples; Factorization wrappers are built
-# only at the API boundary.  Inside `enumerate_orbit` a state is a tuple of
-# small int codes instead (see `_MoveTable`), decoded back to factor tuples
-# before any member leaves the module.
+# only at the API boundary.  Inside `enumerate_orbit` a state is one int
+# instead, slot k's factor code in bits [k*bits, (k+1)*bits) (see
+# `_MoveTable`), decoded back to a factor tuple before any member leaves the
+# module.
 State = tuple[Factor, ...]
-CodedState = tuple[int, ...]
 
 DEFAULT_CAP = 10**6
 
@@ -43,8 +43,8 @@ class OrbitReport:
 
     ``truncated`` means the cap was hit while unexplored states remained, in
     which case ``orbit_size == cap``.  ``members`` is kept only when
-    requested; each member is a factor tuple (the search's int codes never
-    leave `enumerate_orbit`).
+    requested; each member is a factor tuple (the search's packed int states
+    never leave `enumerate_orbit`).
     """
 
     seed: Factorization
@@ -53,25 +53,37 @@ class OrbitReport:
     members: Optional[frozenset[State]] = None
 
 
+# A window is _SPAN + 1 consecutive slots, which hold _SPAN pairs.  Window j
+# starts at slot j * _SPAN, so consecutive windows share one slot and each
+# pair lies in exactly one window.  At 3 bits a code a window is a 99-bit int.
+_SPAN = 32
+
+
 class _MoveTable:
-    """Factor codes and coded moves for one orbit search.
+    """Factor codes, packed states and coded moves for one orbit search.
 
     Code 0 is the identity; codes 1, 2, ... name transpositions in the order
     the search meets them.  Moves never leave a component, so every code is
-    an edge among the seed's points and ``width`` (one plus the number of
-    such edges) bounds the codes.  ``pairs[s * width + t]`` holds what may
-    replace the adjacent codes ``s, t``: the forward result, then the inverse
-    result, without a result equal to ``(s, t)`` or to the forward one.
-    Entries are filled by `move_pair` on first use, so the table grows with
-    the code pairs the search meets and never with the degree.
+    an edge among the seed's points, and ``bits``, the bit length of the
+    number of such edges (at least 1), holds any code.  A state packs its
+    ``slots`` codes into one int, slot k in bits ``[k * bits, (k + 1) * bits)``.
+
+    ``deltas[here]`` lists, for the two-slot value ``here`` of an adjacent
+    pair, what a move adds to that value: the forward result, then the
+    inverse result, without a result equal to ``here`` or to the forward
+    one.  Shifted left by ``k * bits`` it is what the move adds to a state at
+    slot k.  Entries are filled by `move_pair` on first use, so the table
+    grows with the code pairs the search meets and never with the degree.
     """
 
     def __init__(self, seed: State):
         points = {p for factor in seed if factor is not None for p in factor}
-        self.width = 1 + len(points) * (len(points) - 1) // 2
+        edges = len(points) * (len(points) - 1) // 2
+        self.bits = max(1, edges.bit_length())  # a seed of identities: 1
+        self.slots = len(seed)
         self.factors: list[Factor] = [None]
         self.codes: dict[Factor, int] = {None: 0}
-        self.pairs: dict[int, tuple[tuple[int, int], ...]] = {}
+        self.deltas: dict[int, tuple[int, ...]] = {}
 
     def encode(self, factor: Factor) -> int:
         code = self.codes.get(factor)
@@ -80,50 +92,103 @@ class _MoveTable:
             self.factors.append(factor)
         return code
 
-    def decode(self, state: CodedState) -> State:
-        return tuple(map(self.factors.__getitem__, state))
+    def pack(self, factors: State) -> int:
+        """The state of ``factors``, a tuple of ``slots`` factors."""
+        codes = list(map(self.encode, factors))
+        bits = self.bits
 
-    def fill(self, key: int) -> tuple[tuple[int, int], ...]:
-        s, t = divmod(key, self.width)
-        results: list[tuple[int, int]] = []
+        def join(lo: int, hi: int) -> int:
+            # halving keeps every shift and OR on a value of its own size
+            if hi - lo <= _SPAN:
+                value = 0
+                for code in reversed(codes[lo:hi]):
+                    value = value << bits | code
+                return value
+            mid = (lo + hi) // 2
+            return join(lo, mid) | join(mid, hi) << (mid - lo) * bits
+
+        return join(0, len(codes))
+
+    def windows(self, state: int) -> list[int]:
+        """``state`` cut into its windows (see `_SPAN`), in slot order: one
+        window up to _SPAN + 1 slots, in O(m log m) by halving above that."""
+        bits, out = self.bits, []
+
+        def split(value: int, slots: int) -> None:
+            count = (slots - 2) // _SPAN + 1  # windows in these slots
+            if count <= 1:
+                out.append(value)
+                return
+            left = count // 2 * _SPAN
+            split(value & ((1 << (left + 1) * bits) - 1), left + 1)
+            split(value >> left * bits, slots - left)
+
+        split(state, self.slots)
+        return out
+
+    def decode(self, state: int) -> State:
+        factors, bits = self.factors, self.bits
+        mask = (1 << bits) - 1
+        windows = self.windows(state)
+        # every window but the last leaves its shared slot to the next
+        last = self.slots - _SPAN * (len(windows) - 1)
+        full = range(0, (_SPAN + 1) * bits, bits)
+        out = [factors[w >> k & mask] for w in windows[:-1] for k in full[:-1]]
+        out += [factors[windows[-1] >> k & mask] for k in full[:last]]
+        return tuple(out)
+
+    def fill(self, here: int) -> tuple[int, ...]:
+        bits = self.bits
+        s, t = here & ((1 << bits) - 1), here >> bits
+        results: list[int] = []
         for forward in (True, False):
             x, y = move_pair(self.factors[s], self.factors[t], forward)
-            pair = (self.encode(x), self.encode(y))
-            if pair != (s, t) and pair not in results:
-                results.append(pair)
-        value = self.pairs[key] = tuple(results)
-        return value
+            value = self.encode(x) | self.encode(y) << bits
+            if value != here and value not in results:
+                results.append(value)
+        deltas = self.deltas[here] = tuple(value - here for value in results)
+        return deltas
 
 
 def _expand(
-    state: CodedState,
+    state: int,
     table: _MoveTable,
-    visited: set[CodedState],
-    order: list[CodedState],
+    visited: set[int],
+    order: list[int],
     cap: int,
 ) -> bool:
     """Add the unvisited states one move from ``state`` to ``visited`` and
     ``order``: slots ascending, forward before inverse.  Returns True when
     a new state is met with ``cap`` states already known.
 
-    A skipped move result equals ``state`` or the slot's forward result, so
-    it is visited already and skipping it changes no report.
+    Each pair is read from its window, a small int; only a move result costs
+    a pass over the whole state.  A skipped move result equals ``state`` or
+    the slot's forward result, so it is visited already and skipping it
+    changes no report.
     """
-    pairs, width = table.pairs, table.width
-    for k in range(len(state) - 1):
-        key = state[k] * width + state[k + 1]
-        try:
-            replacements = pairs[key]
-        except KeyError:
-            replacements = table.fill(key)
-        for pair in replacements:
-            nxt = state[:k] + pair + state[k + 2:]
-            if nxt in visited:
-                continue
-            if len(visited) == cap:
-                return True
-            visited.add(nxt)
-            order.append(nxt)
+    deltas, bits = table.deltas, table.bits
+    pair_mask = (1 << 2 * bits) - 1
+    pairs = table.slots - 1
+    shift = 0  # k * bits at slot k
+    # a state of at most _SPAN + 1 slots is its own window: skipping the
+    # split there saves about a fifth of the search's time
+    for j, window in enumerate(table.windows(state) if pairs > _SPAN else (state,)):
+        for _ in range(min(_SPAN, pairs - j * _SPAN)):
+            here = window & pair_mask
+            try:
+                moves = deltas[here]
+            except KeyError:
+                moves = table.fill(here)
+            for delta in moves:
+                nxt = state + (delta << shift)
+                if nxt in visited:
+                    continue
+                if len(visited) == cap:
+                    return True
+                visited.add(nxt)
+                order.append(nxt)
+            window >>= bits
+            shift += bits
     return False
 
 
@@ -134,8 +199,10 @@ def enumerate_orbit(
 ) -> OrbitReport:
     """BFS closure of a factorization under elementary moves.
 
-    States are deduplicated by their literal normalized factor tuple.  The
-    search stops once ``cap`` distinct states are known and more remain.
+    States are deduplicated by their literal normalized factor tuple, which
+    the search packs into one int (see `_MoveTable`); members are decoded
+    back to factor tuples only for ``keep_members``.  The search stops once
+    ``cap`` distinct states are known and more remain.
 
     >>> enumerate_orbit(Factorization(3, [(1, 2), (1, 2)])).orbit_size
     1
@@ -145,7 +212,7 @@ def enumerate_orbit(
     _require_type(factorization, Factorization, "factorization")
     _require_int(cap, "cap must be positive", 1)
     table = _MoveTable(factorization.factors)
-    seed = tuple(map(table.encode, factorization.factors))
+    seed = table.pack(factorization.factors)
     visited = {seed}
     order = [seed]  # BFS order: the loop below reads it as it grows
     truncated = False

@@ -8,6 +8,7 @@ asserted, not just reported.
 import functools
 import random
 import time
+import tracemalloc
 from collections import Counter
 from types import SimpleNamespace
 
@@ -147,6 +148,37 @@ def _fuzz_corpus():
         bad_signature=bad_signature,
         bad_product=bad_product,
         bad_length=bad_length,
+    )
+
+
+def _traced_orbit(f, cap):
+    """The orbit report and the traced peak of its search, in bytes."""
+    tracemalloc.start()
+    try:
+        report = enumerate_orbit(f, cap=cap)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return report, peak
+
+
+def test_criterion_2_orbit_states_stay_compact():
+    # a palindromic n=6, m=200 seed: a state held 1,754 B as a tuple of codes
+    rng = random.Random(0)
+    word = [tuple(sorted(rng.sample(range(1, 7), 2))) for _ in range(100)]
+    report, peak = _traced_orbit(Factorization(6, word + word[::-1]), 20_000)
+    assert (report.orbit_size, report.truncated) == (20_000, True)
+    long_bytes = peak / report.orbit_size
+    assert long_bytes <= 600
+    # the connected n=4, m=8 class: 143 B a state as a tuple of codes
+    seed = [(1, 2), (1, 2), (2, 3), (2, 3), (3, 4), (3, 4), (1, 2), (1, 2)]
+    report, peak = _traced_orbit(Factorization(4, seed), 10**6)
+    assert (report.orbit_size, report.truncated) == (131_040, False)
+    short_bytes = peak / report.orbit_size
+    assert short_bytes <= 110
+    print(
+        f"PASS criterion 2: orbit search peaks at {long_bytes:.0f} B a state "
+        f"at m=200 and {short_bytes:.0f} B a state at m=8"
     )
 
 

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import time
 from collections import deque
 
 import pytest
@@ -88,6 +89,16 @@ class TestEnumerateOrbit:
         )
         assert (report.orbit_size, report.truncated) == (2880, False)
 
+    def test_long_state_packs_and_decodes_in_linear_time(self):
+        # packing, windowing and decoding halve the state: shifting the whole
+        # state once per slot took 4.8 s here
+        f = Factorization(2, [(1, 2)] * 400_000)
+        start = time.perf_counter()
+        report = enumerate_orbit(f, keep_members=True)
+        elapsed = time.perf_counter() - start
+        assert (report.orbit_size, report.members) == (1, {f.factors})
+        assert elapsed < 2.0
+
     def test_connected_class_n4_m8(self):
         # T(4, 8) = 131,040 connected identity 8-tuples on 4 points, from the
         # Frobenius character count; the theorem makes them one orbit
@@ -110,7 +121,8 @@ def test_expand_gives_the_single_moves_in_slot_order(data):
             if result != f.factors and result not in expected:
                 expected.append(result)
     table = _MoveTable(f.factors)
-    state = tuple(map(table.encode, f.factors))
+    state = table.pack(f.factors)
+    assert table.decode(state) == f.factors
     order = []
     assert not _expand(state, table, {state}, order, DEFAULT_CAP)
     assert [table.decode(s) for s in order] == expected
@@ -160,13 +172,41 @@ def _agreement_cases():
     return cases
 
 
-@pytest.mark.parametrize("f", _agreement_cases(), ids=str)
-@pytest.mark.parametrize("cap", [1, 2, 7, DEFAULT_CAP])
-def test_agrees_with_reference_bfs(f, cap):
+def _wide_agreement_cases():
+    """Seeds whose packed states cross window boundaries (a window holds 33
+    slots) or need wide codes, with orbits too large to close."""
+    rng = random.Random(20261018)
+    # a doubled random recursive tree on 30 points: 435 edges, 9-bit codes,
+    # 58 slots in two windows
+    edges = [(rng.randint(1, v - 1), v) for v in range(2, 31)]
+    tree = Factorization(30, edges + edges[::-1])
+    # a palindrome on 6 points with identities: 70 slots in three windows,
+    # 280 bits
+    pairs = [(a, b) for a in range(1, 7) for b in range(a + 1, 7)]
+    word = [None if rng.random() < 0.2 else rng.choice(pairs) for _ in range(35)]
+    palindrome = Factorization(6, word + word[::-1])
+    return {"tree30": tree, "palindrome70": palindrome}
+
+
+def _assert_agrees(f, cap):
     size, truncated, members = _reference_orbit(f, cap)
     report = enumerate_orbit(f, cap=cap, keep_members=True)
     assert (report.orbit_size, report.truncated) == (size, truncated)
     assert report.members == members
+
+
+@pytest.mark.parametrize("f", _agreement_cases(), ids=str)
+@pytest.mark.parametrize("cap", [1, 2, 7, DEFAULT_CAP])
+def test_agrees_with_reference_bfs(f, cap):
+    _assert_agrees(f, cap)
+
+
+@pytest.mark.parametrize("name", sorted(_wide_agreement_cases()))
+@pytest.mark.parametrize("cap", [1, 2, 7, 500])
+def test_agrees_with_reference_bfs_on_wide_states(name, cap):
+    f = _wide_agreement_cases()[name]
+    assert len(f) > 33
+    _assert_agrees(f, cap)
 
 
 class TestEnumeration:
