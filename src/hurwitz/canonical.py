@@ -55,7 +55,7 @@ is itself the equivalence certificate.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .errors import InternalError, PreconditionError
 from .factorization import (
@@ -64,12 +64,12 @@ from .factorization import (
     Factorization,
     HurwitzMove,
     MoveCertificate,
+    _replay,
     _require_int,
     _require_type,
     apply_certificate,
     conjugate_factor,
     format_factorization,
-    move_pair,
 )
 from .graph import ComponentSignature, format_signature, signature
 
@@ -163,14 +163,14 @@ def _leftover(
 
 
 # A four-move rewrite of the doubled cells ``a a b b`` at slots p .. p + 3:
-# its moves as (forward, slot offset from p), in order, and the map from the
-# cells (a, b) to the cells the moves leave.
+# its move codes relative to p, in order (see _Planner.run), and the map from
+# the cells (a, b) to the cells the moves leave.
 _CellTarget = Callable[[Factor, Factor], tuple[Factor, Factor]]
-_CellRewrite = tuple[tuple[tuple[bool, int], ...], _CellTarget]
+_CellRewrite = tuple[tuple[int, ...], _CellTarget]
 
 
 def _cell_rewrite(moves: str, target: _CellTarget) -> _CellRewrite:
-    return tuple((m[0] == "F", int(m[2:])) for m in moves.split()), target
+    return tuple(2 * int(m[2:]) + (m[0] == "I") for m in moves.split()), target
 
 
 # Each holds for every two transpositions x, y: equal, sharing a point or
@@ -212,10 +212,12 @@ def _index(factors: list[Factor], u: int, v: int, lo: int, hi: int) -> int:
 class _Planner:
     """Mutable factor list plus the move log that shaped it.
 
-    All mutation goes through step(), so the log and the list can never
-    disagree.  The log shares one immutable move per (direction, slot),
-    made the first time that slot moves in that direction, so a slot that
-    never moves costs no move object.
+    All mutation goes through run(): each composite rewrite is one run of
+    moves, applied to the list by the move kernel and appended to the log as
+    the same list, so the log is exactly what was applied.  The log shares
+    one immutable move per (direction, slot), made the first time that slot
+    moves in that direction, so a slot that never moves costs no move
+    object.
     """
 
     def __init__(self, factorization: Factorization):
@@ -223,8 +225,8 @@ class _Planner:
         self.degree = factorization.degree
         self.factors: list[Factor] = list(factorization.factors)
         self.moves: list[HurwitzMove] = []
-        self._forward: list[HurwitzMove | None] = [None] * len(self.factors)
-        self._inverse: list[HurwitzMove | None] = [None] * len(self.factors)
+        # move code 2k is forward at slot k, 2k + 1 inverse at slot k
+        self._shared: list[HurwitzMove | None] = [None] * (2 * len(self.factors))
 
     def result(self) -> CanonicalResult:
         return CanonicalResult(
@@ -242,15 +244,19 @@ class _Planner:
 
     # -- elementary moves --------------------------------------------------
 
-    def step(self, k: int, forward: bool) -> None:
-        f = self.factors
-        f[k], f[k + 1] = move_pair(f[k], f[k + 1], forward)
-        shared = self._forward if forward else self._inverse
-        move = shared[k]
-        if move is None:
-            direction = Direction.FORWARD if forward else Direction.INVERSE
-            move = shared[k] = HurwitzMove(direction, k)
-        self.moves.append(move)
+    def run(self, codes: Iterable[int], base: int = 0) -> None:
+        """Apply and log one run of shared moves, the moves with codes
+        base + c for c in codes.  A move is always true, so ``or`` makes
+        only the missing ones."""
+        shared = self._shared
+        moves = [shared[base + c] or self._new_move(base + c) for c in codes]
+        _replay(self.factors, moves)
+        self.moves += moves
+
+    def _new_move(self, code: int) -> HurwitzMove:
+        direction = Direction.INVERSE if code & 1 else Direction.FORWARD
+        move = self._shared[code] = HurwitzMove(direction, code >> 1)
+        return move
 
     # -- verified composite rewrites ---------------------------------------
 
@@ -259,28 +265,35 @@ class _Planner:
         when dest > j, inverse moves when dest < j.  Every factor it passes
         is conjugated by it, so carrying it onto a neighbour merges the two.
         """
-        for k in range(j, dest):
-            self.step(k, True)
-        for k in range(j - 1, dest - 1, -1):
-            self.step(k, False)
+        if dest > j:
+            self.run(range(2 * j, 2 * dest, 2))
+        else:
+            self.run(range(2 * j - 1, 2 * dest - 1, -2))
 
     def rewrite_cells(self, p: int, rewrite: _CellRewrite) -> None:
         """Apply a four-move rewrite to the doubled cells at p and p + 2."""
         f = self.factors
-        moves, target = rewrite
+        codes, target = rewrite
         left, right = target(f[p], f[p + 2])
-        for forward, k in moves:
-            self.step(p + k, forward)
+        self.run(codes, 2 * p)
         assert f[p] == f[p + 1] == left and f[p + 2] == f[p + 3] == right
 
     def move_cell(self, p: int, q: int) -> None:
         """Swap the doubled cell at slot p to slot q, cell by cell; the cells
-        in between shift one cell towards p.  Swapping equal cells changes
-        nothing, so it costs no moves."""
+        in between shift one cell towards p.  A swap keeps both cells, so
+        the unequal swaps are known up front and make one run; swapping
+        equal cells changes nothing, so it costs no moves."""
         f = self.factors
-        for s in [*range(p, q, 2), *range(p - 2, q - 2, -2)]:
-            if f[s] != f[s + 2]:
-                self.rewrite_cells(s, _SWAP)
+        cell = f[p : p + 2]
+        lo, hi = min(p, q), max(p, q) + 2
+        if q > p:  # the swap at slot s passes the cell at s + passed
+            slots, passed, expected = range(p, q, 2), 2, f[p + 2 : hi] + cell
+        else:
+            slots, passed, expected = range(p - 2, q - 2, -2), 0, cell + f[q:p]
+        self.run(
+            [2 * s + c for s in slots if f[s + passed] != cell[0] for c in _SWAP[0]]
+        )
+        assert f[lo:hi] == expected
 
     def walk_pair(
         self, lo: int, gap: int, steps: Sequence[tuple[int, Factor]], end: int
@@ -310,7 +323,7 @@ class _Planner:
     ) -> tuple[dict[int, set[int]], dict[int, int]]:
         """The window graph of factors[lo:hi] and BFS distances from start."""
         adj: dict[int, set[int]] = {}
-        for f in self.factors[lo:hi]:
+        for f in set(self.factors[lo:hi]):
             assert f is not None
             a, b = f
             adj.setdefault(a, set()).add(b)

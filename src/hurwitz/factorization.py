@@ -15,8 +15,10 @@ transposition yields a transposition, and the identity marker conjugates to
 whatever it is conjugated against, so the factor alphabet is closed under
 both moves.
 
-``move_pair`` is the one move kernel and ``product_images`` the one product
-kernel: a product is an image list, entry ``x`` the image of the point ``x``.
+``_replay`` is the one move kernel: it applies moves to a factor list in
+place, and every move in the package, single or in a run, goes through it.
+``product_images`` is the one product kernel: a product is an image list,
+entry ``x`` the image of the point ``x``.
 """
 
 from __future__ import annotations
@@ -91,37 +93,6 @@ def normalize_factor(factor: Factor, degree: int) -> Factor:
     if a == b:
         raise PreconditionError(f"factor ({a},{b}) is not a transposition")
     return (a, b) if a < b else (b, a)
-
-
-def move_pair(s: Factor, t: Factor, forward: bool) -> tuple[Factor, Factor]:
-    """The pair that replaces the adjacent factors ``s, t`` under one move.
-
-    Forward gives ``s t s^-1, s``; inverse gives ``t, t^-1 s t``.  Every
-    factor-level move in the package goes through here.  Transpositions are
-    involutions, so conjugating ``x`` by ``c`` applies ``c`` to both entries
-    of ``x``; conjugating by or against the identity changes nothing.
-    """
-    c, x = (s, t) if forward else (t, s)
-    if c is not None and x is not None:
-        a, b = c
-        p, q = x
-        p = b if p == a else a if p == b else p
-        q = b if q == a else a if q == b else q
-        x = (p, q) if p < q else (q, p)
-    return (x, c) if forward else (c, x)
-
-
-def conjugate_factor(s: Factor, t: Factor) -> Factor:
-    """Return ``s t s^-1`` as a normalized factor.
-
-    >>> conjugate_factor((1, 2), (2, 3))
-    (1, 3)
-    >>> conjugate_factor((1, 2), (3, 4))
-    (3, 4)
-    >>> conjugate_factor((1, 2), (1, 2))
-    (1, 2)
-    """
-    return move_pair(s, t, True)[0]
 
 
 def product_images(n: int, factors: Iterable[Factor]) -> list[int]:
@@ -246,9 +217,94 @@ class HurwitzMove:
         return self._text
 
 
+# Reading a member off an Enum class costs more than a global on Python 3.11,
+# and the move kernel reads it once per call.
+_FORWARD = Direction.FORWARD
+
 # A replayable move sequence; positions are relative to the evolving
 # factorization, standard replay semantics.
 MoveCertificate = tuple[HurwitzMove, ...]
+
+
+def _replay(factors: list[Factor], moves: Sequence[HurwitzMove]) -> None:
+    """Apply ``moves`` to ``factors`` in place, left to right.
+
+    Forward at k gives ``s t s^-1, s``; inverse gives ``t, t^-1 s t``.  This
+    is the only code that applies a move.  Transpositions are involutions,
+    so conjugating ``x`` by ``c`` fixes ``x`` when the two are equal or
+    disjoint, and otherwise swaps the point they share for the other point
+    of ``c``; conjugating by or against the identity changes nothing.  A
+    move whose position falls outside the list raises MoveRangeError naming
+    its index within ``moves``; a move that is not a HurwitzMove raises
+    PreconditionError naming it.  Moves before the bad one stay applied.
+    """
+    last = len(factors) - 1
+    move: object = None
+    try:
+        for move in moves:
+            k = move.position
+            if not 0 <= k < last:
+                # the first move equal to this one is out of range too
+                raise MoveRangeError(
+                    f"move {moves.index(move)} ({move}) out of range for "
+                    f"length {last + 1}"
+                )
+            forward = move.direction is _FORWARD
+            if forward:
+                c, x = factors[k], factors[k + 1]
+            else:
+                x, c = factors[k], factors[k + 1]
+            if c is not None and x is not None:
+                # c = (a, b) and x = (p, q) are ascending, so when they share
+                # one point, only two of the four results need ordering
+                a, b = c
+                p, q = x
+                if p == a:
+                    if q != b:
+                        x = (b, q) if b < q else (q, b)
+                elif p == b:
+                    x = (a, q)
+                elif q == a:
+                    x = (p, b)
+                elif q == b:
+                    x = (p, a) if p < a else (a, p)
+            if forward:
+                factors[k], factors[k + 1] = x, c
+            else:
+                factors[k], factors[k + 1] = c, x
+    except (AttributeError, TypeError):
+        # a HurwitzMove has a Direction and an int position, so only a move
+        # of another type gets here
+        raise PreconditionError(
+            f"moves must be HurwitzMoves, got {move!r}"
+        ) from None
+
+
+_PAIR_MOVES = {
+    True: (HurwitzMove(Direction.FORWARD, 0),),
+    False: (HurwitzMove(Direction.INVERSE, 0),),
+}
+
+
+def move_pair(s: Factor, t: Factor, forward: bool) -> tuple[Factor, Factor]:
+    """The pair that replaces the adjacent factors ``s, t`` under one move:
+    the kernel run on the two slots."""
+    pair = [s, t]
+    _replay(pair, _PAIR_MOVES[forward])
+    return pair[0], pair[1]
+
+
+def conjugate_factor(s: Factor, t: Factor) -> Factor:
+    """Return ``s t s^-1`` as a normalized factor.
+
+    >>> conjugate_factor((1, 2), (2, 3))
+    (1, 3)
+    >>> conjugate_factor((1, 2), (3, 4))
+    (3, 4)
+    >>> conjugate_factor((1, 2), (1, 2))
+    (1, 2)
+    """
+    return move_pair(s, t, True)[0]
 
 
 def apply_move(factorization: Factorization, move: HurwitzMove) -> Factorization:
@@ -266,33 +322,17 @@ def apply_move(factorization: Factorization, move: HurwitzMove) -> Factorization
 def apply_certificate(
     factorization: Factorization, moves: Sequence[HurwitzMove]
 ) -> Factorization:
-    """Replay a move sequence left to right.
+    """Replay a move sequence left to right on a copy of the factors.
 
     A move whose position falls outside the current length raises
     MoveRangeError naming the offending index within ``moves``; a move that
     is not a HurwitzMove raises PreconditionError.
     """
     _require_type(factorization, Factorization, "factorization")
+    if not isinstance(moves, (list, tuple)):
+        moves = list(_require_iterable(moves, "moves"))
     factors = list(factorization.factors)
-    m = len(factors)
-    fwd = Direction.FORWARD
-    move: object = None
-    try:
-        for i, move in enumerate(_require_iterable(moves, "moves")):
-            k = move.position
-            if k < 0 or k + 1 >= m:
-                raise MoveRangeError(
-                    f"move {i} ({move}) out of range for length {m}"
-                )
-            factors[k], factors[k + 1] = move_pair(
-                factors[k], factors[k + 1], move.direction is fwd
-            )
-    except (AttributeError, TypeError):
-        # a HurwitzMove has a Direction and an int position, so only a move
-        # of another type gets here
-        raise PreconditionError(
-            f"moves must be HurwitzMoves, got {move!r}"
-        ) from None
+    _replay(factors, moves)
     return Factorization._trusted(factorization.degree, tuple(factors))
 
 

@@ -261,11 +261,16 @@ def _factor_permutation(factor, degree):
 
 
 def _fold(n, transpositions):
-    """Applying (a, b) after the product so far exchanges its images a and b."""
-    images = tuple(range(1, n + 1))
+    """Applying (a, b) after the product so far exchanges its images a and b:
+    the values a and b trade places in the image list, found in O(1) through
+    a where-is list."""
+    images = list(range(1, n + 1))
+    where = list(range(-1, n))  # where[v] is the index of the value v
     for a, b in transpositions:
-        images = tuple(b if y == a else a if y == b else y for y in images)
-    return images
+        i, j = where[a], where[b]
+        images[i], images[j] = b, a
+        where[a], where[b] = j, i
+    return tuple(images)
 
 
 def test_criterion_5_projection_commutes_with_moves():

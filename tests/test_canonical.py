@@ -471,6 +471,18 @@ class TestCanonicalForm:
         assert result.certificate == ()
         assert peak < 40 * 2**20
 
+    def test_canonical_input_time_follows_distinct_edges(self):
+        # a doubled path on 200 points plus (1,2) copies up to 20,000
+        # factors: the window graph is built once per path cell, which from
+        # every slot took about 1.1 s and from the distinct edges 0.26 s
+        points = 200
+        path = [(v, v + 1) for v in range(1, points) for _ in range(2)]
+        f = Factorization(points, path + [(1, 2)] * (20_000 - len(path)))
+        t0 = time.perf_counter()
+        result = canonical_form(f)
+        assert time.perf_counter() - t0 < 0.6
+        assert result.certificate == ()
+
     def test_certificate_length_stays_modest(self):
         for f in (F1, F2):
             assert len(canonical_form(f).certificate) <= 100
@@ -549,6 +561,38 @@ class TestCellRewrites:
             planner.rewrite_cells(0, getattr(canonical, name))
             assert planner.factors == [cells[c] for c in target]
             assert " ".join(map(str, planner.moves)) == moves
+
+
+def swap_cell_by_cell(planner, p, q):
+    """Reference for move_cell: one _SWAP rewrite per unequal neighbour."""
+    f = planner.factors
+    for s in [*range(p, q, 2), *range(p - 2, q - 2, -2)]:
+        if f[s] != f[s + 2]:
+            planner.rewrite_cells(s, canonical._SWAP)
+
+
+class TestMoveCell:
+    # equal, overlapping and disjoint neighbours on both sides of each cell
+    CELLS = [(1, 2), (2, 3), (1, 2), (1, 2), (3, 4), (1, 3)]
+
+    def test_matches_one_swap_per_unequal_neighbour(self):
+        f = Factorization(4, [cell for cell in self.CELLS for _ in range(2)])
+        for p, q in itertools.product(range(0, len(f), 2), repeat=2):
+            planner, reference = _Planner(f), _Planner(f)
+            planner.move_cell(p, q)
+            swap_cell_by_cell(reference, p, q)
+            assert planner.factors == reference.factors
+            assert planner.moves == reference.moves
+            assert planner.factors[q] == planner.factors[q + 1] == f[p]
+
+    def test_equal_cells_cost_no_moves(self):
+        # (1,2) right past (2,3), (1,2), (1,2), (3,4), (1,3): three swaps;
+        # the last (1,2) left past (1,2), (2,3), (1,2): one swap
+        f = Factorization(4, [cell for cell in self.CELLS for _ in range(2)])
+        for p, q, swaps in [(0, 10, 3), (6, 0, 1)]:
+            planner = _Planner(f)
+            planner.move_cell(p, q)
+            assert len(planner.moves) == 4 * swaps
 
 
 def palindromic(m):

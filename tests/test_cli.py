@@ -368,6 +368,17 @@ class TestErrorHandling:
         assert code == 2
         assert err.startswith("error: ")
 
+    def test_out_of_memory_exits_2_without_a_traceback(self, run, f1_file, monkeypatch):
+        def exhausted(*args, **kwargs):
+            raise MemoryError
+
+        monkeypatch.setattr("hurwitz.cli.enumerate_orbit", exhausted)
+        code, out, err = run("orbit", f1_file)
+        assert code == 2
+        assert out == ""
+        assert err == "error: out of memory\n"
+        assert "Traceback" not in err
+
     def test_unknown_subcommand_exits_2(self):
         with pytest.raises(SystemExit) as excinfo:
             main(["frobnicate"])

@@ -49,6 +49,29 @@ def fold_product(n, factors):
     return images
 
 
+def conjugated(c, x):
+    """The factor c x c (None is the identity): c applied to both points of
+    x."""
+    if c is None or x is None:
+        return x
+    p, q = (c[1] if y == c[0] else c[0] if y == c[1] else y for y in x)
+    return (p, q) if p < q else (q, p)
+
+
+def replay_one_by_one(factors, moves):
+    """Reference replay: each move rewrites one pair of a fresh tuple, by
+    its definition: forward s, t -> s t s, s; inverse s, t -> t, t s t."""
+    for move in moves:
+        k = move.position
+        s, t = factors[k], factors[k + 1]
+        if move.direction is Direction.FORWARD:
+            pair = (conjugated(s, t), s)
+        else:
+            pair = (t, conjugated(t, s))
+        factors = factors[:k] + pair + factors[k + 2 :]
+    return factors
+
+
 @st.composite
 def factorizations(draw, min_len=0, max_len=10):
     n = draw(st.integers(min_value=2, max_value=8))
@@ -229,6 +252,58 @@ class TestCertificates:
         f = Factorization(3, [(1, 2), (2, 3)])
         with pytest.raises(MoveRangeError, match=r"move 1 "):
             apply_certificate(f, [forward(0), forward(5)])
+
+    def test_matches_a_fold_of_single_moves(self):
+        rng = random.Random("replay-fold")
+        for _ in range(300):
+            n = rng.randint(2, 8)
+            pairs = [(a, b) for a in range(1, n + 1) for b in range(a + 1, n + 1)]
+            f = Factorization(
+                n, rng.choices(pairs + [None], k=rng.randint(2, 30))
+            )
+            moves = [
+                HurwitzMove(rng.choice(list(Direction)), rng.randrange(len(f) - 1))
+                for _ in range(rng.randint(0, 200))
+            ]
+            expected = replay_one_by_one(f.factors, moves)
+            assert apply_certificate(f, moves).factors == expected
+            assert apply_certificate(f, iter(moves)).factors == expected
+
+    @pytest.mark.parametrize(
+        "moves,message",
+        [
+            ([forward(5)], "move 0 (F@5) out of range for length 2"),
+            ([inverse(-1)], "move 0 (I@-1) out of range for length 2"),
+            # the index is the first bad move's, also when it repeats
+            ([forward(0), forward(5), forward(5)],
+             "move 1 (F@5) out of range for length 2"),
+            (iter([forward(0), forward(0), inverse(1)]),
+             "move 2 (I@1) out of range for length 2"),
+        ],
+        ids=["list", "negative", "repeated", "generator"],
+    )
+    def test_out_of_range_error_text(self, moves, message):
+        f = Factorization(3, [(1, 2), (2, 3)])
+        with pytest.raises(MoveRangeError) as excinfo:
+            apply_certificate(f, moves)
+        assert str(excinfo.value) == message
+
+    @pytest.mark.parametrize(
+        "moves,message",
+        [
+            ([forward(0), "F@0"], "moves must be HurwitzMoves, got 'F@0'"),
+            ((m for m in [forward(0), "F@0"]),
+             "moves must be HurwitzMoves, got 'F@0'"),
+            ([None], "moves must be HurwitzMoves, got None"),
+            (5, "moves must be iterable, got int"),
+        ],
+        ids=["list", "generator", "none", "not-iterable"],
+    )
+    def test_non_move_error_text(self, moves, message):
+        f = Factorization(3, [(1, 2), (2, 3)])
+        with pytest.raises(PreconditionError) as excinfo:
+            apply_certificate(f, moves)
+        assert str(excinfo.value) == message
 
     def test_invert_examples(self):
         assert invert_certificate([]) == ()
