@@ -180,16 +180,27 @@ class Direction(Enum):
     INVERSE = "I"
 
 
+# A move's attributes are set through these globals: on Python 3.11,
+# reading a member off an Enum class, or a method off ``object``, costs more.
+_FORWARD = Direction.FORWARD
+_setattr = object.__setattr__
+
+# A slot past the end of every list: both slots of a move at a negative
+# position.
+_NO_SLOT = sys.maxsize
+
+
 @dataclass(frozen=True)
 class HurwitzMove:
     """An elementary move: direction plus the 0-based left slot it acts on.
 
     Instances are immutable and may be shared: the canonicalizer emits one
     object per (direction, slot) and ``parse_certificate`` one per distinct
-    line.  Compare moves with ``==``, never ``is``.  The text form is built
-    once, at construction, outside the fields, so ``==``, ``hash`` and
-    ``repr`` see only direction and position.  A direction that is not a
-    Direction, or a position that is not an int, raises PreconditionError.
+    line.  Compare moves with ``==``, never ``is``.  The text form and the
+    two slots the move kernel reads are built once, at construction,
+    outside the fields, so ``==``, ``hash`` and ``repr`` see only direction
+    and position.  A direction that is not a Direction, or a position that
+    is not an int, raises PreconditionError.
     """
 
     direction: Direction
@@ -205,9 +216,21 @@ class HurwitzMove:
         # self.__dict__ would build a dict per instance and slow every later
         # attribute read.  _value_ is a plain attribute; on Python 3.11 the
         # ``value`` property costs more than the rest.
-        object.__setattr__(self, "direction", direction)
-        object.__setattr__(self, "position", position)
-        object.__setattr__(self, "_text", f"{direction._value_}@{position}")
+        _setattr(self, "direction", direction)
+        _setattr(self, "position", position)
+        _setattr(self, "_text", f"{direction._value_}@{position}")
+        # the slot of the conjugating factor c, where the conjugate lands,
+        # and the slot of the conjugated factor x, as two ints: a tuple per
+        # move raised the certify worker's peak RSS.  A negative position
+        # gets a slot no list has, so the kernel's read fails as it should.
+        if position < 0:
+            c_slot = x_slot = _NO_SLOT
+        elif direction is _FORWARD:
+            c_slot, x_slot = position, position + 1
+        else:
+            c_slot, x_slot = position + 1, position
+        _setattr(self, "_c_slot", c_slot)
+        _setattr(self, "_x_slot", x_slot)
 
     def inverted(self) -> "HurwitzMove":
         flip = Direction.INVERSE if self.direction is Direction.FORWARD else Direction.FORWARD
@@ -216,10 +239,6 @@ class HurwitzMove:
     def __str__(self) -> str:
         return self._text
 
-
-# Reading a member off an Enum class costs more than a global on Python 3.11,
-# and the move kernel reads it once per call.
-_FORWARD = Direction.FORWARD
 
 # A replayable move sequence; positions are relative to the evolving
 # factorization, standard replay semantics.
@@ -238,22 +257,16 @@ def _replay(factors: list[Factor], moves: Sequence[HurwitzMove]) -> None:
     its index within ``moves``; a move that is not a HurwitzMove raises
     PreconditionError naming it.  Moves before the bad one stay applied.
     """
-    last = len(factors) - 1
-    move: object = None
     try:
         for move in moves:
-            k = move.position
-            if not 0 <= k < last:
-                # the first move equal to this one is out of range too
-                raise MoveRangeError(
-                    f"move {moves.index(move)} ({move}) out of range for "
-                    f"length {last + 1}"
-                )
-            forward = move.direction is _FORWARD
-            if forward:
-                c, x = factors[k], factors[k + 1]
-            else:
-                x, c = factors[k], factors[k + 1]
+            if type(move) is not HurwitzMove:
+                _reject_move(move)
+            # forward conjugates the right factor by the left, inverse the
+            # left by the right, and the conjugate takes the other's slot
+            i = move._c_slot
+            j = move._x_slot
+            c = factors[i]
+            x = factors[j]
             if c is not None and x is not None:
                 # c = (a, b) and x = (p, q) are ascending, so when they share
                 # one point, only two of the four results need ordering
@@ -268,16 +281,21 @@ def _replay(factors: list[Factor], moves: Sequence[HurwitzMove]) -> None:
                     x = (p, b)
                 elif q == b:
                     x = (p, a) if p < a else (a, p)
-            if forward:
-                factors[k], factors[k + 1] = x, c
-            else:
-                factors[k], factors[k + 1] = c, x
-    except (AttributeError, TypeError):
-        # a HurwitzMove has a Direction and an int position, so only a move
-        # of another type gets here
-        raise PreconditionError(
-            f"moves must be HurwitzMoves, got {move!r}"
+            factors[i] = x
+            factors[j] = c
+    except IndexError:
+        # only the two reads index, so the move wrote nothing; the first
+        # move equal to it is out of range too
+        raise MoveRangeError(
+            f"move {moves.index(move)} ({move}) out of range for "
+            f"length {len(factors)}"
         ) from None
+
+
+def _reject_move(move: object) -> NoReturn:
+    """Raise the PreconditionError for an item of a move sequence that is
+    not a HurwitzMove."""
+    raise PreconditionError(f"moves must be HurwitzMoves, got {move!r}")
 
 
 _PAIR_MOVES = {
@@ -651,8 +669,11 @@ def parse_certificate(text: str) -> list[HurwitzMove]:
 
 
 def format_certificate(moves: Iterable[HurwitzMove]) -> str:
-    """One move per line; empty sequence renders as the empty string."""
-    try:
-        return "\n".join([move._text for move in moves])
-    except (AttributeError, TypeError):
-        raise _not_moves(moves) from None
+    """One move per line; empty sequence renders as the empty string.
+
+    An item that is not a HurwitzMove raises PreconditionError naming it.
+    """
+    return "\n".join([
+        move._text if type(move) is HurwitzMove else _reject_move(move)
+        for move in _require_iterable(moves, "moves")
+    ])

@@ -3,6 +3,7 @@
 import dataclasses
 import random
 import tracemalloc
+from types import SimpleNamespace
 from unittest.mock import patch
 
 import pytest
@@ -304,6 +305,27 @@ class TestCertificates:
         with pytest.raises(PreconditionError) as excinfo:
             apply_certificate(f, moves)
         assert str(excinfo.value) == message
+
+    def test_look_alike_moves_are_refused(self):
+        # objects with a move's attributes, private ones too, are not moves:
+        # the first was once replayed as an inverse move, the last rendered
+        f = Factorization(3, [(1, 2), (2, 3)])
+        not_moves = "moves must be HurwitzMoves, got namespace"
+        with pytest.raises(PreconditionError, match=not_moves):
+            apply_certificate(f, [SimpleNamespace(position=0, direction="F")])
+        with pytest.raises(PreconditionError, match=not_moves):
+            apply_move(f, SimpleNamespace(position=0, direction=Direction.FORWARD))
+        with pytest.raises(PreconditionError, match=not_moves):
+            apply_certificate(
+                f, [forward(0), SimpleNamespace(position=0, _c_slot=0, _x_slot=1)]
+            )
+        with pytest.raises(PreconditionError) as excinfo:
+            format_certificate([SimpleNamespace(_text="F@0")])
+        assert str(excinfo.value) == (
+            "moves must be HurwitzMoves, got namespace(_text='F@0')"
+        )
+        with pytest.raises(PreconditionError, match=not_moves):
+            format_certificate(iter([forward(0), SimpleNamespace(_text="F@0")]))
 
     def test_invert_examples(self):
         assert invert_certificate([]) == ()
@@ -791,6 +813,9 @@ class TestMoveText:
         assert (moved, str(moved)) == (forward(4), "F@4")
         flipped = dataclasses.replace(move, direction=Direction.INVERSE)
         assert (flipped, str(flipped), str(move)) == (inverse(3), "I@3", "F@3")
+        # the slots the kernel reads are rebuilt with the text
+        f = Factorization(5, [(1, 2), (2, 3), (3, 4), (4, 5), (1, 5)])
+        assert apply_move(f, flipped) == apply_move(f, inverse(3)) != apply_move(f, move)
 
 
 @pytest.mark.parametrize(

@@ -1,11 +1,14 @@
 """Graph invariant: edge weights, components, signature, DOT."""
 
+import random
 import re
+import tracemalloc
 from collections import Counter, deque
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from hurwitz import graph
 from hurwitz.factorization import (
     Factorization,
     HurwitzMove,
@@ -30,6 +33,39 @@ def edge_weights(f):
     counts = Counter(f.factors)
     counts.pop(None, None)
     return dict(counts)
+
+
+def reference_signature(f):
+    """The signature by breadth-first labelling of the distinct edges, with
+    weights from a Counter fold over all the factors."""
+    counts = Counter(f.factors)
+    identity = counts.pop(None, 0)
+    adj = {}
+    for a, b in counts:
+        adj.setdefault(a, set()).add(b)
+        adj.setdefault(b, set()).add(a)
+    label = {}
+    for start in sorted(adj):
+        if start in label:
+            continue
+        label[start] = start
+        queue = deque([start])
+        while queue:
+            for w in adj[queue.popleft()]:
+                if w not in label:
+                    label[w] = start
+                    queue.append(w)
+    members, weights = {}, Counter()
+    for v in sorted(label):
+        members.setdefault(label[v], []).append(v)
+    for (a, _), w in counts.items():
+        weights[label[a]] += w
+    return ComponentSignature(
+        degree=f.degree,
+        total_factors=len(f),
+        identity_factor_count=identity,
+        components=tuple((tuple(vs), weights[root]) for root, vs in members.items()),
+    )
 
 
 def dot_edges(f):
@@ -162,6 +198,89 @@ class TestSignature:
             for vertices, weight in signature(f).components:
                 assert weight % 2 == 0
                 assert weight >= 2 * (len(vertices) - 1)
+
+
+class TestSignatureChunks:
+    """signature counts the factors graph._CHUNK at a time; these inputs put
+    edges, identities and joins on either side of the chunk boundaries."""
+
+    @given(st.data())
+    @settings(max_examples=150)
+    def test_agrees_with_reference_for_any_chunk_size(self, data):
+        n = data.draw(st.integers(1, 10))
+        pairs = [(a, b) for a in range(1, n + 1) for b in range(a + 1, n + 1)]
+        f = Factorization(
+            n, data.draw(st.lists(st.sampled_from(pairs + [None]), max_size=40))
+        )
+        chunk = data.draw(st.sampled_from([1, 2, 3, 5, 8, graph._CHUNK]))
+        saved = graph._CHUNK
+        graph._CHUNK = chunk
+        try:
+            assert signature(f) == reference_signature(f)
+        finally:
+            graph._CHUNK = saved
+
+    @pytest.mark.parametrize(
+        "chunks, extra",
+        [(1, -1), (1, 0), (1, 1), (3, 7)],
+        ids=["chunk-1", "chunk", "chunk+1", "3chunk+7"],
+    )
+    def test_lengths_around_the_chunk_size(self, chunks, extra):
+        m = chunks * graph._CHUNK + extra
+        rng = random.Random(m)
+        n = 3000
+        factors = [
+            None if rng.random() < 0.05 else tuple(sorted(rng.sample(range(1, n + 1), 2)))
+            for _ in range(m)
+        ]
+        # identities on both sides of every boundary
+        for k in range(graph._CHUNK, m, graph._CHUNK):
+            factors[k - 1] = factors[k] = None
+        f = Factorization(n, factors)
+        assert signature(f) == reference_signature(f)
+
+    def test_halves_joined_in_the_last_chunk(self):
+        # odd and even points form two paths, each resolved to its own root
+        # over the first chunks, and the last factor joins them
+        n = 200
+        odd = [(a, a + 2) for a in range(1, n - 1, 2)]
+        even = [(a, a + 2) for a in range(2, n - 1, 2)][::-1]
+        cycle = odd + even
+        factors = [cycle[k % len(cycle)] for k in range(2 * graph._CHUNK)]
+        f = Factorization(n, factors + [(n - 1, n)])
+        s = signature(f)
+        assert s == reference_signature(f)
+        assert s.components == ((tuple(range(1, n + 1)), len(f)),)
+
+    def test_large_degree_few_factors(self):
+        f = Factorization(10**6, [(1, 10**6), (500_000, 10**6), (2, 3)])
+        assert signature(f).components == (
+            ((1, 500_000, 10**6), 2),
+            ((2, 3), 1),
+        )
+        assert signature(f) == reference_signature(f)
+
+    def test_all_identities_and_empty(self):
+        f = Factorization(5, [None] * (graph._CHUNK + 1))
+        assert signature(f) == ComponentSignature(5, graph._CHUNK + 1, graph._CHUNK + 1, ())
+        assert signature(Factorization(5, [])) == ComponentSignature(5, 0, 0, ())
+
+    def test_memory_stays_near_one_chunk(self):
+        # a million distinct edges: one dict of them all peaked at 63 MB
+        # under tracemalloc, a chunk at a time peaks at 9 MB, and 14 MB when
+        # the last chunk's dict outlives the building of the next
+        n = 1415
+        pairs = [(a, b) for a in range(1, n + 1) for b in range(a + 1, n + 1)]
+        f = Factorization(n, pairs[:1_000_000])
+        del pairs
+        tracemalloc.start()
+        try:
+            s = signature(f)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert s.components == ((tuple(range(1, n + 1)), 1_000_000),)
+        assert peak < 12_000_000, f"signature peaked at {peak / 1e6:.1f} MB"
 
 
 class TestFormatting:
