@@ -27,18 +27,20 @@ a ``_Planner`` method:
   nearest of the given source vertices and fixes a shortest path between
   them; its first two edges merge d - 1 times, each merge landing the
   shortcut at the smaller slot when that leaves the rest of the path
-  intact, then the edge is carried to the front (a single source whose
-  edge the window already holds is only carried);
-* ``rewrite_cells``: one kernel for two adjacent doubled cells, driven by
-  a table of five four-move rewrites that hold for any transpositions x, y
-  (with ``z = x y x``): swap ``x x y y -> y y x x``, shift right by left
-  ``x x y y -> x x z z``, shift left by right ``y y x x -> z z x x``, and
-  the crossings that conjugate the moving pair as it passes a cell,
-  ``y y x x -> x x z z`` and ``x x y y -> z z x x``;
+  intact, then the edge is carried to the front (a source whose edge the
+  window already holds is only carried, and no BFS runs);
 * ``walk_pair``: a doubled pair is conjugated by one path cell after
-  another, so its endpoints climb or descend the path; it crosses a cell
-  while conjugating whenever its next cell lies beyond, so each step costs
-  one rewrite, and it swaps past equal cells for free.
+  another, so its endpoints climb or descend the path.  It is built from
+  five four-move rewrites of two adjacent doubled cells that hold for any
+  transpositions x, y (with ``z = x y x``): swap ``x x y y -> y y x x``,
+  shift right by left ``x x y y -> x x z z``, shift left by right
+  ``y y x x -> z z x x``, and the crossings that conjugate the moving pair
+  as it passes a cell, ``y y x x -> x x z z`` and ``x x y y -> z z x x``.
+  The pair crosses a cell while conjugating whenever its next cell lies
+  beyond, so each step costs one rewrite, and it swaps past equal cells for
+  free.  No rewrite changes a path cell, so the walk predicts every move
+  and every value of the pair up front and applies the whole walk as one
+  run of moves.
 
 The leftover weight of a component is walked down to ``(v_0,v_1)`` one
 doubled pair at a time, every pair the same way, until only ``(v_0,v_1)``
@@ -55,7 +57,7 @@ is itself the equivalence certificate.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 from .errors import InternalError, PreconditionError
 from .factorization import (
@@ -162,43 +164,42 @@ def _leftover(
     return leftover
 
 
-# A four-move rewrite of the doubled cells ``a a b b`` at slots p .. p + 3:
-# its move codes relative to p, in order (see _Planner.run), and the map from
-# the cells (a, b) to the cells the moves leave.
-_CellTarget = Callable[[Factor, Factor], tuple[Factor, Factor]]
-_CellRewrite = tuple[tuple[int, ...], _CellTarget]
-
-
-def _cell_rewrite(moves: str, target: _CellTarget) -> _CellRewrite:
-    return tuple(2 * int(m[2:]) + (m[0] == "I") for m in moves.split()), target
-
-
+# The four-move rewrites of the doubled cells ``a a b b`` at slots p .. p + 3,
+# as the codes of their moves in order, p taken as 0 (see _Planner.run).
 # Each holds for every two transpositions x, y: equal, sharing a point or
 # disjoint.  z = x y x throughout.
-_SWAP = _cell_rewrite(  # x x y y -> y y x x
-    "F@1 F@0 F@2 F@1", lambda x, y: (y, x)
-)
-_SHIFT_RIGHT = _cell_rewrite(  # x x y y -> x x z z
-    "F@1 F@2 F@2 F@1", lambda x, y: (x, conjugate_factor(x, y))
-)
-_SHIFT_LEFT = _cell_rewrite(  # y y x x -> z z x x
-    "F@1 F@0 F@0 F@1", lambda y, x: (conjugate_factor(x, y), x)
-)
-_CROSS_RIGHT = _cell_rewrite(  # y y x x -> x x z z
-    "F@1 F@0 I@2 I@1", lambda y, x: (x, conjugate_factor(x, y))
-)
-_CROSS_LEFT = _cell_rewrite(  # x x y y -> z z x x
-    "F@1 F@2 I@0 I@1", lambda x, y: (conjugate_factor(x, y), x)
-)
+
+
+def _codes(moves: str) -> tuple[int, ...]:
+    return tuple(2 * int(m[2:]) + (m[0] == "I") for m in moves.split())
+
+
+_SWAP = _codes("F@1 F@0 F@2 F@1")  # x x y y -> y y x x
+_SHIFT_RIGHT = _codes("F@1 F@2 F@2 F@1")  # x x y y -> x x z z
+_SHIFT_LEFT = _codes("F@1 F@0 F@0 F@1")  # y y x x -> z z x x
+_CROSS_RIGHT = _codes("F@1 F@0 I@2 I@1")  # y y x x -> x x z z
+_CROSS_LEFT = _codes("F@1 F@2 I@0 I@1")  # x x y y -> z z x x
 
 # Conjugating a walked pair by a path cell, keyed by (the pair starts right
-# of the cell, the pair ends right of it).
+# of the cell, the pair ends right of it).  Each leaves the path cell x as
+# it is and turns the pair y into x y x.
 _CONJUGATE = {
     (False, False): _SHIFT_LEFT,
     (False, True): _CROSS_RIGHT,
     (True, True): _SHIFT_RIGHT,
     (True, False): _CROSS_LEFT,
 }
+
+
+def _slide(
+    p: int, cells: list[Factor], pair: Factor, g: int, t: int
+) -> list[tuple[int, tuple[int, ...]]]:
+    """The rewrites, as (slot, codes), that swap the pair from gap g to gap
+    t of the doubled path cells at slot p: a _SWAP at slot p + 2k for each
+    path cell k it passes, cells[k], unless that equals the pair, since
+    swapping equal cells changes nothing."""
+    passed = range(g, t) if t > g else range(g - 1, t - 1, -1)
+    return [(p + 2 * k, _SWAP) for k in passed if cells[k] != pair]
 
 
 def _index(factors: list[Factor], u: int, v: int, lo: int, hi: int) -> int:
@@ -212,7 +213,7 @@ def _index(factors: list[Factor], u: int, v: int, lo: int, hi: int) -> int:
 class _Planner:
     """Mutable factor list plus the move log that shaped it.
 
-    All mutation goes through run(): each composite rewrite is one run of
+    All mutation goes through run(): each carry and each walk is one run of
     moves, applied to the list by the move kernel and appended to the log as
     the same list, so the log is exactly what was applied.  The log shares
     one immutable move per (direction, slot), made the first time that slot
@@ -244,12 +245,12 @@ class _Planner:
 
     # -- elementary moves --------------------------------------------------
 
-    def run(self, codes: Iterable[int], base: int = 0) -> None:
-        """Apply and log one run of shared moves, the moves with codes
-        base + c for c in codes.  A move is always true, so ``or`` makes
-        only the missing ones."""
+    def run(self, codes: Sequence[int]) -> None:
+        """Apply and log one run of shared moves, the moves with the given
+        codes.  A move is always true, so ``or`` makes only the missing
+        ones."""
         shared = self._shared
-        moves = [shared[base + c] or self._new_move(base + c) for c in codes]
+        moves = [shared[c] or self._new_move(c) for c in codes]
         _replay(self.factors, moves)
         self.moves += moves
 
@@ -270,35 +271,17 @@ class _Planner:
         else:
             self.run(range(2 * j - 1, 2 * dest - 1, -2))
 
-    def rewrite_cells(self, p: int, rewrite: _CellRewrite) -> None:
-        """Apply a four-move rewrite to the doubled cells at p and p + 2."""
-        f = self.factors
-        codes, target = rewrite
-        left, right = target(f[p], f[p + 2])
-        self.run(codes, 2 * p)
-        assert f[p] == f[p + 1] == left and f[p + 2] == f[p + 3] == right
-
     def move_cell(self, p: int, q: int) -> None:
         """Swap the doubled cell at slot p to slot q, cell by cell; the cells
-        in between shift one cell towards p.  A swap keeps both cells, so
-        the unequal swaps are known up front and make one run; swapping
-        equal cells changes nothing, so it costs no moves."""
-        f = self.factors
-        cell = f[p : p + 2]
-        lo, hi = min(p, q), max(p, q) + 2
-        if q > p:  # the swap at slot s passes the cell at s + passed
-            slots, passed, expected = range(p, q, 2), 2, f[p + 2 : hi] + cell
-        else:
-            slots, passed, expected = range(p - 2, q - 2, -2), 0, cell + f[q:p]
-        self.run(
-            [2 * s + c for s in slots if f[s + passed] != cell[0] for c in _SWAP[0]]
-        )
-        assert f[lo:hi] == expected
+        in between shift one cell towards p.  This is a walk without steps."""
+        lo = min(p, q)
+        self.walk_pair(lo, (p - lo) // 2, (), (q - lo) // 2)
 
     def walk_pair(
         self, lo: int, gap: int, steps: Sequence[tuple[int, Factor]], end: int
     ) -> None:
-        """Conjugate the doubled pair at gap by the path cells of steps.
+        """Conjugate the doubled pair at gap by the path cells of steps, in
+        one run of moves.
 
         The pair at gap g sits between path cells g - 1 and g, so path cell
         c is the cell at slot lo + 2c for c < g and one cell further right
@@ -306,24 +289,53 @@ class _Planner:
         on the side it is on and is conjugated by it, crossing it when the
         next step's cell, or the end gap, lies beyond it; the pair must then
         equal expected.  Finally it swaps to gap end.
+
+        Swaps and conjugations keep every path cell, so the walk knows each
+        move and each value of the pair before it moves anything: it checks
+        every expected value against x y x, x the path cell and y the pair,
+        applies the whole walk as one run, and checks that the walked cells
+        hold the path cells with the pair at gap end.
         """
-        nexts = [c for c, _ in steps[1:]] + [end]
-        for (c, expected), nxt in zip(steps, nexts):
+        f = self.factors
+        cs = [c for c, _ in steps]
+        q = lo + 2 * max(gap, end, *[c + 1 for c in cs]) + 2  # walks [lo, q)
+        region = f[lo:q]
+        pair = region[2 * gap]
+        cells = region[: 2 * gap : 2] + region[2 * gap + 2 :: 2]
+        rewrites = []  # (slot, codes relative to it)
+        for i, ((c, expected), nxt) in enumerate(zip(steps, [*cs[1:], end])):
             right, stay_right = gap > c, nxt > c
-            self.move_cell(lo + 2 * gap, lo + 2 * (c + right))
-            self.rewrite_cells(lo + 2 * c, _CONJUGATE[right, stay_right])
+            rewrites += _slide(lo, cells, pair, gap, c + right)
+            rewrites.append((lo + 2 * c, _CONJUGATE[right, stay_right]))
+            pair = conjugate_factor(cells[c], pair)
+            if pair != expected:
+                raise self._fail(
+                    "walk",
+                    f"step {i} by path cell {c} of the cells at slot {lo} "
+                    f"gives {pair}, expected {expected}",
+                )
             gap = c + stay_right
-            assert self.factors[lo + 2 * gap] == expected
-        self.move_cell(lo + 2 * gap, lo + 2 * end)
+        rewrites += _slide(lo, cells, pair, gap, end)
+        self.run([2 * s + r for s, codes in rewrites for r in codes])
+        cells.insert(end, pair)
+        walked = f[lo:q]
+        if walked[::2] != cells or walked[1::2] != cells:
+            raise self._fail(
+                "walk",
+                f"slots [{lo},{q}) do not hold the path cells with the pair "
+                f"at gap {end}",
+            )
 
     # -- the pull rewrite ---------------------------------------------------
 
+    @staticmethod
     def _bfs(
-        self, lo: int, hi: int, start: int
+        edges: set[Factor], start: int
     ) -> tuple[dict[int, set[int]], dict[int, int]]:
-        """The window graph of factors[lo:hi] and BFS distances from start."""
+        """The graph of the window's distinct edges and BFS distances from
+        start."""
         adj: dict[int, set[int]] = {}
-        for f in set(self.factors[lo:hi]):
+        for f in edges:
             assert f is not None
             a, b = f
             adj.setdefault(a, set()).add(b)
@@ -341,10 +353,11 @@ class _Planner:
         """Make factors[lo] equal (a, b), for a source a nearest to b in the
         window graph, using moves inside [lo, hi) only; returns a.
 
-        Requires a path from b to some source in the window graph.  One
-        source whose edge the window holds needs only the carry to lo.
-        Otherwise one BFS from b picks the nearest source a (ties go to the
-        smallest) and fixes the lexicographically smallest shortest path
+        Requires a path from b to some source in the window graph.  A
+        source whose edge the window holds needs only the carry to lo; the
+        smallest such source is the nearest, and no BFS runs.  Otherwise
+        one BFS from b picks the nearest source a (ties go to the smallest)
+        and fixes the lexicographically smallest shortest path
         a = u0, u1, ..., ud = b.  Each merge carries the factors (u0,u1) and
         (u1,u2) onto each other, which turns (u1,u2) into the shortcut
         (u0,u2), and drops u1 from the path.  A carried factor conjugates
@@ -362,7 +375,14 @@ class _Planner:
             if j >= 0:
                 self.carry(j, lo)
                 return sources[0]
-        adj, dist = self._bfs(lo, hi, b)
+        edges = set(f[lo:hi])
+        # a source adjacent to b is at distance 1, the nearest there is
+        near = [v for v in sources if ((v, b) if v < b else (b, v)) in edges]
+        if near:
+            a = min(near)
+            self.carry(self._slot(a, b, lo, hi), lo)
+            return a
+        adj, dist = self._bfs(edges, b)
         reached = [(dist[v], v) for v in sources if v in dist]
         if not reached:
             raise self._fail(
@@ -456,8 +476,9 @@ class _Planner:
                 for c in range(vertices.index(vs), k - 1)
             ]
             self.walk_pair(lo, k - 1, steps, k - 1)
-            assert self.factors[suffix_lo] == (vertices[k - 1], target_v)
-            assert self.factors[suffix_lo + 1] == (vertices[k - 1], target_v)
+            cell = (vertices[k - 1], target_v)
+            if self.factors[suffix_lo : suffix_lo + 2] != [cell, cell]:
+                raise self._fail("path", f"path cell {k - 1} is not {cell} twice")
 
     def _normalize_tail(
         self, lo: int, hi: int, vertices: Sequence[int]

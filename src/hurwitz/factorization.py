@@ -634,16 +634,40 @@ def format_factorization(factorization: Factorization) -> str:
 
 
 _MOVE_RE = re.compile(r"([FI])\s*@\s*([0-9]+)$")
+# A line as format_certificate writes it; a position with more significant
+# digits than sys.maxsize is left to the line reader.
+_PLAIN_MOVE_RE = re.compile(r"([FI])@0*([0-9]{1,%d})" % _POSITION_DIGITS)
 
 
 def parse_certificate(text: str) -> list[HurwitzMove]:
     """Parse a certificate: one move per line, blank lines and '#' comments
     are skipped.
 
+    Text whose '\\n'-separated lines are each empty or a move without
+    whitespace, the form format_certificate writes, is read in bulk, each
+    distinct line once.  Any other text is read line by line, and only
+    that reader raises: a text gives the same moves, or the same
+    FormatError message and position, whichever way it is read.
+
     >>> [str(m) for m in parse_certificate("F@0\\n# comment\\nI@2\\n")]
     ['F@0', 'I@2']
     """
     _require_type(text, str, "text")
+    lines = text.split("\n")
+    table: dict[str, Optional[HurwitzMove]] = dict.fromkeys(lines)
+    for line in table:
+        m = _PLAIN_MOVE_RE.fullmatch(line)
+        if m:
+            table[line] = HurwitzMove(Direction(m[1]), int(m[2]))
+        elif line:
+            return _parse_certificate_lines(text)
+    # a move is always true, so the filter drops only the empty lines
+    return list(filter(None, map(table.__getitem__, lines)))
+
+
+def _parse_certificate_lines(text: str) -> list[HurwitzMove]:
+    """The moves of any certificate text, each line stripped and read with
+    _MOVE_RE; FormatError at the first malformed line."""
     raw_lines = text.splitlines()
     lines = [raw.strip() for raw in raw_lines]
     # Certificates repeat their lines, so each distinct line is parsed once,

@@ -1,7 +1,10 @@
 """Equivalence decision, grouping, edge pulling, and the canonicalizer."""
 
+import hashlib
 import itertools
 import random
+import subprocess
+import sys
 import time
 import tracemalloc
 from unittest.mock import patch
@@ -375,6 +378,16 @@ class TestPullEdgeToFront:
         assert planner.factors[0] == (1, 3)
         assert " ".join(map(str, planner.moves)) == "I@1 I@0"
 
+    def test_adjacent_source_skips_the_search(self):
+        def no_search(*_):
+            raise AssertionError("pull searched the window")
+
+        # 3 and 2 are both adjacent to 4, 1 is two edges away
+        planner = _Planner(Factorization(4, [(1, 2), (3, 4), (2, 4), (1, 2)]))
+        with patch.object(_Planner, "_bfs", no_search):
+            assert planner.pull(0, 4, (1, 3, 2), 4) == 2
+        assert planner.factors[0] == (2, 4)
+
     def test_nearest_source_wins_and_ties_go_to_the_smallest(self):
         # from 4, source 3 is one edge away and 1 two; 2 and 3 both one
         planner = _Planner(Factorization(4, [(1, 2), (2, 4), (3, 4)]))
@@ -558,17 +571,67 @@ class TestCellRewrites:
         for x, y in itertools.product(S4_TRANSPOSITIONS, repeat=2):
             cells = {"x": x, "y": y, "z": xyx(x, y)}
             planner = _Planner(Factorization(4, [cells[c] for c in source]))
-            planner.rewrite_cells(0, getattr(canonical, name))
+            planner.run(getattr(canonical, name))
             assert planner.factors == [cells[c] for c in target]
             assert " ".join(map(str, planner.moves)) == moves
 
 
 def swap_cell_by_cell(planner, p, q):
-    """Reference for move_cell: one _SWAP rewrite per unequal neighbour."""
+    """Reference for move_cell: one _SWAP rewrite per unequal neighbour,
+    each checked on its own; returns the number of equal cells skipped."""
     f = planner.factors
+    skipped = 0
     for s in [*range(p, q, 2), *range(p - 2, q - 2, -2)]:
-        if f[s] != f[s + 2]:
-            planner.rewrite_cells(s, canonical._SWAP)
+        x, y = f[s], f[s + 2]
+        if x == y:
+            skipped += 1
+            continue
+        planner.run([2 * s + c for c in canonical._SWAP])
+        assert f[s : s + 4] == [y, y, x, x]
+    return skipped
+
+
+def walk_step_by_step(planner, lo, gap, steps, end):
+    """Reference for walk_pair: per step, the swaps of move_cell one at a
+    time, then one conjugating rewrite, each checked on its own; returns
+    the number of equal cells skipped."""
+    f = planner.factors
+    skipped = 0
+    nexts = [c for c, _ in steps[1:]] + [end]
+    for (c, expected), nxt in zip(steps, nexts):
+        right, stay_right = gap > c, nxt > c
+        skipped += swap_cell_by_cell(planner, lo + 2 * gap, lo + 2 * (c + right))
+        p = lo + 2 * c
+        cell, pair = (f[p], f[p + 2]) if right else (f[p + 2], f[p])
+        planner.run([2 * p + r for r in canonical._CONJUGATE[right, stay_right]])
+        z = xyx(cell, pair)
+        assert f[p : p + 4] == ([cell, cell, z, z] if stay_right else [z, z, cell, cell])
+        gap = c + stay_right
+        assert f[lo + 2 * gap] == expected
+    return skipped + swap_cell_by_cell(planner, lo + 2 * gap, lo + 2 * end)
+
+
+def check_walks(f):
+    """Run canonical_form on f with every walk checked against
+    walk_step_by_step: the same moves and the same factors after it.
+    Returns the number of walks and of equal cells skipped."""
+    walk = _Planner.walk_pair
+    seen = {"walks": 0, "skipped": 0, "steps": 0}
+
+    def checked(planner, lo, gap, steps, end):
+        reference = _Planner(Factorization(planner.degree, planner.factors))
+        seen["skipped"] += walk_step_by_step(reference, lo, gap, steps, end)
+        before = len(planner.moves)
+        walk(planner, lo, gap, steps, end)
+        assert planner.moves[before:] == reference.moves
+        assert planner.factors == reference.factors
+        seen["walks"] += 1
+        seen["steps"] += len(steps)
+
+    with patch.object(_Planner, "walk_pair", checked):
+        result = canonical_form(f)
+    assert apply_certificate(f, result.certificate) == result.canonical
+    return seen
 
 
 class TestMoveCell:
@@ -595,6 +658,77 @@ class TestMoveCell:
             assert len(planner.moves) == 4 * swaps
 
 
+class TestWalkPair:
+    @pytest.mark.parametrize("seed", range(12))
+    def test_tree_walks_match_step_by_step(self, seed):
+        seen = check_walks(doubled_random_tree(seed))
+        assert seen["walks"] and seen["steps"]
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_tail_walks_match_step_by_step(self, seed):
+        seen = check_walks(deep_single_component_block(seed))
+        assert seen["walks"] and seen["steps"]
+
+    def test_equal_cells_are_skipped_like_step_by_step(self):
+        # the (1,2) pair slides past path cell 0, an equal (1,2) cell, and
+        # parks; later the parked block passes the (2,3) cell
+        f = Factorization(4, [(1, 2), (1, 2), (2, 3), (2, 3), (3, 4), (3, 4),
+                              (1, 2), (1, 2), (2, 3), (2, 3)])
+        assert check_walks(f)["skipped"] > 0
+        assert check_walks(palindromic(120))["skipped"] > 0
+
+    @given(scrambled_identity_factorizations())
+    @settings(max_examples=60, deadline=None)
+    def test_random_walks_match_step_by_step(self, f):
+        check_walks(f)
+
+    def test_wrong_expected_value_names_stage_and_input(self):
+        # (2,3) conjugated by the path cell (1,2) is (1,3), not (2,3)
+        f = Factorization(3, [(1, 2), (1, 2), (2, 3), (2, 3)])
+        planner = _Planner(f)
+        with pytest.raises(InternalError) as info:
+            planner.walk_pair(0, 1, [(0, (2, 3))], 0)
+        message = str(info.value)
+        assert message.startswith("walk: step 0 by path cell 0")
+        assert message.endswith(f"input {format_factorization(f)}")
+        # the check comes before any move
+        assert planner.moves == [] and planner.factors == list(f.factors)
+
+    def test_corrupted_step_in_canonical_form_is_an_internal_error(self):
+        walk = _Planner.walk_pair
+
+        def corrupted(planner, lo, gap, steps, end):
+            if steps:
+                (c, (a, b)), *rest = steps
+                steps = [(c, (a, b + 1)), *rest]
+            walk(planner, lo, gap, steps, end)
+
+        f = doubled_random_tree(0)
+        with patch.object(_Planner, "walk_pair", corrupted):
+            with pytest.raises(InternalError) as info:
+                canonical_form(f)
+        message = str(info.value)
+        assert message.startswith("walk: ")
+        assert message.endswith(f"input {format_factorization(f)}")
+
+    def test_walk_checks_survive_optimization(self):
+        # a walk check is not an assert: under -O it still raises
+        code = (
+            "from hurwitz.canonical import _Planner\n"
+            "from hurwitz.errors import InternalError\n"
+            "from hurwitz.factorization import Factorization\n"
+            "p = _Planner(Factorization(3, [(1, 2), (1, 2), (2, 3), (2, 3)]))\n"
+            "try:\n"
+            "    p.walk_pair(0, 1, [(0, (2, 3))], 0)\n"
+            "except InternalError as e:\n"
+            "    print(str(e).split(':')[0])\n"
+        )
+        out = subprocess.run(
+            [sys.executable, "-O", "-c", code], capture_output=True, text=True
+        )
+        assert out.stdout == "walk\n", out.stderr
+
+
 def palindromic(m):
     """w + w[::-1] on 6 points, w m/2 random transpositions: an identity
     factorization with a heavy tail."""
@@ -602,6 +736,70 @@ def palindromic(m):
     pairs = [(a, b) for a in range(1, 7) for b in range(a + 1, 7)]
     w = rng.choices(pairs, k=m // 2)
     return Factorization(6, w + w[::-1])
+
+
+def golden_corpus():
+    """30 scrambled identity factorizations with m <= 200, ten each of the
+    benchmark's certify shapes: dense (a doubled path on 3..8 points plus
+    doubled copies of one of its edges), tree (a doubled spanning tree) and
+    multi (5% identity factors and doubled trees on 2..5 points, some with
+    one extra doubled edge).  The doubled units are shuffled, then scrambled
+    by 4m random moves."""
+    rng = random.Random("golden-certificates")
+    corpus = []
+    for i in range(30):
+        shape = ("dense", "tree", "multi")[i % 3]
+        m = 2 * rng.randint(8, 100)
+        if shape == "dense":
+            n = rng.randint(3, 8)
+            points = rng.sample(range(1, n + 1), n)
+            path = [tuple(sorted(e)) for e in zip(points, points[1:])]
+            units = path + [rng.choice(path)] * (m // 2 - len(path))
+        elif shape == "tree":
+            n = m // 2 + 1 + rng.randint(0, 3)
+            points = rng.sample(range(1, n + 1), m // 2 + 1)
+            units = [tuple(sorted((p, rng.choice(points[:j]))))
+                     for j, p in enumerate(points) if j]
+        else:
+            units = [None] * round(0.05 * m)
+            n = m
+            labels = rng.sample(range(1, n + 1), n)
+            while len(units) < m // 2:
+                l = min(rng.randint(2, 5), m // 2 - len(units) + 1)
+                points, labels = labels[:l], labels[l:]
+                tree = [tuple(sorted((p, rng.choice(points[:j]))))
+                        for j, p in enumerate(points) if j]
+                units += tree
+                if len(units) < m // 2 and rng.random() < 0.3:
+                    units.append(rng.choice(tree))
+        # a unit is a doubled factor, so any order keeps the identity
+        rng.shuffle(units)
+        factors = [f for f in units for _ in range(2)]
+        moves = [HurwitzMove(rng.choice(list(Direction)), rng.randrange(m - 1))
+                 for _ in range(4 * m)]
+        corpus.append(apply_certificate(Factorization(n, factors), moves))
+    return corpus
+
+
+def golden_digest(corpus):
+    digest = hashlib.sha256()
+    for f in corpus:
+        result = canonical_form(f)
+        for text in (format_factorization(f), format_factorization(result.canonical),
+                     format_certificate(result.certificate)):
+            digest.update(text.encode() + b"\0")
+    return digest.hexdigest()
+
+
+class TestGoldenCertificates:
+    # the canonical form and certificate text of every golden_corpus()
+    # input, pinned byte for byte: 30 inputs, 3,122 factors, 151,905 moves
+    DIGEST = "58b071baae26acd9908e9a27547faebb646ce67c4a7a574bd5afe8545cb2bd35"
+
+    def test_certificates_are_byte_identical(self):
+        corpus = golden_corpus()
+        assert sum(map(len, corpus)) == 3122
+        assert golden_digest(corpus) == self.DIGEST
 
 
 class TestCertificateLength:

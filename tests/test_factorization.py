@@ -2,12 +2,14 @@
 
 import dataclasses
 import random
+import re
+import sys
 import tracemalloc
 from types import SimpleNamespace
 from unittest.mock import patch
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from hurwitz import factorization
 from hurwitz.braid import BraidTuple, BraidWord, format_braid_tuple, parse_braid_tuple
@@ -664,6 +666,78 @@ class TestCertificateFuzz:
     def test_one_edit_parses_or_raises_format_error(self, case, edit, where, char):
         _, text = case
         parses_or_raises_format_error(parse_certificate, one_edit(text, edit, where, char))
+
+
+REFERENCE_MOVE_RE = re.compile(r"([FI])\s*@\s*([0-9]+)")
+
+
+def read_certificate_by_lines(text):
+    """Reference reader: ``text.splitlines()`` folded one line at a time,
+    each line stripped.  Returns the moves, or the message and position of
+    the FormatError for the first bad line."""
+    moves, start = [], 0
+    lines = zip(text.splitlines(), text.splitlines(keepends=True))
+    for number, (line, with_break) in enumerate(lines, 1):
+        stripped = line.strip()
+        if stripped and not stripped.startswith("#"):
+            m = REFERENCE_MOVE_RE.fullmatch(stripped)
+            if m is None or len(m[2].lstrip("0")) > len(str(sys.maxsize)):
+                problem = "move position out of range" if m else f"malformed move {stripped!r}"
+                return f"{problem} on line {number}", start + len(line) - len(line.lstrip())
+            moves.append(HurwitzMove(Direction(m[1]), int(m[2])))
+        start += len(with_break)
+    return moves
+
+
+# every line break str.splitlines knows, blanks, comments, leading zeros, a
+# 20-digit position and malformed lines, each inserted anywhere
+CERTIFICATE_EDITS = [
+    "\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85",
+    "\u2028", "\u2029", " ", "\t", "#", "# note\n", "\n\n", "0", "000",
+    "12345678901234567890", "F@", "@3", "FF@1", "F@\u0663", "I@7",
+]
+
+
+class TestCertificateBulkRead:
+    @given(
+        st.lists(st.tuples(st.sampled_from("FI"), st.integers(0, 10**19 - 1)), max_size=12),
+        st.lists(
+            st.tuples(st.floats(0, 1, exclude_max=True), st.sampled_from(CERTIFICATE_EDITS)),
+            max_size=4,
+        ),
+        st.booleans(),
+    )
+    @settings(max_examples=400)
+    @example([("F", 3), ("I", 0)], [], True)
+    @example([("F", 3), ("I", 0)], [(0.5, "0")], False)
+    @example([("F", 12)], [(0.5, "12345678901234567890")], False)
+    @example([], [(0.0, "F@"), (0.99, "12345678901234567890")], False)
+    @example([], [(0.0, "F@"), (0.99, "000"), (0.99, "12345678901234567890")], False)
+    @example([("F", 3), ("I", 0)], [(0.4, "\r")], False)
+    @example([("F", 3)], [(0.0, "F@")], True)
+    def test_matches_a_fold_of_lines(self, moves, edits, trailing_break):
+        text = "\n".join(f"{d}@{k}" for d, k in moves) + "\n" * trailing_break
+        for where, piece in edits:
+            k = int(where * (len(text) + 1))
+            text = text[:k] + piece + text[k:]
+        expected = read_certificate_by_lines(text)
+        try:
+            got = parse_certificate(text)
+        except FormatError as exc:
+            assert isinstance(expected, tuple), text
+            message, position = expected
+            assert str(exc) == f"{message} (at position {position})"
+            assert exc.position == position
+        else:
+            assert got == expected
+
+    def test_written_certificates_are_read_in_bulk(self):
+        moves = [forward(k % 7) if k % 3 else inverse(k) for k in range(200)]
+        text = format_certificate(moves)
+        with patch.object(factorization, "_parse_certificate_lines", None):
+            assert parse_certificate(text) == moves
+            assert parse_certificate(text + "\n") == moves
+            assert parse_certificate(text.replace("\n", "\n\n")) == moves
 
 
 @st.composite
