@@ -328,15 +328,15 @@ class _Planner:
 
     # -- the pull rewrite ---------------------------------------------------
 
-    @staticmethod
     def _bfs(
-        edges: set[Factor], start: int
+        self, edges: set[Factor], start: int
     ) -> tuple[dict[int, set[int]], dict[int, int]]:
         """The graph of the window's distinct edges and BFS distances from
         start."""
         adj: dict[int, set[int]] = {}
         for f in edges:
-            assert f is not None
+            if f is None:
+                raise self._fail("pull", "an identity factor in the window")
             a, b = f
             adj.setdefault(a, set()).add(b)
             adj.setdefault(b, set()).add(a)
@@ -443,7 +443,11 @@ class _Planner:
             if dest < j:
                 passed = self.factors[dest:j]
                 self.carry(j, dest)
-                assert self.factors[dest + 1 : j + 1] == passed
+                if self.factors[dest + 1 : j + 1] != passed:
+                    raise self._fail(
+                        "group",
+                        f"carrying slot {j} to {dest} changed a passed factor",
+                    )
                 keys[dest + 1 : j + 1] = keys[dest:j]
                 keys[dest] = key
 
@@ -508,12 +512,16 @@ class _Planner:
         done = not any(map(v01.__ne__, f[u0:hi]))
         while not done:
             factor = f[u0]
-            assert factor is not None
+            if factor is None:
+                raise self._fail("tail", f"an identity factor at slot {u0}")
             a, b = factor
             # double it: the rest of the unprocessed region multiplies to
             # (a,b), so it connects a to b and a second copy can be pulled
             self.pull(u0 + 1, hi, (a,), b)
-            assert f[u0 + 1] == factor
+            if f[u0 + 1] != factor:
+                raise self._fail(
+                    "tail", f"slot {u0 + 1} does not double {factor} at slot {u0}"
+                )
             # the walk touches only slots left of u0 + 2, so when this pair
             # is not the last, the next one needs no fresh check; the scan
             # stops at the first other factor and copies nothing

@@ -354,25 +354,16 @@ def apply_certificate(
     return Factorization._trusted(factorization.degree, tuple(factors))
 
 
-def invert_certificate(moves: Sequence[HurwitzMove]) -> MoveCertificate:
+def invert_certificate(moves: Iterable[HurwitzMove]) -> MoveCertificate:
     """Reverse the sequence and flip each move's direction.
 
-    Replaying the result undoes the original certificate exactly.
+    Replaying the result undoes the original certificate exactly.  An item
+    that is not a HurwitzMove raises PreconditionError naming it.
     """
-    try:
-        return tuple(move.inverted() for move in reversed(moves))
-    except (AttributeError, TypeError):
-        raise _not_moves(moves) from None
-
-
-def _not_moves(moves: object) -> PreconditionError:
-    """The error for ``moves`` when a move loop failed on it: it is not
-    iterable, or holds something other than a HurwitzMove, which is named
-    when ``moves`` is a list or tuple.  Built after the loop, so the loop
-    itself checks nothing."""
-    items = moves if isinstance(moves, (list, tuple)) else ()
-    bad = next((m for m in items if not isinstance(m, HurwitzMove)), moves)
-    return PreconditionError(f"moves must be HurwitzMoves, got {bad!r}")
+    return tuple([
+        move.inverted() if type(move) is HurwitzMove else _reject_move(move)
+        for move in reversed(list(_require_iterable(moves, "moves")))
+    ])
 
 
 # Digit runs are length-checked before int(), which refuses runs longer than
@@ -634,62 +625,40 @@ def format_factorization(factorization: Factorization) -> str:
 
 
 _MOVE_RE = re.compile(r"([FI])\s*@\s*([0-9]+)$")
-# A line as format_certificate writes it; a position with more significant
-# digits than sys.maxsize is left to the line reader.
-_PLAIN_MOVE_RE = re.compile(r"([FI])@0*([0-9]{1,%d})" % _POSITION_DIGITS)
 
 
 def parse_certificate(text: str) -> list[HurwitzMove]:
     """Parse a certificate: one move per line, blank lines and '#' comments
     are skipped.
 
-    Text whose '\\n'-separated lines are each empty or a move without
-    whitespace, the form format_certificate writes, is read in bulk, each
-    distinct line once.  Any other text is read line by line, and only
-    that reader raises: a text gives the same moves, or the same
-    FormatError message and position, whichever way it is read.
+    Certificates repeat their lines, so each distinct raw line is stripped
+    and read with _MOVE_RE once, in order of first occurrence: the first
+    malformed line in the text raises FormatError at its first non-blank
+    character.
 
     >>> [str(m) for m in parse_certificate("F@0\\n# comment\\nI@2\\n")]
     ['F@0', 'I@2']
     """
     _require_type(text, str, "text")
-    lines = text.split("\n")
-    table: dict[str, Optional[HurwitzMove]] = dict.fromkeys(lines)
-    for line in table:
-        m = _PLAIN_MOVE_RE.fullmatch(line)
-        if m:
-            table[line] = HurwitzMove(Direction(m[1]), int(m[2]))
-        elif line:
-            return _parse_certificate_lines(text)
-    # a move is always true, so the filter drops only the empty lines
-    return list(filter(None, map(table.__getitem__, lines)))
-
-
-def _parse_certificate_lines(text: str) -> list[HurwitzMove]:
-    """The moves of any certificate text, each line stripped and read with
-    _MOVE_RE; FormatError at the first malformed line."""
     raw_lines = text.splitlines()
-    lines = [raw.strip() for raw in raw_lines]
-    # Certificates repeat their lines, so each distinct line is parsed once,
-    # in order of first occurrence: the first malformed line still raises.
-    table: dict[str, Optional[HurwitzMove]] = dict.fromkeys(lines)
-    for line in table:
+    table: dict[str, Optional[HurwitzMove]] = dict.fromkeys(raw_lines)
+    for raw in table:
+        line = raw.strip()
         if not line or line.startswith("#"):
             continue
         m = _MOVE_RE.match(line)
-        if m and len(m.group(2).lstrip("0")) <= _POSITION_DIGITS:
-            direction = Direction.FORWARD if m.group(1) == "F" else Direction.INVERSE
-            table[line] = HurwitzMove(direction, int(m.group(2)))
+        if m and len(m[2].lstrip("0")) <= _POSITION_DIGITS:
+            table[raw] = HurwitzMove(Direction(m[1]), int(m[2]))
             continue
-        i = lines.index(line)
-        raw = raw_lines[i]
+        i = raw_lines.index(raw)
         start = sum(map(len, text.splitlines(keepends=True)[:i]))
         problem = f"malformed move {line!r}" if not m else "move position out of range"
         raise FormatError(
             f"{problem} on line {i + 1}",
             position=start + len(raw) - len(raw.lstrip()),
         )
-    return [move for move in map(table.__getitem__, lines) if move is not None]
+    # a move is always true, so the filter drops only the skipped lines
+    return list(filter(None, map(table.__getitem__, raw_lines)))
 
 
 def format_certificate(moves: Iterable[HurwitzMove]) -> str:

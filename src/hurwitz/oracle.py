@@ -4,7 +4,7 @@ Two capabilities: breadth-first enumeration of a factorization's orbit under
 elementary moves, and exhaustive lexicographic enumeration of all
 transposition factorizations of the identity at a given degree and length.
 Together they validate, at desk scale, that orbits coincide exactly with
-signature classes.
+signature classes; the census streams the enumeration through one move table.
 """
 
 from __future__ import annotations
@@ -24,10 +24,9 @@ from .factorization import (
 from .graph import ComponentSignature, signature
 
 # An orbit's members are bare factor tuples; Factorization wrappers are built
-# only at the API boundary.  Inside `enumerate_orbit` a state is one int
-# instead, slot k's factor code in bits [k*bits, (k+1)*bits) (see
-# `_MoveTable`), decoded back to a factor tuple before any member leaves the
-# module.
+# only at the API boundary.  Inside a search a state is one int instead, slot
+# k's factor code in bits [k*bits, (k+1)*bits) (see `_MoveTable`), decoded
+# back to a factor tuple before any member leaves the module.
 State = tuple[Factor, ...]
 
 DEFAULT_CAP = 10**6
@@ -44,7 +43,7 @@ class OrbitReport:
     ``truncated`` means the cap was hit while unexplored states remained, in
     which case ``orbit_size == cap``.  ``members`` is kept only when
     requested; each member is a factor tuple (the search's packed int states
-    never leave `enumerate_orbit`).
+    never leave this module).
     """
 
     seed: Factorization
@@ -60,12 +59,12 @@ _SPAN = 32
 
 
 class _MoveTable:
-    """Factor codes, packed states and coded moves for one orbit search.
+    """Factor codes, packed states and coded moves for orbit searches.
 
     Code 0 is the identity; codes 1, 2, ... name transpositions in the order
-    the search meets them.  Moves never leave a component, so every code is
-    an edge among the seed's points, and ``bits``, the bit length of the
-    number of such edges (at least 1), holds any code.  A state packs its
+    the searches meet them.  Moves never leave a component, so every code is
+    an edge among the seeds' ``points`` points, and ``bits``, the bit length
+    of the number of such edges (at least 1), holds any code.  A state packs
     ``slots`` codes into one int, slot k in bits ``[k * bits, (k + 1) * bits)``.
 
     ``deltas[here]`` lists, for the two-slot value ``here`` of an adjacent
@@ -73,14 +72,13 @@ class _MoveTable:
     inverse result, without a result equal to ``here`` or to the forward
     one.  Shifted left by ``k * bits`` it is what the move adds to a state at
     slot k.  Entries are filled by `move_pair` on first use, so the table
-    grows with the code pairs the search meets and never with the degree.
+    grows with the code pairs the searches meet and never with the degree.
     """
 
-    def __init__(self, seed: State):
-        points = {p for factor in seed if factor is not None for p in factor}
-        edges = len(points) * (len(points) - 1) // 2
+    def __init__(self, points: int, slots: int):
+        edges = points * (points - 1) // 2
         self.bits = max(1, edges.bit_length())  # a seed of identities: 1
-        self.slots = len(seed)
+        self.slots = slots
         self.factors: list[Factor] = [None]
         self.codes: dict[Factor, int] = {None: 0}
         self.deltas: dict[int, tuple[int, ...]] = {}
@@ -192,6 +190,19 @@ def _expand(
     return False
 
 
+def _search(state: int, table: _MoveTable, cap: int) -> tuple[set[int], bool]:
+    """BFS closure of the packed ``state`` under elementary moves: the
+    visited states, and whether the search stopped at ``cap`` states with
+    more to explore."""
+    _require_int(cap, "cap must be positive", 1)
+    visited = {state}
+    order = [state]  # BFS order: the loop below reads it as it grows
+    for state in order:
+        if _expand(state, table, visited, order, cap):
+            return visited, True
+    return visited, False
+
+
 def enumerate_orbit(
     factorization: Factorization,
     cap: int = DEFAULT_CAP,
@@ -210,16 +221,10 @@ def enumerate_orbit(
     3
     """
     _require_type(factorization, Factorization, "factorization")
-    _require_int(cap, "cap must be positive", 1)
-    table = _MoveTable(factorization.factors)
-    seed = table.pack(factorization.factors)
-    visited = {seed}
-    order = [seed]  # BFS order: the loop below reads it as it grows
-    truncated = False
-    for state in order:
-        if _expand(state, table, visited, order, cap):
-            truncated = True
-            break
+    factors = factorization.factors
+    points = {p for factor in factors if factor is not None for p in factor}
+    table = _MoveTable(len(points), len(factors))
+    visited, truncated = _search(table.pack(factors), table, cap)
     return OrbitReport(
         seed=factorization,
         orbit_size=len(visited),
@@ -311,32 +316,28 @@ def orbit_partition(
 ) -> list[tuple[ComponentSignature, list[OrbitReport]]]:
     """Partition all identity factorizations into orbits, grouped by signature.
 
-    Every factorization from the exhaustive enumeration is assigned to a BFS
-    orbit; orbits are then bucketed by their common signature.  The result
-    lists each signature with its orbits, signatures ordered by first
+    The enumeration streams through one move table over all ``degree``
+    points, and each factorization no earlier orbit reached seeds a BFS
+    orbit; members are in the enumeration too, so none is decoded.  Orbits
+    are bucketed by their common signature, signatures ordered by first
     appearance in the lexicographic enumeration.  A truncated orbit (cap
     hit) keeps its flag set, so callers can tell an exact partition from a
     bounded one.
 
     The main theorem predicts exactly one orbit per signature.
     """
-    pending: dict[State, Factorization] = {
-        f.factors: f for f in enumerate_identity_factorizations(degree, length)
-    }
+    table: Optional[_MoveTable] = None
+    seen: set[int] = set()
     buckets: dict[ComponentSignature, list[OrbitReport]] = {}
-    while pending:
-        seed_state = next(iter(pending))
-        seed = pending[seed_state]
-        report = enumerate_orbit(seed, cap=cap, keep_members=True)
-        assert report.members is not None
-        for state in report.members:
-            pending.pop(state, None)
-        # Drop the member set; the partition only needs sizes and flags.
+    for seed in enumerate_identity_factorizations(degree, length):
+        if table is None:  # the enumeration has checked degree and length
+            table = _MoveTable(degree, length)
+        state = table.pack(seed.factors)
+        if state in seen:
+            continue
+        visited, truncated = _search(state, table, cap)
+        seen |= visited
         buckets.setdefault(signature(seed), []).append(
-            OrbitReport(
-                seed=seed,
-                orbit_size=report.orbit_size,
-                truncated=report.truncated,
-            )
+            OrbitReport(seed=seed, orbit_size=len(visited), truncated=truncated)
         )
     return list(buckets.items())

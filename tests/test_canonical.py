@@ -21,6 +21,7 @@ from hurwitz.canonical import (
     hurwitz_equivalent,
     pull_edge_to_front,
 )
+from hurwitz.cli import main
 from hurwitz.errors import InternalError, PreconditionError
 from hurwitz.factorization import (
     Direction,
@@ -727,6 +728,42 @@ class TestWalkPair:
             [sys.executable, "-O", "-c", code], capture_output=True, text=True
         )
         assert out.stdout == "walk\n", out.stderr
+
+
+class TestPlannerInvariants:
+    """The planner's own invariants raise InternalError naming the stage and
+    the input, so `hurwitz canon` reports them with exit 2."""
+
+    def test_group_checks_the_passed_factors(self, tmp_path, capsys):
+        # with carry a no-op, carrying (1,2) left past (3,4) leaves (3,4)
+        # where the passed factor should have moved
+        f = Factorization(4, [(1, 2), (3, 4), (1, 2), (3, 4)])
+        with patch.object(_Planner, "carry", lambda *_: None):
+            with pytest.raises(InternalError) as info:
+                canonical_form(f)
+            message = str(info.value)
+            assert message.startswith("group: carrying slot 2 to 1")
+            assert message.endswith(f"input {format_factorization(f)}")
+            path = tmp_path / "f.txt"
+            path.write_text(format_factorization(f))
+            assert main(["canon", str(path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: group: ") and "Traceback" not in err
+        assert err.rstrip("\n").endswith(format_factorization(f))
+
+    def test_tail_checks_the_doubled_pair(self):
+        # the path is already in place, so a pull that moves nothing and
+        # names the nearest source builds it; the tail's pull then leaves
+        # (1,3) undoubled
+        f = Factorization(3, [(1, 2), (1, 2), (2, 3), (2, 3),
+                              (1, 3), (1, 2), (1, 2), (1, 3)])
+        with patch.object(_Planner, "pull", lambda self, lo, hi, sources, b: max(sources)):
+            with pytest.raises(InternalError) as info:
+                canonical_form(f)
+        message = str(info.value)
+        assert message.startswith("tail: slot 5 does not double (1, 3) at slot 4")
+        assert message.endswith(f"input {format_factorization(f)}")
 
 
 def palindromic(m):

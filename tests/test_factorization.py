@@ -310,7 +310,8 @@ class TestCertificates:
 
     def test_look_alike_moves_are_refused(self):
         # objects with a move's attributes, private ones too, are not moves:
-        # the first was once replayed as an inverse move, the last rendered
+        # the first was once replayed as an inverse move, one rendered and
+        # the last inverted
         f = Factorization(3, [(1, 2), (2, 3)])
         not_moves = "moves must be HurwitzMoves, got namespace"
         with pytest.raises(PreconditionError, match=not_moves):
@@ -328,11 +329,27 @@ class TestCertificates:
         )
         with pytest.raises(PreconditionError, match=not_moves):
             format_certificate(iter([forward(0), SimpleNamespace(_text="F@0")]))
+        with pytest.raises(PreconditionError, match=not_moves):
+            invert_certificate([SimpleNamespace(inverted=lambda: "x")])
+
+    @pytest.mark.parametrize(
+        "moves,message",
+        [
+            ([forward(0), "F@0"], "moves must be HurwitzMoves, got 'F@0'"),
+            (5, "moves must be iterable, got int"),
+        ],
+        ids=["list", "not-iterable"],
+    )
+    def test_invert_non_move_error_text(self, moves, message):
+        with pytest.raises(PreconditionError) as excinfo:
+            invert_certificate(moves)
+        assert str(excinfo.value) == message
 
     def test_invert_examples(self):
         assert invert_certificate([]) == ()
         assert invert_certificate([forward(0)]) == (inverse(0),)
         assert invert_certificate([forward(1), inverse(0)]) == (forward(0), inverse(1))
+        assert invert_certificate(iter([forward(1), inverse(0)])) == (forward(0), inverse(1))
 
     @given(factorization_with_moves())
     @settings(max_examples=60)
@@ -734,10 +751,24 @@ class TestCertificateBulkRead:
     def test_written_certificates_are_read_in_bulk(self):
         moves = [forward(k % 7) if k % 3 else inverse(k) for k in range(200)]
         text = format_certificate(moves)
-        with patch.object(factorization, "_parse_certificate_lines", None):
-            assert parse_certificate(text) == moves
-            assert parse_certificate(text + "\n") == moves
-            assert parse_certificate(text.replace("\n", "\n\n")) == moves
+        assert parse_certificate(text) == moves
+        assert parse_certificate(text + "\n") == moves
+        assert parse_certificate(text.replace("\n", "\n\n")) == moves
+
+    def test_each_distinct_raw_line_is_matched_once(self):
+        # a certificate no formatter writes: CRLF breaks, indented and
+        # padded lines, blanks and comments, 10^4 lines over a few moves
+        lines = ["F@0", "  I@3", "\tF@12 ", "# note", "", "I@ 3", "F @0"]
+        rng = random.Random(11)
+        raw = [rng.choice(lines) for _ in range(10_000)]
+        text = "\r\n".join(raw) + "\r\n"
+        expected = read_certificate_by_lines(text)
+        real, calls = factorization._MOVE_RE, []
+        counting = SimpleNamespace(match=lambda line: calls.append(line) or real.match(line))
+        with patch.object(factorization, "_MOVE_RE", counting):
+            assert parse_certificate(text) == expected
+        assert len(expected) > 5_000
+        assert len(calls) <= len(set(raw))
 
 
 @st.composite

@@ -1,9 +1,11 @@
 """Brute-force oracle: orbit BFS and exhaustive enumeration."""
 
+import hashlib
 import itertools
 import random
 import time
 from collections import deque
+from unittest.mock import patch
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -15,8 +17,9 @@ from hurwitz.factorization import (
     Factorization,
     HurwitzMove,
     apply_move,
+    format_factorization,
 )
-from hurwitz.graph import signature
+from hurwitz.graph import format_signature, signature
 from hurwitz.oracle import (
     DEFAULT_CAP,
     _expand,
@@ -120,7 +123,8 @@ def test_expand_gives_the_single_moves_in_slot_order(data):
             result = apply_move(f, HurwitzMove(d, k)).factors
             if result != f.factors and result not in expected:
                 expected.append(result)
-    table = _MoveTable(f.factors)
+    points = len({p for x in f.factors if x is not None for p in x})
+    table = _MoveTable(points, len(f))
     state = table.pack(f.factors)
     assert table.decode(state) == f.factors
     order = []
@@ -334,3 +338,28 @@ class TestOrbitPartition:
         for _, reports in orbit_partition(3, 2):
             for report in reports:
                 assert report.members is None
+
+    def test_partitions_are_pinned(self):
+        # signature, seed, orbit size and truncation of every orbit, as the
+        # census read them when it still decoded every member
+        digest = hashlib.sha256()
+        for n, m, cap in [(2, 4, DEFAULT_CAP), (3, 4, DEFAULT_CAP), (3, 6, DEFAULT_CAP),
+                          (4, 4, DEFAULT_CAP), (5, 4, DEFAULT_CAP), (4, 6, DEFAULT_CAP),
+                          (3, 4, 5)]:
+            for sig, reports in orbit_partition(n, m, cap=cap):
+                for r in reports:
+                    digest.update(
+                        f"{format_signature(sig)}\t{format_factorization(r.seed)}\t"
+                        f"{r.orbit_size}\t{r.truncated}\n".encode()
+                    )
+        assert digest.hexdigest() == (
+            "cc2338e608284c676dc605724ef9311cb07e68facd5d9ae132715b78bb817c48"
+        )
+
+    def test_members_are_never_decoded(self):
+        def no_decode(*_):
+            raise AssertionError("the census decoded a member")
+
+        with patch.object(_MoveTable, "decode", no_decode):
+            partition = orbit_partition(4, 6)
+        assert sum(r.orbit_size for _, reports in partition for r in reports) == 3_936

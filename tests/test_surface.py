@@ -1,6 +1,7 @@
 """The public surface: the names ``hurwitz`` exports, and what importing it
 loads."""
 
+import ast
 import importlib.util
 import os
 import subprocess
@@ -91,6 +92,21 @@ def test_all_is_pinned_and_every_name_resolves():
 def test_no_perm_module():
     # products live in factorization.product_images, as image lists
     assert importlib.util.find_spec("hurwitz.perm") is None
+
+
+def test_package_has_no_assert():
+    """Checks in the package raise errors: an assert would vanish under
+    ``python -O`` and, when it fails, print a traceback from the CLI."""
+    package = Path(hurwitz.__file__).resolve().parent
+    modules = sorted(package.glob("*.py"))
+    assert len(modules) >= 8
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in modules
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, ast.Assert)
+    ]
+    assert found == []
 
 
 def test_import_loads_only_the_package_and_the_standard_library():
