@@ -12,10 +12,9 @@ import argparse
 import sys
 from pathlib import Path
 
-from .braid import parse_braid_tuple, project_tuple
-from .canonical import canonical_form, hurwitz_equivalent
 from .errors import FormatError, HurwitzError
 from .factorization import (
+    DEFAULT_CAP,
     Factorization,
     apply_certificate,
     apply_move,
@@ -25,7 +24,9 @@ from .factorization import (
     parse_factorization,
 )
 from .graph import format_signature, signature, to_dot
-from .oracle import DEFAULT_CAP, enumerate_orbit, orbit_partition
+
+# canonical, oracle and braid are imported inside the commands that run them,
+# so a process compiles and loads only the modules its command needs.
 
 
 def _read_text(path: str) -> str:
@@ -55,6 +56,8 @@ def _cmd_sig(args: argparse.Namespace) -> int:
 
 
 def _cmd_equiv(args: argparse.Namespace) -> int:
+    from .canonical import hurwitz_equivalent
+
     f1 = _load_factorization(args.file1)
     f2 = _load_factorization(args.file2)
     equivalent = hurwitz_equivalent(f1, f2)
@@ -64,6 +67,8 @@ def _cmd_equiv(args: argparse.Namespace) -> int:
 
 
 def _cmd_canon(args: argparse.Namespace) -> int:
+    from .canonical import canonical_form
+
     f = _load_factorization(args.file)
     result = canonical_form(f)
     print(format_factorization(result.canonical))
@@ -91,6 +96,8 @@ def _cmd_replay(args: argparse.Namespace) -> int:
 
 
 def _cmd_orbit(args: argparse.Namespace) -> int:
+    from .oracle import enumerate_orbit
+
     f = _load_factorization(args.file)
     report = enumerate_orbit(f, cap=args.cap)
     print(f"size={report.orbit_size}")
@@ -99,6 +106,8 @@ def _cmd_orbit(args: argparse.Namespace) -> int:
 
 
 def _cmd_census(args: argparse.Namespace) -> int:
+    from .oracle import orbit_partition
+
     partition = orbit_partition(args.degree, args.length, cap=args.cap)
     total = 0
     orbits = 0
@@ -128,6 +137,8 @@ def _cmd_census(args: argparse.Namespace) -> int:
 
 
 def _cmd_project(args: argparse.Namespace) -> int:
+    from .braid import parse_braid_tuple, project_tuple
+
     braid = parse_braid_tuple(_read_text(args.file))
     print(format_factorization(project_tuple(braid)))
     return 0

@@ -39,6 +39,10 @@ Factor = Optional[tuple[int, int]]
 # products, signatures and DOT output allocate arrays of size degree.
 MAX_DEGREE = 10**6
 
+# The default state cap of an orbit search, here so the CLI parser can use it
+# without importing the oracle.
+DEFAULT_CAP = 10**6
+
 
 def _require_int(
     value: object, rule: str, low: int, high: float = float("inf")

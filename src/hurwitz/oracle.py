@@ -14,6 +14,7 @@ from typing import Iterator, Optional
 
 from .errors import PreconditionError
 from .factorization import (
+    DEFAULT_CAP,
     MAX_DEGREE,
     Factor,
     Factorization,
@@ -28,8 +29,6 @@ from .graph import ComponentSignature, signature
 # k's factor code in bits [k*bits, (k+1)*bits) (see `_MoveTable`), decoded
 # back to a factor tuple before any member leaves the module.
 State = tuple[Factor, ...]
-
-DEFAULT_CAP = 10**6
 
 # Raw enumeration space (n(n-1)/2)^m above this is refused.  A length above
 # DEFAULT_CAP slots is refused too: at degree 2 that space is always 1.

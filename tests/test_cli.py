@@ -1,12 +1,15 @@
 """CLI: output bytes, exit codes, stdin handling."""
 
 import io
+import os
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
+import hurwitz
 from hurwitz.cli import main
 
 F1_TEXT = "n=6; [(2,6),(1,4),(1,5),(3,6),(4,5),(1,5),(2,3),(3,6)]"
@@ -372,7 +375,7 @@ class TestErrorHandling:
         def exhausted(*args, **kwargs):
             raise MemoryError
 
-        monkeypatch.setattr("hurwitz.cli.enumerate_orbit", exhausted)
+        monkeypatch.setattr("hurwitz.oracle.enumerate_orbit", exhausted)
         code, out, err = run("orbit", f1_file)
         assert code == 2
         assert out == ""
@@ -442,7 +445,89 @@ def test_hostile_arguments_exit_0_1_or_2(run, tmp_path, argv):
         assert code != 2 or err.startswith("error: ")
 
 
+# Criterion 7's files, a certificate and a braid tuple; every subcommand runs
+# at least once, on a success and, where it has one, on a failure.
+_ENTRY_FILES = {
+    "f1": "n=6; [(2,6),(1,4),(1,5),(3,6),(4,5),(1,5),(2,3),(3,6)]",
+    "f2": "n=6; [(2,6),(1,5),(3,6),(3,6),(2,6),(1,5),(1,4),(1,4)]",
+    "other": "n=6; [(1,2),(1,2),(1,2),(1,2),(1,2),(1,2),(1,2),(1,2)]",
+    "bad": "n=6; [(1,2,",
+    "cert": "F@0\nI@3\n# comment\nF@6\n",
+    "braid": "n=3; [1 2 -1 | 2 | ]",
+}
+_ENTRY_ARGV = [
+    ("sig", "{f1}"),
+    ("sig", "{bad}"),
+    ("equiv", "{f1}", "{f2}"),
+    ("equiv", "{f1}", "{other}"),
+    ("canon", "--cert", "{f1}"),
+    ("canon", "{bad}"),
+    ("move", "{f1}", "F@2"),
+    ("move", "{f1}", "F@8"),
+    ("replay", "{f1}", "{cert}"),
+    ("orbit", "{f1}", "--cap", "50"),
+    ("census", "3", "4"),
+    ("census", "4", "4", "--quiet"),
+    ("project", "{braid}"),
+    ("project", "{f1}"),
+    ("dot", "{f1}"),
+]
+# The hurwitz modules that every command loads, and what each command adds.
+_BASE_MODULES = [
+    "hurwitz", "hurwitz.cli", "hurwitz.errors", "hurwitz.factorization", "hurwitz.graph",
+]
+_COMMAND_MODULES = {
+    "sig": [], "dot": [], "move": [], "replay": [],
+    "canon": ["hurwitz.canonical"], "equiv": ["hurwitz.canonical"],
+    "orbit": ["hurwitz.oracle"], "census": ["hurwitz.oracle"],
+    "project": ["hurwitz.braid"],
+}
+
+
+@pytest.fixture
+def entry_argv(tmp_path, request):
+    paths = {}
+    for name, text in _ENTRY_FILES.items():
+        paths[name] = tmp_path / f"{name}.txt"
+        paths[name].write_text(text)
+    return [arg.format(**paths) for arg in request.param]
+
+
+def _child_env():
+    src = str(Path(hurwitz.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
 class TestEntryPoint:
+    @pytest.mark.parametrize("entry_argv", _ENTRY_ARGV, ids=" ".join, indirect=True)
+    def test_fresh_interpreter_matches_main(self, run, entry_argv):
+        """pytest has imported every module already, a fresh interpreter
+        none: a command that relies on a module it does not import fails
+        here."""
+        proc = subprocess.run(
+            [sys.executable, "-m", "hurwitz.cli", *entry_argv],
+            capture_output=True, text=True, env=_child_env(), timeout=60,
+        )
+        assert (proc.returncode, proc.stdout, proc.stderr) == run(*entry_argv)
+
+    @pytest.mark.parametrize("entry_argv", _ENTRY_ARGV, ids=" ".join, indirect=True)
+    def test_each_command_loads_only_its_modules(self, entry_argv):
+        code = (
+            "import sys\n"
+            "from hurwitz.cli import main\n"
+            "main(sys.argv[1:])\n"
+            "print(*sorted(m for m in sys.modules if m.split('.')[0] == 'hurwitz'),"
+            " file=sys.stderr)\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code, *entry_argv],
+            capture_output=True, text=True, env=_child_env(), timeout=60,
+        )
+        loaded = proc.stderr.splitlines()[-1].split()
+        assert loaded == sorted(_BASE_MODULES + _COMMAND_MODULES[entry_argv[0]])
+
     def test_module_invocation(self, tmp_path):
         path = tmp_path / "f.txt"
         path.write_text("n=3; [(1,2),(1,2)]")

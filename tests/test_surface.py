@@ -89,6 +89,27 @@ def test_all_is_pinned_and_every_name_resolves():
         assert getattr(hurwitz, name) is not None
 
 
+def test_unknown_name_raises_attribute_error():
+    with pytest.raises(AttributeError, match="'nope'"):
+        hurwitz.nope
+
+
+def test_dir_lists_every_public_name():
+    assert set(PUBLIC) <= set(dir(hurwitz))
+
+
+def test_star_import_binds_every_public_name():
+    namespace = {}
+    exec("from hurwitz import *", namespace)
+    assert sorted(set(namespace) - {"__builtins__"}) == PUBLIC
+
+
+@pytest.mark.parametrize("name", PUBLIC)
+def test_each_name_is_its_defining_modules_object(name):
+    module = importlib.import_module(f"hurwitz.{hurwitz._MODULES[name]}")
+    assert getattr(hurwitz, name) is getattr(module, name)
+
+
 def test_no_perm_module():
     # products live in factorization.product_images, as image lists
     assert importlib.util.find_spec("hurwitz.perm") is None
@@ -111,7 +132,8 @@ def test_package_has_no_assert():
 
 def test_import_loads_only_the_package_and_the_standard_library():
     """Zero runtime dependencies: a fresh interpreter that imports hurwitz
-    gains only hurwitz.* and standard-library modules."""
+    and reads every public name gains only hurwitz.* and standard-library
+    modules; the import alone loads no module of the package."""
     src = str(Path(hurwitz.__file__).resolve().parent.parent)
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
@@ -120,13 +142,18 @@ def test_import_loads_only_the_package_and_the_standard_library():
         "before = set(sys.modules)\n"
         "import hurwitz\n"
         "print(*sorted(set(sys.modules) - before))\n"
+        "for name in hurwitz.__all__:\n"
+        "    getattr(hurwitz, name)\n"
+        "print(*sorted(set(sys.modules) - before))\n"
     )
     proc = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, env=env
     )
     assert proc.returncode == 0, proc.stderr
-    loaded = proc.stdout.split()
-    assert "hurwitz" in loaded
+    on_import, loaded = (line.split() for line in proc.stdout.splitlines())
+    assert on_import == ["hurwitz"]
+    modules = {"hurwitz"} | {f"hurwitz.{m}" for m in hurwitz._MODULES.values()}
+    assert [name for name in loaded if name.split(".")[0] == "hurwitz"] == sorted(modules)
     foreign = [
         name
         for name in loaded
