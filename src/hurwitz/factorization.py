@@ -26,7 +26,8 @@ from __future__ import annotations
 import operator
 import re
 import sys
-from dataclasses import dataclass
+from array import array
+from dataclasses import FrozenInstanceError, dataclass
 from enum import Enum
 from typing import Iterable, Iterator, NoReturn, Optional, Sequence
 
@@ -42,6 +43,10 @@ MAX_DEGREE = 10**6
 # The default state cap of an orbit search, here so the CLI parser can use it
 # without importing the oracle.
 DEFAULT_CAP = 10**6
+
+# Frozen objects are made and set up through these.
+_new = object.__new__
+_setattr = object.__setattr__
 
 
 def _require_int(
@@ -104,37 +109,48 @@ def product_images(n: int, factors: Iterable[Factor]) -> list[int]:
     (None factors are the identity): entry x is the image of the point x,
     and entry 0 is 0.
 
-    Maintains the running product's image and preimage arrays so each factor
-    costs O(1); the whole product is O(n + number of factors).
+    Maintains the running product's preimage array, where appending a
+    factor ``(a, b)`` swaps the preimages of a and b, so each factor costs
+    O(1); the image list is its inverse, built in one pass at the end.  The
+    whole product is O(n + number of factors).  A pair ``(0, 0)`` swaps
+    entry 0 with itself, so endpoint arrays can be zipped in.
 
     >>> product_images(3, [(1, 2), (2, 3)])
     [0, 3, 1, 2]
     """
-    img = list(range(n + 1))   # img[x] = image of x under the product so far
-    pre = list(range(n + 1))   # pre[y] = preimage of y
-    for factor in factors:
-        if factor is None:
-            continue
-        a, b = factor
-        # appending (a,b) post-composes: only the preimages of a and b change
-        xa, xb = pre[a], pre[b]
-        img[xa], img[xb] = b, a
-        pre[a], pre[b] = xb, xa
+    pre = list(range(n + 1))   # pre[y] = preimage of y under the product so far
+    # filter drops None in C, and each pair is unpacked and released, so a
+    # zip of endpoint arrays reuses one result tuple
+    for a, b in filter(None, factors):
+        pre[a], pre[b] = pre[b], pre[a]
+    img = pre[:]
+    for y, x in enumerate(pre):
+        img[x] = y
     return img
 
 
-@dataclass(frozen=True)
 class Factorization:
     """An immutable factor sequence over the points ``1..degree``.
 
-    ``factors`` is normalized on construction: each transposition is stored
-    with its smaller entry first, and every entry is range-checked.  A degree
-    outside ``1..MAX_DEGREE``, or a factor that is not ``None`` or a pair of
-    distinct int points in range, raises PreconditionError.
+    The factors are stored once, in two parallel ``array('i')`` of
+    endpoints: factor k is ``(lo[k], hi[k])`` with ``lo[k] < hi[k]``, and an
+    identity is ``0, 0``.  That is 8 bytes a factor; a tuple a factor would
+    take about 64.  ``len``, ``product``, ``signature``, ``to_dot`` and
+    ``format_factorization`` read the arrays.
+
+    ``factors`` is a read-only view of the same sequence: a tuple of
+    normalized transpositions (smaller entry first) and ``None`` for the
+    identity.  The parser builds it on first access and caches it; the
+    constructor keeps the tuple it normalized as the view.  Two
+    factorizations are equal when their degrees and factors are.
+
+    A degree outside ``1..MAX_DEGREE``, or a factor that is not ``None`` or
+    a pair of distinct int points in range, raises PreconditionError.
     """
 
+    __slots__ = ("degree", "_lo", "_hi", "_view")
+
     degree: int
-    factors: tuple[Factor, ...]
 
     def __init__(self, degree: int, factors: Iterable[Factor]):
         _require_int(degree, "degree must be a positive int", 1)
@@ -145,19 +161,49 @@ class Factorization:
             normalize_factor(f, degree)
             for f in _require_iterable(factors, "factors")
         )
-        object.__setattr__(self, "degree", degree)
-        object.__setattr__(self, "factors", normalized)
+        _fill(self, degree, *_endpoints(normalized), normalized)
 
     @classmethod
     def _trusted(cls, degree: int, factors: tuple[Factor, ...]) -> "Factorization":
-        """Wrap factors that are already normalized and range-checked."""
-        result = cls.__new__(cls)
-        object.__setattr__(result, "degree", degree)
-        object.__setattr__(result, "factors", factors)
-        return result
+        """Wrap factors that are already normalized and range-checked; the
+        tuple is kept as the view."""
+        return _fill(_new(cls), degree, *_endpoints(factors), factors)
+
+    @property
+    def factors(self) -> tuple[Factor, ...]:
+        """The factors as a tuple, built from the arrays on first access."""
+        view = self._view
+        if view is None:
+            view = _as_factors(self._lo, self._hi)
+            _setattr(self, "_view", view)
+        return view
+
+    def __setattr__(self, name: str, value: object) -> NoReturn:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> NoReturn:
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (
+            self.degree == other.degree
+            and self._lo == other._lo
+            and self._hi == other._hi
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.degree, self._lo.tobytes(), self._hi.tobytes()))
+
+    def __repr__(self) -> str:
+        return f"Factorization(degree={self.degree!r}, factors={self.factors!r})"
+
+    def __reduce__(self) -> tuple:
+        return Factorization, (self.degree, self.factors)
 
     def __len__(self) -> int:
-        return len(self.factors)
+        return len(self._lo)
 
     def __iter__(self) -> Iterator[Factor]:
         return iter(self.factors)
@@ -167,7 +213,7 @@ class Factorization:
 
     def product(self) -> list[int]:
         """Image list of the left-to-right product (see product_images)."""
-        return product_images(self.degree, self.factors)
+        return product_images(self.degree, zip(self._lo, self._hi))
 
     def is_identity_factorization(self) -> bool:
         """True when the product is the identity permutation."""
@@ -177,6 +223,37 @@ class Factorization:
         return format_factorization(self)
 
 
+def _fill(
+    f: Factorization, degree: int, lo: array, hi: array, view: Optional[tuple]
+) -> Factorization:
+    """Set the fields of a new Factorization, from endpoint arrays already
+    checked against ``degree`` and, if built, their view; return it."""
+    _setattr(f, "degree", degree)
+    _setattr(f, "_lo", lo)
+    _setattr(f, "_hi", hi)
+    _setattr(f, "_view", view)
+    return f
+
+
+def _endpoints(factors: Sequence[Factor]) -> tuple[array, array]:
+    """The endpoint arrays of normalized factors: ``0, 0`` for None."""
+    return (
+        array("i", [f[0] if f else 0 for f in factors]),
+        array("i", [f[1] if f else 0 for f in factors]),
+    )
+
+
+def _as_factors(lo: array, hi: array) -> tuple[Factor, ...]:
+    """The factor tuple of endpoint arrays: the pairs zipped, then each
+    identity slot, found with ``index``, set to None."""
+    factors: list[Factor] = list(zip(lo, hi))
+    slot = -1
+    for _ in range(lo.count(0)):
+        slot = lo.index(0, slot + 1)
+        factors[slot] = None
+    return tuple(factors)
+
+
 class Direction(Enum):
     """Orientation of an elementary move."""
 
@@ -184,10 +261,10 @@ class Direction(Enum):
     INVERSE = "I"
 
 
-# A move's attributes are set through these globals: on Python 3.11,
-# reading a member off an Enum class, or a method off ``object``, costs more.
+# A move's attributes are set through this global and _setattr: on Python
+# 3.11, reading a member off an Enum class, or a method off ``object``, costs
+# more.
 _FORWARD = Direction.FORWARD
-_setattr = object.__setattr__
 
 # A slot past the end of every list: both slots of a move at a negative
 # position.
@@ -424,9 +501,9 @@ def parse_factorization(text: str) -> Factorization:
         )
     degree = _parse_degree(header)
     pos = header.end()
-    factors: list[Factor] = []
+    lo, hi = array("i"), array("i")
     if header.group(2) is None:
-        factors, pos = _parse_bulk(text, pos, degree) or _parse_tokens(
+        lo, hi, pos = _parse_bulk(text, pos, degree) or _parse_tokens(
             text, pos, degree
         )
     tail = text[pos:].strip()
@@ -435,14 +512,14 @@ def parse_factorization(text: str) -> Factorization:
             f"unexpected trailing content {tail!r}",
             position=len(text) - len(text[pos:].lstrip()),
         )
-    return Factorization._trusted(degree, tuple(factors))
+    return _fill(_new(Factorization), degree, lo, hi, None)
 
 
 # The bulk path takes the list a chunk of about _CHUNK characters at a time,
-# so its scratch lists stay small beside the factors it returns.  An "e" is
-# two characters and its scratch outweighs the None it returns: at 64K
-# characters an all-identity list peaked at 4 times its result, at 16K
-# under 2 times.
+# so its scratch lists stay small beside the endpoint arrays it fills.  An
+# "e" is two characters and its scratch outweighs its 8 bytes of endpoints:
+# at 16K characters an all-identity list of 10^5 factors peaks at under 2
+# times the arrays.
 _CHUNK = 1 << 14
 # Distinct left fields "(a" and right fields "b)", joined by commas.  A
 # point is leading zeros, then a nonzero digit and at most MAX_DEGREE's
@@ -457,9 +534,10 @@ _NO_PARENS = str.maketrans("", "", "()")
 
 def _parse_bulk(
     text: str, pos: int, degree: int
-) -> Optional[tuple[list[Factor], int]]:
-    """The factors of a whitespace-free list from ``pos`` to the first ']'
-    and the offset after it, or None where the token loop must decide.
+) -> Optional[tuple[array, array, int]]:
+    """The endpoint arrays of a whitespace-free list from ``pos`` to the
+    first ']' and the offset after it, or None where the token loop must
+    decide.
 
     Every factor of a chunk becomes two comma-separated fields, "(a" and
     "b)", or "e" and "e" once each "e" is doubled.  Each distinct field is
@@ -474,8 +552,7 @@ def _parse_bulk(
         return None
     left = {"e": 0}
     right = {"e": 1}
-    shared: dict[int, int] = {}
-    factors: list[Factor] = []
+    lo, hi = array("i"), array("i")
     while True:
         # cut at a comma after ')' or 'e': a pair has one comma inside it
         cut = text.find(",", pos + _CHUNK, close)
@@ -491,8 +568,8 @@ def _parse_bulk(
         del fields
         if not (
             len(xs) == len(ys)
-            and _add_fields(left, xs, _LEFT_FIELDS_RE, degree, shared)
-            and _add_fields(right, ys, _RIGHT_FIELDS_RE, degree, shared)
+            and _add_fields(left, xs, _LEFT_FIELDS_RE, degree)
+            and _add_fields(right, ys, _RIGHT_FIELDS_RE, degree)
         ):
             return None
         xv = list(map(left.__getitem__, xs))
@@ -501,14 +578,15 @@ def _parse_bulk(
         identities = xs.count("e")
         if not all(map(operator.lt, xv, yv)) or ys.count("e") != identities:
             return None
-        base = len(factors)
-        factors += zip(xv, yv)
+        base = len(hi)
+        lo.fromlist(xv)
+        hi.fromlist(yv)
         slot = -1
         for _ in range(identities):
             slot = xs.index("e", slot + 1)
-            factors[base + slot] = None
+            hi[base + slot] = 0
         if cut == close:
-            return factors, close + 1
+            return lo, hi, close + 1
         pos = cut + 1
 
 
@@ -517,11 +595,9 @@ def _add_fields(
     fields: list[str],
     pattern: re.Pattern[str],
     degree: int,
-    shared: dict[int, int],
 ) -> bool:
     """Enter the fields not yet in ``table`` with their points; False if one
-    does not match ``pattern`` or its point is above ``degree``.  ``shared``
-    holds one int per point, so "(12" and "12)" map to the same object."""
+    does not match ``pattern`` or its point is above ``degree``."""
     new = list(set(fields).difference(table))
     if not new:
         return True
@@ -531,17 +607,15 @@ def _add_fields(
     points = list(map(int, joined.translate(_NO_PARENS).split(",")))
     if max(points) > degree:
         return False
-    table.update(zip(new, map(shared.setdefault, points, points)))
+    table.update(zip(new, points))
     return True
 
 
-def _parse_tokens(text: str, pos: int, degree: int) -> tuple[list[Factor], int]:
-    """The factors of the list from ``pos``, read with _TOKEN_RE, and the
-    offset after its ']'; FormatError at the first bad factor."""
-    factors: list[Factor] = []
+def _parse_tokens(text: str, pos: int, degree: int) -> tuple[array, array, int]:
+    """The endpoint arrays of the list from ``pos``, read with _TOKEN_RE,
+    and the offset after its ']'; FormatError at the first bad factor."""
     # Each distinct digit string is converted and range-checked once, so
-    # a factor costs two lookups and repeated points share one int; 0
-    # marks a point out of range.
+    # a factor costs two lookups; 0 marks a point out of range.
     points: dict[str, int] = {}
     get = points.get
 
@@ -553,26 +627,27 @@ def _parse_tokens(text: str, pos: int, degree: int) -> tuple[list[Factor], int]:
         return value
 
     match = _TOKEN_RE.match
-    append = factors.append
+    lo, hi = array("i"), array("i")
+    append_lo, append_hi = lo.append, hi.append
     while True:
         token = match(text, pos)
         if token is None:
             _reject_factor(text, pos, degree)
         a, b, separator = token.groups()
         if a is None:
-            append(None)
+            x = y = 0
         else:
             x = get(a) or point(a)
             y = get(b) or point(b)
-            if 0 < x < y:
-                append((x, y))
-            elif 0 < y < x:
-                append((y, x))
-            else:
+            if not (x and y and x != y):
                 _reject_factor(text, pos, degree)
+            if y < x:
+                x, y = y, x
+        append_lo(x)
+        append_hi(y)
         pos = token.end()
         if separator == "]":
-            return factors, pos
+            return lo, hi, pos
 
 
 def _reject_factor(text: str, pos: int, degree: int) -> NoReturn:
@@ -623,7 +698,8 @@ def format_factorization(factorization: Factorization) -> str:
     """
     _require_type(factorization, Factorization, "factorization")
     parts = [
-        "e" if f is None else f"({f[0]},{f[1]})" for f in factorization.factors
+        f"({a},{b})" if a else "e"
+        for a, b in zip(factorization._lo, factorization._hi)
     ]
     return f"n={factorization.degree}; [{','.join(parts)}]"
 

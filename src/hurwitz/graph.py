@@ -9,15 +9,15 @@ factor, which permutes edges within a component without changing component
 membership or total weight, so the whole record is move-invariant.
 
 ``signature`` takes O(m + degree) time for m factors and O(degree) memory
-beside one fixed-size chunk of the factors.
+beside one fixed-size chunk of the factors' endpoints.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from itertools import compress
-from operator import is_not
+from itertools import compress, repeat
+from operator import add, is_not, mul
 from typing import Iterable, Optional
 
 from .factorization import Factorization, _require_type
@@ -79,11 +79,10 @@ def component_labels(
     return parent
 
 
-# signature counts the factors _CHUNK at a time, so it holds one dict of at
-# most _CHUNK distinct edges whatever the length: on a million distinct
-# edges its traced peak is 9 MB, where one dict of them all took 63 MB.
-# Inputs up to _CHUNK factors, all but the largest in the benchmark, take
-# one pass of the loop.
+# signature counts the left endpoints _CHUNK at a time, so its Counter holds
+# at most _CHUNK keys whatever the degree; one Counter of them all would hold
+# up to degree fresh ints.  Inputs up to _CHUNK factors, all but the largest
+# in the benchmark, take one pass of the loop.
 _CHUNK = 1 << 17
 
 
@@ -92,25 +91,26 @@ def signature(factorization: Factorization) -> ComponentSignature:
 
     Time O(m + degree), where the O(degree) part runs in C (three list
     allocations and one scan for non-roots); memory O(degree + _CHUNK).
-    The factors are counted a chunk at a time: identities, and each chunk's
-    distinct edges, whose weight goes to their smaller endpoint and which
-    are then joined into one running union-find.  Only the points that
-    carry an edge are resolved and grouped, in one Python pass.
+    The endpoint arrays are read a chunk at a time: a Counter of the left
+    endpoints gives the identities (point 0) and each point's weight as the
+    smaller endpoint of an edge, and the chunk's pairs are joined into one
+    running union-find, which skips an identity because ``parent[0] ==
+    parent[0]``.  Only the points that carry an edge are resolved and
+    grouped, in one Python pass.
     """
     _require_type(factorization, Factorization, "factorization")
     degree = factorization.degree
-    factors = factorization.factors
+    lo, hi = factorization._lo, factorization._hi
     points = list(range(degree + 1))
     parent = points[:]
     low = [0] * (degree + 1)  # weight of the edges by their smaller endpoint
-    identity = 0
-    for start in range(0, len(factors), _CHUNK):
-        counts = Counter(factors[start:start + _CHUNK])
-        identity += counts.pop(None, 0)
-        for (a, _), w in counts.items():
+    for start in range(0, len(lo), _CHUNK):
+        lo_chunk = lo[start:start + _CHUNK]
+        for a, w in Counter(lo_chunk).items():
             low[a] += w
-        component_labels(degree, counts, parent)
-        del counts  # before the next chunk's is built
+        hi_chunk = hi[start:start + _CHUNK]
+        component_labels(degree, zip(lo_chunk, hi_chunk), parent)
+    identity, low[0] = low[0], 0
 
     # A point carries an edge when it is not a root or is the root of some
     # point that is not.  A root's entry is still the int object of ``points``,
@@ -129,7 +129,7 @@ def signature(factorization: Factorization) -> ComponentSignature:
         (tuple(members[root]), low[root]) for root in sorted(members)
     )
     # positional: keywords cost a tenth of a call on the smallest inputs
-    return ComponentSignature(degree, len(factors), identity, components)
+    return ComponentSignature(degree, len(lo), identity, components)
 
 
 def format_signature(sig: ComponentSignature) -> str:
@@ -155,15 +155,21 @@ def to_dot(factorization: Factorization) -> str:
     """Render the graph in DOT form with deterministic ordering.
 
     Vertices appear in ascending order, then edges sorted by endpoint pair,
-    each labeled with its weight.
+    each labeled with its weight.  An edge is counted as one int,
+    ``a * (degree + 1) + b``, which sorts as the pair does; an identity
+    is 0.
     """
     _require_type(factorization, Factorization, "factorization")
-    counts = Counter(factorization.factors)
-    counts.pop(None, None)
+    span = factorization.degree + 1
+    counts = Counter(
+        map(add, map(mul, factorization._lo, repeat(span)), factorization._hi)
+    )
+    counts.pop(0, None)
     lines = ["graph factorization {"]
-    for v in range(1, factorization.degree + 1):
+    for v in range(1, span):
         lines.append(f"  {v};")
-    for (a, b), weight in sorted(counts.items()):
+    for key, weight in sorted(counts.items()):
+        a, b = divmod(key, span)
         lines.append(f'  {a} -- {b} [label="w={weight}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -244,6 +244,13 @@ def enumerate_identity_factorizations(
     >>> [f.factors for f in enumerate_identity_factorizations(3, 2)]
     [((1, 2), (1, 2)), ((1, 3), (1, 3)), ((2, 3), (2, 3))]
     """
+    for factors in _identity_tuples(degree, length):
+        yield Factorization._trusted(degree, factors)
+
+
+def _identity_tuples(degree: int, length: int) -> Iterator[State]:
+    """The factor tuples of enumerate_identity_factorizations, in its order
+    and with its argument checks."""
     _require_int(degree, f"degree must be in 2..{MAX_DEGREE}", 2, MAX_DEGREE)
     _require_int(length, "length must be non-negative", 0)
     if length > DEFAULT_CAP:
@@ -262,7 +269,7 @@ def enumerate_identity_factorizations(
             "degree or length"
         )
     if length == 0:  # one empty tuple; n(n-1)/2 transpositions would be waste
-        yield Factorization._trusted(degree, ())
+        yield ()
         return
     transpositions = [
         (a, b)
@@ -284,7 +291,7 @@ def enumerate_identity_factorizations(
     i = 0  # the next index to try in the first empty slot
     while True:
         if len(choice) == length:
-            yield Factorization._trusted(degree, tuple(transpositions[c] for c in choice))
+            yield tuple(transpositions[c] for c in choice)
             i = len(transpositions)
         if i < len(transpositions):
             a, b = transpositions[i]
@@ -315,27 +322,28 @@ def orbit_partition(
 ) -> list[tuple[ComponentSignature, list[OrbitReport]]]:
     """Partition all identity factorizations into orbits, grouped by signature.
 
-    The enumeration streams through one move table over all ``degree``
-    points, and each factorization no earlier orbit reached seeds a BFS
-    orbit; members are in the enumeration too, so none is decoded.  Orbits
-    are bucketed by their common signature, signatures ordered by first
-    appearance in the lexicographic enumeration.  A truncated orbit (cap
-    hit) keeps its flag set, so callers can tell an exact partition from a
-    bounded one.
+    The enumeration's factor tuples stream through one move table over all
+    ``degree`` points, and each tuple no earlier orbit reached seeds a BFS
+    orbit; members are in the enumeration too, so none is decoded, and only
+    a seed is wrapped as a Factorization.  Orbits are bucketed by their
+    common signature, signatures ordered by first appearance in the
+    lexicographic enumeration.  A truncated orbit (cap hit) keeps its flag
+    set, so callers can tell an exact partition from a bounded one.
 
     The main theorem predicts exactly one orbit per signature.
     """
     table: Optional[_MoveTable] = None
     seen: set[int] = set()
     buckets: dict[ComponentSignature, list[OrbitReport]] = {}
-    for seed in enumerate_identity_factorizations(degree, length):
+    for factors in _identity_tuples(degree, length):
         if table is None:  # the enumeration has checked degree and length
             table = _MoveTable(degree, length)
-        state = table.pack(seed.factors)
+        state = table.pack(factors)
         if state in seen:
             continue
         visited, truncated = _search(state, table, cap)
         seen |= visited
+        seed = Factorization._trusted(degree, factors)
         buckets.setdefault(signature(seed), []).append(
             OrbitReport(seed=seed, orbit_size=len(visited), truncated=truncated)
         )

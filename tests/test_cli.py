@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import hurwitz
+from hurwitz import factorization
 from hurwitz.cli import main
 
 F1_TEXT = "n=6; [(2,6),(1,4),(1,5),(3,6),(4,5),(1,5),(2,3),(3,6)]"
@@ -260,6 +261,38 @@ class TestProjectAndDot:
         assert code == 0
         assert out == ""
         assert target.read_text().endswith("}\n")
+
+
+class TestStoreReaders:
+    """sig, equiv and dot read a factorization's endpoint arrays: none of
+    them builds the tuple view, so a million-factor file never costs a tuple
+    per factor."""
+
+    def test_no_command_builds_the_factor_view(self, run, f1_file, f2_file, tmp_path, monkeypatch):
+        other = tmp_path / "other.txt"
+        other.write_text("n=6; [(1,2),(1,2),(1,2),(1,2),(1,2),(1,2),(1,2),(1,2)]")
+        dot_path = tmp_path / "g.dot"
+        cases = [
+            ("sig", f1_file),
+            ("sig", f1_file, "--dot", str(dot_path)),
+            ("equiv", f1_file, f2_file),
+            ("equiv", f1_file, str(other)),
+            ("dot", f1_file),
+        ]
+        expected = [run(*argv) for argv in cases]
+        dot_text = dot_path.read_text()
+        dot_path.unlink()
+
+        def refuse(lo, hi):
+            raise AssertionError("the factor view was built")
+
+        monkeypatch.setattr(factorization, "_as_factors", refuse)
+        assert [run(*argv) for argv in cases] == expected
+        assert dot_path.read_text() == dot_text == expected[4][1]
+        assert [code for code, _, _ in expected] == [0, 0, 0, 1, 0]
+        assert expected[0][1] == "n=6; m=8; e=0; [{1,4,5}:4,{2,3,6}:4]\n"
+        with pytest.raises(AssertionError, match="view"):
+            factorization.parse_factorization(F1_TEXT).factors
 
 
 class TestErrorHandling:

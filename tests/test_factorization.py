@@ -1,17 +1,20 @@
 """Move engine: single moves, certificates, text formats."""
 
+import copy
 import dataclasses
+import pickle
 import random
 import re
 import sys
 import tracemalloc
+from collections import Counter
 from types import SimpleNamespace
 from unittest.mock import patch
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from hurwitz import factorization
+from hurwitz import factorization, graph
 from hurwitz.braid import BraidTuple, BraidWord, format_braid_tuple, parse_braid_tuple
 from hurwitz.canonical import canonical_form
 from hurwitz.errors import FormatError, MoveRangeError, PreconditionError
@@ -30,6 +33,7 @@ from hurwitz.factorization import (
     parse_factorization,
     product_images,
 )
+from hurwitz.graph import signature
 
 
 def forward(k):
@@ -619,9 +623,10 @@ class TestBulkParse:
         text = f"n=2; [{body}e]"
         start = text.index("[") + 1
         bulk = factorization._parse_bulk(text, start, 2)
-        assert bulk is not None and bulk[1] == len(text)
+        assert bulk is not None and bulk[2] == len(text)
         f = parse_factorization(text)
-        assert list(f.factors) == bulk[0] == [(1, 2), None] * (1 + 3 * factorization._CHUNK // 8) + [None]
+        expected = [(1, 2), None] * (1 + 3 * factorization._CHUNK // 8) + [None]
+        assert list(f.factors) == list(factorization._as_factors(*bulk[:2])) == expected
         assert f == parse_factorization(text.replace(",", ", "))
 
     @pytest.mark.parametrize(
@@ -799,47 +804,159 @@ class TestBraidFuzz:
         parses_or_raises_format_error(parse_braid_tuple, text)
 
 
-def test_parse_streams_factors():
-    """The parse holds little beyond the Factorization it returns: no list of
-    all tokens or digit strings is built first."""
-    rng = random.Random(5)
-    n, m = 10_000, 100_000
-    factors = [
-        None if rng.random() < 0.05 else tuple(sorted(rng.sample(range(1, n + 1), 2)))
-        for _ in range(m)
-    ]
-    text = format_factorization(Factorization(n, factors))
-    del factors
+def traced_parse(text):
+    """The factorization of ``text``, and the traced bytes it retains and
+    peaks at while parsing."""
     tracemalloc.start()
     try:
         f = parse_factorization(text)
         retained, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert len(f) == m
-    assert peak <= 1.5 * retained
+    return f, retained, peak
+
+
+def sparse_text(n=10_000, m=100_000):
+    """A factorization text of ``m`` random factors on ``n`` points, one in
+    twenty an identity."""
+    rng = random.Random(5)
+    factors = [
+        None if rng.random() < 0.05 else tuple(sorted(rng.sample(range(1, n + 1), 2)))
+        for _ in range(m)
+    ]
+    return format_factorization(Factorization(n, factors))
+
+
+def test_parse_streams_factors():
+    """The parse holds little beyond the Factorization it returns: no list of
+    all tokens or digit strings is built first.  The bound is the peak of a
+    parse into factor tuples, 8.4 MB; into endpoint arrays it peaks at
+    about 3.2 MB."""
+    f, _, peak = traced_parse(sparse_text())
+    assert len(f) == 100_000
+    assert peak <= 8_300_000
+
+
+def test_parse_retains_the_endpoints_only():
+    """A parsed factorization holds two 4-byte endpoints a factor; a tuple
+    a factor would retain about 64 bytes."""
+    f, retained, _ = traced_parse(sparse_text())
+    assert retained <= 12 * len(f)
 
 
 @pytest.mark.parametrize(
     "factors, bound",
     [
-        ([None] * 100_000, 2.5),
-        ([edge for edge in [(1, 2), (2, 3), (3, 4), (4, 5)] for _ in range(25_000)], 1.5),
+        ([None] * 100_000, 1_600_000),
+        ([edge for edge in [(1, 2), (2, 3), (3, 4), (4, 5)] for _ in range(25_000)], 7_000_000),
     ],
     ids=["all-identity", "blocky"],
 )
 def test_parse_memory_on_every_shape(factors, bound):
-    """The bulk path's scratch lists stay small beside the factors, also for
-    the shortest factor text ('e') and for few distinct points."""
-    text = format_factorization(Factorization(10_000, factors))
-    tracemalloc.start()
-    try:
-        f = parse_factorization(text)
-        retained, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    """The bulk path's scratch lists stay small, also for the shortest factor
+    text ('e') and for few distinct points.  The bounds are the peaks of a
+    parse into factor tuples; into endpoint arrays these parses peak at
+    about 1.2 and 1.5 MB."""
+    f, _, peak = traced_parse(format_factorization(Factorization(10_000, factors)))
     assert f.factors == tuple(factors)
-    assert peak <= bound * retained
+    assert peak <= bound
+
+
+def fold_signature(n, factors):
+    """Reference (identity count, components) of a factor list: each
+    point's component grown edge by edge as one shared set, and each
+    component's weight counted factor by factor."""
+    component = {}
+    for factor in filter(None, factors):
+        merged = set().union(*(component.get(v, {v}) for v in factor))
+        component.update(dict.fromkeys(merged, merged))
+    weights = Counter(min(component[a]) for a, _ in filter(None, factors))
+    components = tuple(
+        (tuple(sorted(component[root])), weights[root]) for root in sorted(weights)
+    )
+    return factors.count(None), components
+
+
+def written(n, factors, separator=","):
+    """Reference text of a factor list, pairs in the order given."""
+    return f"n={n}; [{separator.join('e' if f is None else '(%d,%d)' % f for f in factors)}]"
+
+
+@st.composite
+def stores(draw):
+    """A factor list with identities on the chunk boundaries of the parse
+    (in characters) and of signature (in factors), the two chunk sizes, and
+    a text of the list as format_factorization writes it."""
+    n = draw(st.integers(2, 12))
+    pairs = [(a, b) for a in range(1, n + 1) for b in range(a + 1, n + 1)]
+    factors = draw(st.lists(st.one_of(st.none(), st.sampled_from(pairs)), max_size=40))
+    text_chunk, graph_chunk = draw(st.integers(1, 30)), draw(st.integers(1, 8))
+    tokens = ["e" if f is None else f"({f[0]},{f[1]})" for f in factors]
+    offset = 0
+    for k, token in enumerate(tokens):
+        # the factor whose token holds a multiple of text_chunk, and those
+        # on either side of a multiple of graph_chunk
+        if offset // text_chunk != (offset + len(token)) // text_chunk or k % graph_chunk in (0, graph_chunk - 1):
+            if draw(st.booleans()):
+                factors[k] = None
+        offset += len(token) + 1
+    return n, factors, text_chunk, graph_chunk, written(n, factors)
+
+
+class TestStoreAndView:
+    """Every way to build a factorization fills the same endpoint store and
+    gives the same tuple view, and the readers of the store agree with
+    folds over that view."""
+
+    @given(stores(), st.data())
+    @settings(max_examples=200)
+    def test_every_path_gives_the_reference_factors(self, case, data):
+        n, factors, text_chunk, graph_chunk, text = case
+        reference = tuple(factors)
+        swapped = [f if f is None or data.draw(st.booleans()) else f[::-1] for f in factors]
+        moves = data.draw(st.lists(
+            st.builds(HurwitzMove, st.sampled_from(Direction), st.integers(0, max(0, len(factors) - 2))),
+            max_size=6 if len(factors) > 1 else 0,
+        ))
+        with patch.object(factorization, "_CHUNK", text_chunk), patch.object(graph, "_CHUNK", graph_chunk):
+            built = {
+                "bulk": parse_factorization(text),
+                "tokens": parse_factorization(written(n, swapped, ", ")),
+                "init": Factorization(n, swapped),
+                "trusted": Factorization._trusted(n, reference),
+                "replay": apply_certificate(Factorization(n, factors), []),
+            }
+            replayed = apply_certificate(parse_factorization(text), moves)
+            expected = {"replay-moves": replay_one_by_one(reference, moves)}
+            for name, f in list(built.items()) + [("replay-moves", replayed)]:
+                want = expected.get(name, reference)
+                assert f.factors == want, name
+                assert len(f) == len(want)
+                assert format_factorization(f) == written(n, want)
+                sig = signature(f)
+                assert (sig.identity_factor_count, sig.components) == fold_signature(n, list(want))
+                assert (sig.degree, sig.total_factors) == (n, len(want))
+                assert tuple(f.product()[1:]) == fold_product(n, want)
+        for f in built.values():
+            assert f == built["bulk"] and hash(f) == hash(built["bulk"])
+            assert f._lo == built["bulk"]._lo and f._hi == built["bulk"]._hi
+        assert (replayed == built["bulk"]) == (replayed.factors == reference)
+        assert built["bulk"] != Factorization(n, factors + [None])
+        assert built["bulk"] != Factorization(n + 1, factors)
+
+    @given(stores())
+    @settings(max_examples=50)
+    def test_view_is_built_once_and_shared(self, case):
+        n, factors, _, _, text = case
+        f = parse_factorization(text)
+        assert f.factors is f.factors
+        view = tuple(factors)
+        g = Factorization._trusted(n, view)
+        assert g.factors is view and g == f
+        assert repr(f) == f"Factorization(degree={n}, factors={tuple(factors)!r})"
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            f.degree = n + 1
+        assert pickle.loads(pickle.dumps(f)) == copy.deepcopy(f) == f
 
 
 class TestCertificateText:
