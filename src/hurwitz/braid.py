@@ -29,14 +29,19 @@ from typing import Iterable, Iterator
 
 from .errors import FormatError, MoveRangeError, PreconditionError
 from .factorization import (
+    MAX_DEGREE,
+    _FORWARD,
     Direction,
     Factor,
     Factorization,
     HurwitzMove,
+    _new,
     _parse_degree,
+    _reject_move,
     _require_int,
     _require_iterable,
     _require_type,
+    _setattr,
     product_images,
 )
 
@@ -62,6 +67,14 @@ class BraidWord:
         object.__setattr__(self, "degree", degree)
         object.__setattr__(self, "letters", letters)
 
+    @classmethod
+    def _trusted(cls, degree: int, letters: tuple[int, ...]) -> "BraidWord":
+        """Wrap int letters already in range for ``degree``, unchecked."""
+        word = _new(cls)
+        _setattr(word, "degree", degree)
+        _setattr(word, "letters", letters)
+        return word
+
     def __len__(self) -> int:
         return len(self.letters)
 
@@ -85,6 +98,14 @@ class BraidTuple:
         object.__setattr__(self, "degree", degree)
         object.__setattr__(self, "words", words)
 
+    @classmethod
+    def _trusted(cls, degree: int, words: tuple[BraidWord, ...]) -> "BraidTuple":
+        """Wrap a tuple of words already checked for ``degree``, unchecked."""
+        braid = _new(cls)
+        _setattr(braid, "degree", degree)
+        _setattr(braid, "words", words)
+        return braid
+
     def __len__(self) -> int:
         return len(self.words)
 
@@ -95,11 +116,11 @@ class BraidTuple:
 def _projection_factor(word: BraidWord) -> Factor:
     """The factor ``word`` projects to.  Only the strands it touches can
     move, so they are relabelled 1..k in order, multiplied there and mapped
-    back: the cost follows the word's length, not its degree."""
+    back: the cost follows the word's length, not its degree.  A strand's
+    upper neighbour is the next point, so its letters swap labels i, i + 1."""
     strands = set(map(abs, word.letters))
     points = sorted(strands.union([s + 1 for s in strands]))
-    label = {p: i for i, p in enumerate(points, 1)}
-    swap = {s: (label[s], label[s + 1]) for s in strands}
+    swap = {p: (i, i + 1) for i, p in enumerate(points, 1) if p in strands}
     images = product_images(len(points), map(swap.__getitem__, map(abs, word.letters)))
     moved = [p for i, p in enumerate(points, 1) if images[i] != i]
     if not moved:
@@ -129,7 +150,11 @@ def project_tuple(braid: BraidTuple) -> Factorization:
             factors.append(_projection_factor(word))
         except PreconditionError as exc:
             raise PreconditionError(f"word {i}: {exc}") from exc
-    return Factorization(braid.degree, factors)
+    # the factors are normalized and in range; the degree is checked as
+    # Factorization checks it, after the words
+    degree = braid.degree
+    _require_int(degree, f"degree must be at most {MAX_DEGREE}", 1, MAX_DEGREE)
+    return Factorization._trusted(degree, tuple(factors))
 
 
 def braid_hurwitz_move(braid: BraidTuple, move: HurwitzMove) -> BraidTuple:
@@ -141,23 +166,26 @@ def braid_hurwitz_move(braid: BraidTuple, move: HurwitzMove) -> BraidTuple:
     [(1, 2, -1), (1,)]
     """
     _require_type(braid, BraidTuple, "braid")
-    _require_type(move, HurwitzMove, "move")
+    if type(move) is not HurwitzMove:
+        _reject_move(move)
     k = move.position
-    m = len(braid.words)
+    words = braid.words
+    m = len(words)
     if k < 0 or k + 1 >= m:
         raise MoveRangeError(
             f"move {move} out of range for length {m} (valid positions 0..{m - 2})"
         )
-    words = list(braid.words)
     u, v = words[k], words[k + 1]
-    # the conjugated word's letters in one tuple, validated once
-    if move.direction is Direction.FORWARD:
+    degree = braid.degree
+    # u and v are checked words of the tuple's degree, and negating a letter
+    # keeps its magnitude, so the conjugate needs no check of its own
+    if move.direction is _FORWARD:
         letters = u.letters + v.letters + tuple(map(neg, reversed(u.letters)))
-        words[k], words[k + 1] = BraidWord(braid.degree, letters), u
+        pair = (BraidWord._trusted(degree, letters), u)
     else:
         letters = tuple(map(neg, reversed(v.letters))) + u.letters + v.letters
-        words[k], words[k + 1] = v, BraidWord(braid.degree, letters)
-    return BraidTuple(braid.degree, words)
+        pair = (v, BraidWord._trusted(degree, letters))
+    return BraidTuple._trusted(degree, words[:k] + pair + words[k + 2 :])
 
 
 # Text form: "n=3; [1 2 -1 | 2]" with words separated by '|', letters

@@ -10,7 +10,9 @@ from __future__ import annotations
 
 import argparse
 import sys
+from itertools import islice
 from pathlib import Path
+from typing import TextIO
 
 from .errors import FormatError, HurwitzError
 from .factorization import (
@@ -23,7 +25,7 @@ from .factorization import (
     parse_certificate,
     parse_factorization,
 )
-from .graph import format_signature, signature, to_dot
+from .graph import _dot_lines, format_signature, signature
 
 # canonical, oracle and braid are imported inside the commands that run them,
 # so a process compiles and loads only the modules its command needs.
@@ -46,11 +48,23 @@ def _load_factorization(path: str) -> Factorization:
     return parse_factorization(_read_text(path))
 
 
+# DOT text is written this many lines at a time: the text of a large
+# factorization, a string an edge and then their join, would outweigh it.
+_DOT_LINES = 1 << 12
+
+
+def _write_dot(f: Factorization, out: TextIO) -> None:
+    lines = _dot_lines(f)
+    while chunk := "".join(islice(lines, _DOT_LINES)):
+        out.write(chunk)
+
+
 def _cmd_sig(args: argparse.Namespace) -> int:
     f = _load_factorization(args.file)
     # write the side file first, so a failed write leaves stdout empty
     if args.dot:
-        Path(args.dot).write_text(to_dot(f))
+        with Path(args.dot).open("w") as out:
+            _write_dot(f, out)
     print(format_signature(signature(f)))
     return 0
 
@@ -146,11 +160,11 @@ def _cmd_project(args: argparse.Namespace) -> int:
 
 def _cmd_dot(args: argparse.Namespace) -> int:
     f = _load_factorization(args.file)
-    text = to_dot(f)
     if args.dot:
-        Path(args.dot).write_text(text)
+        with Path(args.dot).open("w") as out:
+            _write_dot(f, out)
     else:
-        print(text, end="")
+        _write_dot(f, sys.stdout)
     return 0
 
 

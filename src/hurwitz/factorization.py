@@ -29,6 +29,7 @@ import sys
 from array import array
 from dataclasses import FrozenInstanceError, dataclass
 from enum import Enum
+from itertools import compress, count
 from typing import Iterable, Iterator, NoReturn, Optional, Sequence
 
 from .errors import FormatError, MoveRangeError, PreconditionError
@@ -423,6 +424,12 @@ def apply_certificate(
 ) -> Factorization:
     """Replay a move sequence left to right on a copy of the factors.
 
+    The result's endpoint arrays are copies of the input's with only the
+    slots the moves rewrote set again: the kernel stores a new factor object
+    in a slot whose value it changes, so an identity test against the
+    input's view finds them, in C.  A single move costs two slots, not a
+    new store.
+
     A move whose position falls outside the current length raises
     MoveRangeError naming the offending index within ``moves``; a move that
     is not a HurwitzMove raises PreconditionError.
@@ -430,9 +437,14 @@ def apply_certificate(
     _require_type(factorization, Factorization, "factorization")
     if not isinstance(moves, (list, tuple)):
         moves = list(_require_iterable(moves, "moves"))
-    factors = list(factorization.factors)
+    view = factorization.factors
+    factors = list(view)
     _replay(factors, moves)
-    return Factorization._trusted(factorization.degree, tuple(factors))
+    lo = factorization._lo[:]
+    hi = factorization._hi[:]
+    for k in compress(count(), map(operator.is_not, factors, view)):
+        lo[k], hi[k] = factors[k] or (0, 0)
+    return _fill(_new(Factorization), factorization.degree, lo, hi, tuple(factors))
 
 
 def invert_certificate(moves: Iterable[HurwitzMove]) -> MoveCertificate:
@@ -705,6 +717,8 @@ def format_factorization(factorization: Factorization) -> str:
 
 
 _MOVE_RE = re.compile(r"([FI])\s*@\s*([0-9]+)$")
+# A move line's letter to its direction: a call of Direction costs more.
+_DIRECTIONS = {d._value_: d for d in Direction}
 
 
 def parse_certificate(text: str) -> list[HurwitzMove]:
@@ -728,7 +742,7 @@ def parse_certificate(text: str) -> list[HurwitzMove]:
             continue
         m = _MOVE_RE.match(line)
         if m and len(m[2].lstrip("0")) <= _POSITION_DIGITS:
-            table[raw] = HurwitzMove(Direction(m[1]), int(m[2]))
+            table[raw] = HurwitzMove(_DIRECTIONS[m[1]], int(m[2]))
             continue
         i = raw_lines.index(raw)
         start = sum(map(len, text.splitlines(keepends=True)[:i]))

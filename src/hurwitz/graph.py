@@ -18,7 +18,7 @@ from collections import Counter
 from dataclasses import dataclass
 from itertools import compress, repeat
 from operator import add, is_not, mul
-from typing import Iterable, Optional
+from typing import Iterable, Iterator, Optional
 
 from .factorization import Factorization, _require_type
 
@@ -155,21 +155,28 @@ def to_dot(factorization: Factorization) -> str:
     """Render the graph in DOT form with deterministic ordering.
 
     Vertices appear in ascending order, then edges sorted by endpoint pair,
-    each labeled with its weight.  An edge is counted as one int,
-    ``a * (degree + 1) + b``, which sorts as the pair does; an identity
-    is 0.
+    each labeled with its weight.
     """
     _require_type(factorization, Factorization, "factorization")
+    return "".join(_dot_lines(factorization))
+
+
+def _dot_lines(factorization: Factorization) -> Iterator[str]:
+    """The lines of ``to_dot``, each ending in a newline, made one at a
+    time so a writer need not hold them all.  An edge is counted as one
+    int, ``a * (degree + 1) + b``, which sorts as the pair does; an
+    identity is 0."""
     span = factorization.degree + 1
     counts = Counter(
         map(add, map(mul, factorization._lo, repeat(span)), factorization._hi)
     )
     counts.pop(0, None)
-    lines = ["graph factorization {"]
+    yield "graph factorization {\n"
     for v in range(1, span):
-        lines.append(f"  {v};")
-    for key, weight in sorted(counts.items()):
+        yield f"  {v};\n"
+    # the sorted keys alone: a list of (key, weight) pairs would be a tuple
+    # an edge
+    for key in sorted(counts):
         a, b = divmod(key, span)
-        lines.append(f'  {a} -- {b} [label="w={weight}"];')
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+        yield f'  {a} -- {b} [label="w={counts[key]}"];\n'
+    yield "}\n"

@@ -2,6 +2,7 @@
 
 import random
 import tracemalloc
+from unittest.mock import patch
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -179,6 +180,11 @@ class TestProjectTuple:
         assert f.factors == ((1, 2), (n - 1, n), None, (7, 9))
         assert peak < 1_000_000
 
+    def test_degree_above_the_largest_is_refused(self):
+        n = MAX_DEGREE + 1
+        with pytest.raises(PreconditionError, match="at most"):
+            project_tuple(BraidTuple(n, [word(n, 1)]))
+
     def test_degree_mismatch_in_tuple(self):
         with pytest.raises(PreconditionError):
             BraidTuple(3, [word(4, 1)])
@@ -207,20 +213,46 @@ class TestBraidMove:
     @settings(max_examples=150)
     def test_matches_letter_reference(self, data):
         """Forward gives u v u^-1, u and inverse v, v^-1 u v, letter for
-        letter; every other word stays."""
+        letter; every other word stays.  Moves build their words without
+        the validating constructors, so those are patched to fail once the
+        input is built, over a run of moves whose words keep growing; every
+        word a move gives keeps a BraidWord's invariants."""
         n = data.draw(st.integers(2, 6))
         alphabet = [s * i for i in range(1, n) for s in (1, -1)]
         letters = st.lists(st.sampled_from(alphabet), max_size=5).map(tuple)
         words = data.draw(st.lists(letters, min_size=2, max_size=5))
-        k = data.draw(st.integers(0, len(words) - 2))
+        moves = data.draw(st.lists(
+            st.builds(HurwitzMove, st.sampled_from(Direction), st.integers(0, len(words) - 2)),
+            min_size=1, max_size=6,
+        ))
         b = BraidTuple(n, [BraidWord(n, w) for w in words])
-        u, v = words[k], words[k + 1]
-        for direction, pair in (
-            (Direction.FORWARD, [u + v + inverse_letters(u), u]),
-            (Direction.INVERSE, [v, inverse_letters(v) + u + v]),
-        ):
-            moved = braid_hurwitz_move(b, HurwitzMove(direction, k))
-            assert [w.letters for w in moved.words] == words[:k] + pair + words[k + 2 :]
+
+        def refuse(self, *args):
+            raise AssertionError("a move ran a validating constructor")
+
+        with patch.object(BraidWord, "__init__", refuse), patch.object(BraidTuple, "__init__", refuse):
+            for move in moves:
+                k = move.position
+                u, v = words[k], words[k + 1]
+                for direction, pair in (
+                    (Direction.FORWARD, [u + v + inverse_letters(u), u]),
+                    (Direction.INVERSE, [v, inverse_letters(v) + u + v]),
+                ):
+                    moved = braid_hurwitz_move(b, HurwitzMove(direction, k))
+                    assert [w.letters for w in moved.words] == words[:k] + pair + words[k + 2 :]
+                    assert type(moved) is BraidTuple and moved.degree == n
+                    assert type(moved.words) is tuple
+                    for w in moved.words:
+                        assert type(w) is BraidWord and w.degree == n
+                        assert type(w.letters) is tuple
+                        assert all(type(x) is int and 0 < abs(x) < n for x in w.letters)
+                    if direction is move.direction:
+                        after = moved
+                b = after
+                words = [w.letters for w in after.words]
+        # the moved words compare and hash as checked ones do
+        assert b == BraidTuple(n, [BraidWord(n, w) for w in words])
+        assert hash(b) == hash(BraidTuple(n, [BraidWord(n, w) for w in words]))
 
     def test_out_of_range(self):
         b = BraidTuple(3, [word(3, 1), word(3, 2)])

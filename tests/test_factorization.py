@@ -15,7 +15,13 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from hurwitz import factorization, graph
-from hurwitz.braid import BraidTuple, BraidWord, format_braid_tuple, parse_braid_tuple
+from hurwitz.braid import (
+    BraidTuple,
+    BraidWord,
+    braid_hurwitz_move,
+    format_braid_tuple,
+    parse_braid_tuple,
+)
 from hurwitz.canonical import canonical_form
 from hurwitz.errors import FormatError, MoveRangeError, PreconditionError
 from hurwitz.factorization import (
@@ -335,6 +341,23 @@ class TestCertificates:
             format_certificate(iter([forward(0), SimpleNamespace(_text="F@0")]))
         with pytest.raises(PreconditionError, match=not_moves):
             invert_certificate([SimpleNamespace(inverted=lambda: "x")])
+
+        # a subclass of HurwitzMove is no move either, for the braid move
+        # as for the factor kernel: both use the exact type check
+        class LookAlike(HurwitzMove):
+            pass
+
+        b = BraidTuple(3, [BraidWord(3, (1,)), BraidWord(3, (2,))])
+        for move in (
+            LookAlike(Direction.FORWARD, 0),
+            SimpleNamespace(position=0, direction=Direction.FORWARD),
+        ):
+            message = f"moves must be HurwitzMoves, got {move!r}"
+            for call in (apply_move, apply_certificate, braid_hurwitz_move):
+                target = b if call is braid_hurwitz_move else f
+                with pytest.raises(PreconditionError) as excinfo:
+                    call(target, move if call is not apply_certificate else [move])
+                assert str(excinfo.value) == message
 
     @pytest.mark.parametrize(
         "moves,message",
@@ -957,6 +980,51 @@ class TestStoreAndView:
         with pytest.raises(dataclasses.FrozenInstanceError):
             f.degree = n + 1
         assert pickle.loads(pickle.dumps(f)) == copy.deepcopy(f) == f
+
+
+class TestApplyMovePatchesTheStore:
+    """apply_move copies the input's endpoint arrays and rewrites only the
+    slots its move changed: a run of single moves, each on the last one's
+    result, matches a fold over the factors, and leaves every input as it
+    was."""
+
+    @given(stores(), st.data())
+    @settings(max_examples=200)
+    def test_single_moves_match_the_fold(self, case, data):
+        n, factors, text_chunk, _, text = case
+        with patch.object(factorization, "_CHUNK", text_chunk):
+            parsed = parse_factorization(text)
+        # a parsed input has no view until the first move builds it
+        f = data.draw(st.sampled_from([parsed, Factorization(n, factors)]))
+        moves = data.draw(st.lists(
+            st.builds(HurwitzMove, st.sampled_from(Direction), st.integers(-1, len(factors))),
+            max_size=8,
+        ))
+        want = tuple(factors)
+        for move in moves:
+            before = (f.degree, f._lo.tobytes(), f._hi.tobytes(), hash(f))
+            was = want
+            if 0 <= move.position < len(want) - 1:
+                g = apply_move(f, move)
+                want = replay_one_by_one(want, [move])
+                same = Factorization(n, want)
+                assert g.factors == want and g.factors is g.factors
+                assert factorization._as_factors(g._lo, g._hi) == want
+                assert g == same and hash(g) == hash(same)
+                assert (g._lo, g._hi) == (same._lo, same._hi)
+                assert format_factorization(g) == written(n, want)
+            else:
+                with pytest.raises(MoveRangeError) as excinfo:
+                    apply_move(f, move)
+                assert str(excinfo.value) == (
+                    f"move 0 ({move}) out of range for length {len(want)}"
+                )
+                g = f
+            with pytest.raises(PreconditionError, match="moves must be HurwitzMoves"):
+                apply_move(f, SimpleNamespace(position=0, _c_slot=0, _x_slot=1))
+            assert (f.degree, f._lo.tobytes(), f._hi.tobytes(), hash(f)) == before
+            assert f.factors == was
+            f = g
 
 
 class TestCertificateText:

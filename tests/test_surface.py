@@ -130,6 +130,56 @@ def test_package_has_no_assert():
     assert found == []
 
 
+def _names_move_class(node):
+    return any(
+        isinstance(n, ast.Name) and n.id == "HurwitzMove" for n in ast.walk(node)
+    )
+
+
+def _is_exact_move_check(node):
+    """``type(<expr>) is HurwitzMove`` or ``is not``."""
+    return (
+        len(node.ops) == 1
+        and isinstance(node.ops[0], (ast.Is, ast.IsNot))
+        and isinstance(node.left, ast.Call)
+        and isinstance(node.left.func, ast.Name)
+        and node.left.func.id == "type"
+        and len(node.left.args) == 1
+        and isinstance(node.comparators[0], ast.Name)
+        and node.comparators[0].id == "HurwitzMove"
+    )
+
+
+def test_moves_are_type_checked_exactly():
+    """A move is told from a look-alike only by ``type(x) is HurwitzMove``:
+    an isinstance check, a class pattern or any other comparison with the
+    class would take a subclass that the move kernel refuses."""
+    package = Path(hurwitz.__file__).resolve().parent
+    exact, other = set(), []
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            where = f"{path.name}:{getattr(node, 'lineno', 0)}"
+            if isinstance(node, ast.Compare) and any(
+                isinstance(x, ast.Name) and x.id == "HurwitzMove"
+                for x in [node.left, *node.comparators]
+            ):
+                if _is_exact_move_check(node):
+                    exact.add(path.name)
+                else:
+                    other.append(where)
+            elif (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Name)
+                and node.func.id in ("isinstance", "issubclass", "_require_type")
+                and any(map(_names_move_class, node.args[1:]))
+            ) or (isinstance(node, ast.MatchClass) and _names_move_class(node.cls)):
+                other.append(where)
+    assert other == []
+    # the checks the guard keeps are where moves arrive: the kernel and
+    # the word-level move
+    assert {"factorization.py", "braid.py"} <= exact
+
+
 def test_import_loads_only_the_package_and_the_standard_library():
     """Zero runtime dependencies: a fresh interpreter that imports hurwitz
     and reads every public name gains only hurwitz.* and standard-library
