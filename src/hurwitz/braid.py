@@ -251,5 +251,6 @@ def format_braid_tuple(braid: BraidTuple) -> str:
     >>> format_braid_tuple(BraidTuple(3, [BraidWord(3, (1, 2, -1)), BraidWord(3, (2,))]))
     'n=3; [1 2 -1 | 2]'
     """
+    _require_type(braid, BraidTuple, "braid")
     body = " | ".join(" ".join(map(str, w.letters)) for w in braid.words)
     return f"n={braid.degree}; [{body}]"

@@ -73,7 +73,7 @@ from .factorization import (
     conjugate_factor,
     format_factorization,
 )
-from .graph import ComponentSignature, format_signature, signature
+from .graph import ComponentSignature, _require_signature, format_signature, signature
 
 
 @dataclass(frozen=True)
@@ -134,7 +134,7 @@ def canonical_shape(sig: ComponentSignature) -> Factorization:
     This is the target the planner must reach; building it independently
     from the signature gives a cross-check that costs O(m).
     """
-    _require_type(sig, ComponentSignature, "signature")
+    _require_signature(sig)
     def fail(stage: str, problem: str) -> InternalError:
         return InternalError(
             f"{stage}: {problem}; signature {format_signature(sig)}"

@@ -9,7 +9,8 @@ factor, which permutes edges within a component without changing component
 membership or total weight, so the whole record is move-invariant.
 
 ``signature`` takes O(m + degree) time for m factors and O(degree) memory
-beside one fixed-size chunk of the factors' endpoints.
+beside one fixed-size chunk of the factors' endpoints.  Its components come
+from the package's one union-find, inline in ``signature``.
 """
 
 from __future__ import annotations
@@ -18,8 +19,9 @@ from collections import Counter
 from dataclasses import dataclass
 from itertools import compress, repeat
 from operator import add, is_not, mul
-from typing import Iterable, Iterator, Optional
+from typing import Iterator
 
+from .errors import PreconditionError
 from .factorization import Factorization, _require_type
 
 
@@ -42,43 +44,6 @@ class ComponentSignature:
         return format_signature(self)
 
 
-def component_labels(
-    degree: int, edges: Iterable[tuple[int, int]], parent: Optional[list[int]] = None
-) -> list[int]:
-    """Label every point ``1..degree`` with the smallest point of its component.
-
-    ``labels[0]`` is unused.  Union-find that always hangs the larger root
-    under the smaller one, with path halving, so every parent is at most its
-    child; one ascending pass then resolves each point to its root.  An edge
-    whose endpoints already share a parent is skipped without a search.
-
-    Given ``parent``, a list an earlier call returned, the edges are joined
-    into it in place and it is returned without the ascending pass, so the
-    edges can come in several calls; the same pass over the points that are
-    not roots, in ascending order, resolves it afterwards.
-    """
-    fresh = parent is None
-    if fresh:
-        parent = list(range(degree + 1))
-    for a, b in edges:
-        if parent[a] == parent[b]:
-            continue
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        while parent[b] != b:
-            parent[b] = parent[parent[b]]
-            b = parent[b]
-        if a < b:
-            parent[b] = a
-        elif b < a:
-            parent[a] = b
-    if fresh:
-        for v in range(1, degree + 1):
-            parent[v] = parent[parent[v]]
-    return parent
-
-
 # signature counts the left endpoints _CHUNK at a time, so its Counter holds
 # at most _CHUNK keys whatever the degree; one Counter of them all would hold
 # up to degree fresh ints.  Inputs up to _CHUNK factors, all but the largest
@@ -94,9 +59,11 @@ def signature(factorization: Factorization) -> ComponentSignature:
     The endpoint arrays are read a chunk at a time: a Counter of the left
     endpoints gives the identities (point 0) and each point's weight as the
     smaller endpoint of an edge, and the chunk's pairs are joined into one
-    running union-find, which skips an identity because ``parent[0] ==
-    parent[0]``.  Only the points that carry an edge are resolved and
-    grouped, in one Python pass.
+    running union-find: path halving, the larger root hung under the
+    smaller, so every parent is at most its child.  A pair whose endpoints
+    already share a parent is skipped without a search; so is an identity,
+    because ``parent[0] == parent[0]``.  Only the points that carry an edge
+    are resolved and grouped, in one Python pass.
     """
     _require_type(factorization, Factorization, "factorization")
     degree = factorization.degree
@@ -108,8 +75,19 @@ def signature(factorization: Factorization) -> ComponentSignature:
         lo_chunk = lo[start:start + _CHUNK]
         for a, w in Counter(lo_chunk).items():
             low[a] += w
-        hi_chunk = hi[start:start + _CHUNK]
-        component_labels(degree, zip(lo_chunk, hi_chunk), parent)
+        for a, b in zip(lo_chunk, hi[start:start + _CHUNK]):
+            if parent[a] == parent[b]:
+                continue
+            while parent[a] != a:
+                parent[a] = parent[parent[a]]
+                a = parent[a]
+            while parent[b] != b:
+                parent[b] = parent[parent[b]]
+                b = parent[b]
+            if a < b:
+                parent[b] = a
+            elif b < a:
+                parent[a] = b
     identity, low[0] = low[0], 0
 
     # A point carries an edge when it is not a root or is the root of some
@@ -140,7 +118,7 @@ def format_signature(sig: ComponentSignature) -> str:
     >>> format_signature(signature(f))
     'n=3; m=2; e=0; [{1,2}:2]'
     """
-    _require_type(sig, ComponentSignature, "signature")
+    _require_signature(sig)
     parts = [
         "{" + ",".join(str(v) for v in vertices) + "}:" + str(weight)
         for vertices, weight in sig.components
@@ -149,6 +127,24 @@ def format_signature(sig: ComponentSignature) -> str:
         f"n={sig.degree}; m={sig.total_factors}; "
         f"e={sig.identity_factor_count}; [{','.join(parts)}]"
     )
+
+
+def _require_signature(sig: object) -> None:
+    """Raise PreconditionError unless ``sig`` is a ComponentSignature whose
+    fields are shaped as `signature` builds them.  The points are not read
+    one by one, which would cost a third of `format_signature`: it renders
+    any point, and `canonical_shape` checks each as a factor entry."""
+    _require_type(sig, ComponentSignature, "signature")
+    counts = (sig.degree, sig.total_factors, sig.identity_factor_count)
+    if set(map(type, counts)) != {int} or type(sig.components) is not tuple or not all(
+        type(c) is tuple and len(c) == 2 and type(c[0]) is tuple and len(c[0]) > 1
+        and type(c[1]) is int
+        for c in sig.components
+    ):
+        raise PreconditionError(
+            "a signature holds int counts and (vertices, weight) pairs, each "
+            "a tuple of at least two points and an int weight"
+        )
 
 
 def to_dot(factorization: Factorization) -> str:

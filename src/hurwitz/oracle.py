@@ -51,9 +51,10 @@ class OrbitReport:
     members: Optional[frozenset[State]] = None
 
 
-# A window is _SPAN + 1 consecutive slots, which hold _SPAN pairs.  Window j
-# starts at slot j * _SPAN, so consecutive windows share one slot and each
-# pair lies in exactly one window.  At 3 bits a code a window is a 99-bit int.
+# A state is its runs of _SPAN slots joined little-endian; _SPAN is a multiple
+# of 8, so a run is _SPAN * bits / 8 whole bytes.  Window j is run j and the
+# next slot: _SPAN + 1 slots holding _SPAN pairs, so consecutive windows share
+# one slot and each pair lies in exactly one window (99 bits at 3 bits a code).
 _SPAN = 32
 
 
@@ -64,7 +65,9 @@ class _MoveTable:
     the searches meet them.  Moves never leave a component, so every code is
     an edge among the seeds' ``points`` points, and ``bits``, the bit length
     of the number of such edges (at least 1), holds any code.  A state packs
-    ``slots`` codes into one int, slot k in bits ``[k * bits, (k + 1) * bits)``.
+    ``slots`` codes into one int, slot k in bits ``[k * bits, (k + 1) * bits)``;
+    its bytes are its runs of ``run_bytes`` bytes (see `_SPAN`), so packing,
+    windowing and decoding each take O(m).
 
     ``deltas[here]`` lists, for the two-slot value ``here`` of an adjacent
     pair, what a move adds to that value: the forward result, then the
@@ -77,6 +80,7 @@ class _MoveTable:
     def __init__(self, points: int, slots: int):
         edges = points * (points - 1) // 2
         self.bits = max(1, edges.bit_length())  # a seed of identities: 1
+        self.run_bytes = _SPAN * self.bits // 8
         self.slots = slots
         self.factors: list[Factor] = [None]
         self.codes: dict[Factor, int] = {None: 0}
@@ -91,48 +95,41 @@ class _MoveTable:
 
     def pack(self, factors: State) -> int:
         """The state of ``factors``, a tuple of ``slots`` factors."""
-        codes = list(map(self.encode, factors))
-        bits = self.bits
-
-        def join(lo: int, hi: int) -> int:
-            # halving keeps every shift and OR on a value of its own size
-            if hi - lo <= _SPAN:
-                value = 0
-                for code in reversed(codes[lo:hi]):
-                    value = value << bits | code
-                return value
-            mid = (lo + hi) // 2
-            return join(lo, mid) | join(mid, hi) << (mid - lo) * bits
-
-        return join(0, len(codes))
+        codes, bits, runs = list(map(self.encode, factors)), self.bits, []
+        for start in range(0, len(codes), _SPAN):
+            run = 0
+            for code in reversed(codes[start:start + _SPAN]):
+                run = run << bits | code
+            runs.append(run)
+        if len(runs) == 1:  # a short state is its one run, with no bytes
+            return runs[0]
+        data = b"".join([run.to_bytes(self.run_bytes, "little") for run in runs])
+        return int.from_bytes(data, "little")
 
     def windows(self, state: int) -> list[int]:
         """``state`` cut into its windows (see `_SPAN`), in slot order: one
-        window up to _SPAN + 1 slots, in O(m log m) by halving above that."""
-        bits, out = self.bits, []
-
-        def split(value: int, slots: int) -> None:
-            count = (slots - 2) // _SPAN + 1  # windows in these slots
-            if count <= 1:
-                out.append(value)
-                return
-            left = count // 2 * _SPAN
-            split(value & ((1 << (left + 1) * bits) - 1), left + 1)
-            split(value >> left * bits, slots - left)
-
-        split(state, self.slots)
-        return out
+        window up to _SPAN + 1 slots, and above that the bytes of window j
+        from the start of run j, masked to _SPAN + 1 slots."""
+        count = (self.slots - 2) // _SPAN + 1
+        if count <= 1:
+            return [state]
+        bits, size = self.bits, self.run_bytes
+        # window j is in bytes j * size + [0, size + bits)
+        data = state.to_bytes(count * size + bits, "little")
+        mask = (1 << (_SPAN + 1) * bits) - 1
+        return [
+            int.from_bytes(data[start:start + size + bits], "little") & mask
+            for start in range(0, count * size, size)
+        ]
 
     def decode(self, state: int) -> State:
-        factors, bits = self.factors, self.bits
-        mask = (1 << bits) - 1
-        windows = self.windows(state)
-        # every window but the last leaves its shared slot to the next
-        last = self.slots - _SPAN * (len(windows) - 1)
-        full = range(0, (_SPAN + 1) * bits, bits)
-        out = [factors[w >> k & mask] for w in windows[:-1] for k in full[:-1]]
-        out += [factors[windows[-1] >> k & mask] for k in full[:last]]
-        return tuple(out)
+        factors, bits, slots = self.factors, self.bits, self.slots
+        mask, size = (1 << bits) - 1, self.run_bytes
+        data = state.to_bytes(-(-slots // _SPAN) * size, "little")
+        shifts = range(0, min(slots, _SPAN) * bits, bits)  # one run: its slots only
+        starts = range(0, len(data), size)
+        runs = (int.from_bytes(data[i:i + size], "little") for i in starts)
+        return tuple([factors[run >> k & mask] for run in runs for k in shifts][:slots])
 
     def fill(self, here: int) -> tuple[int, ...]:
         bits = self.bits
@@ -193,7 +190,6 @@ def _search(state: int, table: _MoveTable, cap: int) -> tuple[set[int], bool]:
     """BFS closure of the packed ``state`` under elementary moves: the
     visited states, and whether the search stopped at ``cap`` states with
     more to explore."""
-    _require_int(cap, "cap must be positive", 1)
     visited = {state}
     order = [state]  # BFS order: the loop below reads it as it grows
     for state in order:
@@ -220,6 +216,7 @@ def enumerate_orbit(
     3
     """
     _require_type(factorization, Factorization, "factorization")
+    _require_int(cap, "cap must be positive", 1)
     factors = factorization.factors
     points = {p for factor in factors if factor is not None for p in factor}
     table = _MoveTable(len(points), len(factors))
@@ -332,6 +329,7 @@ def orbit_partition(
 
     The main theorem predicts exactly one orbit per signature.
     """
+    _require_int(cap, "cap must be positive", 1)
     table: Optional[_MoveTable] = None
     seen: set[int] = set()
     buckets: dict[ComponentSignature, list[OrbitReport]] = {}

@@ -342,6 +342,14 @@ class TestErrorHandling:
         assert "guard" in proc.stderr
         assert "Traceback" not in proc.stderr
 
+    @pytest.mark.parametrize("cap", ["0", "-5"])
+    def test_census_refuses_a_bad_cap_with_no_tuple_to_search(self, run, cap):
+        # 3 points have no identity 3-tuple, so no orbit search ever starts
+        code, out, err = run("census", "3", "3", "--cap", cap)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: cap must be positive, got {cap}\n"
+
     def test_census_degree_two_beyond_slot_guard(self):
         # one candidate tuple at degree 2, but 10^8 slots: refused at once
         proc = subprocess.run(

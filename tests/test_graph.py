@@ -18,7 +18,6 @@ from hurwitz.factorization import (
 )
 from hurwitz.graph import (
     ComponentSignature,
-    component_labels,
     format_signature,
     signature,
     to_dot,
@@ -108,33 +107,44 @@ class TestEdgeWeights:
         assert list(dot_edges(f)) == sorted(edge_weights(f))
 
 
-class TestComponentLabels:
-    def test_points_without_edges_label_themselves(self):
-        assert component_labels(7, [(6, 4), (4, 2)]) == [0, 1, 2, 3, 2, 5, 2, 7]
-        assert component_labels(3, []) == [0, 1, 2, 3]
+class TestSignatureComponents:
+    """The union-find inside `signature`, against a breadth-first labelling."""
+
+    def test_points_without_edges_drop_out(self):
+        assert signature(Factorization(7, [(6, 4), (4, 2)])).components == (
+            ((2, 4, 6), 2),
+        )
+        assert signature(Factorization(3, [])).components == ()
+        assert signature(Factorization(3, [None])).components == ()
 
     @given(st.data())
     @settings(max_examples=100)
     def test_agrees_with_breadth_first_labelling(self, data):
-        n = data.draw(st.integers(1, 12))
+        n = data.draw(st.integers(2, 12))
         point = st.integers(1, n)
-        edges = data.draw(st.lists(st.tuples(point, point), max_size=15))
+        edge = st.tuples(point, point).filter(lambda e: e[0] != e[1])
+        edges = data.draw(st.lists(edge, max_size=15))
         adj = {v: set() for v in range(1, n + 1)}
         for a, b in edges:
             adj[a].add(b)
             adj[b].add(a)
-        expected = [0] * (n + 1)
+        label = [0] * (n + 1)
         for start in range(1, n + 1):
-            if expected[start]:
+            if label[start]:
                 continue
-            expected[start] = start
+            label[start] = start
             queue = deque([start])
             while queue:
                 for w in adj[queue.popleft()]:
-                    if not expected[w]:
-                        expected[w] = start
+                    if not label[w]:
+                        label[w] = start
                         queue.append(w)
-        assert component_labels(n, edges) == expected
+        weight = Counter(label[a] for a, _ in edges)
+        expected = tuple(
+            (tuple(v for v in range(1, n + 1) if label[v] == root), weight[root])
+            for root in sorted(weight)
+        )
+        assert signature(Factorization(n, edges)).components == expected
 
 
 class TestSignature:

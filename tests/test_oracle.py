@@ -93,8 +93,8 @@ class TestEnumerateOrbit:
         assert (report.orbit_size, report.truncated) == (2880, False)
 
     def test_long_state_packs_and_decodes_in_linear_time(self):
-        # packing, windowing and decoding halve the state: shifting the whole
-        # state once per slot took 4.8 s here
+        # packing, windowing and decoding go through the state's bytes once:
+        # shifting the whole state once per slot took 4.8 s here
         f = Factorization(2, [(1, 2)] * 400_000)
         start = time.perf_counter()
         report = enumerate_orbit(f, keep_members=True)
@@ -132,6 +132,38 @@ def test_expand_gives_the_single_moves_in_slot_order(data):
     assert [table.decode(s) for s in order] == expected
     # with the cap reached, the first new state stops the expansion
     assert _expand(state, table, {state}, [], 1) == bool(expected)
+
+
+# the smallest number of points whose edges need 1, 2, ..., 10 bits a code
+_POINTS_FOR_BITS = [2, 3, 4, 5, 7, 9, 12, 17, 24, 33]
+
+
+@given(st.data())
+@settings(max_examples=150)
+def test_state_layout_round_trips_across_run_boundaries(data):
+    """A state is its slots' codes, slot k at bit k * bits; window j holds
+    slots [32j, 32j + 33).  Codes of 1..10 bits, 1..130 slots."""
+    bits = data.draw(st.integers(1, 10))
+    n = _POINTS_FOR_BITS[bits - 1]
+    slots = data.draw(
+        st.sampled_from([32, 33, 64, 65, 128, 129]) | st.integers(1, 130)
+    )
+    pairs = [(a, b) for a in range(1, n + 1) for b in range(a + 1, n + 1)]
+    factors = tuple(
+        data.draw(st.lists(st.sampled_from(pairs + [None]), min_size=slots, max_size=slots))
+    )
+    table = _MoveTable(n, slots)
+    state = table.pack(factors)
+    assert table.bits == bits
+    codes = [table.codes[x] for x in factors]
+    assert state == sum(code << k * bits for k, code in enumerate(codes))
+    assert table.decode(state) == factors
+
+    def window(j):
+        return sum(code << k * bits for k, code in enumerate(codes[32 * j:32 * j + 33]))
+
+    count = max(1, (slots - 2) // 32 + 1)
+    assert table.windows(state) == [window(j) for j in range(count)]
 
 
 def _reference_orbit(f, cap):

@@ -14,6 +14,7 @@ import hurwitz
 from hurwitz import (
     BraidTuple,
     BraidWord,
+    ComponentSignature,
     Direction,
     Factorization,
     HurwitzMove,
@@ -25,6 +26,7 @@ from hurwitz import (
     canonical_shape,
     enumerate_identity_factorizations,
     enumerate_orbit,
+    format_braid_tuple,
     format_certificate,
     format_factorization,
     format_signature,
@@ -127,6 +129,29 @@ def test_package_has_no_assert():
         for node in ast.walk(ast.parse(path.read_text(), str(path)))
         if isinstance(node, ast.Assert)
     ]
+    assert found == []
+
+
+def test_package_has_no_recursion():
+    """No function in the package calls itself by name, as ``f(...)`` or
+    ``self.f(...)``: recursion depth would grow with the input."""
+    package = Path(hurwitz.__file__).resolve().parent
+    found = []
+    for path in sorted(package.glob("*.py")):
+        for func in ast.walk(ast.parse(path.read_text(), str(path))):
+            if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            for node in ast.walk(func):
+                callee = getattr(node, "func", None)
+                if isinstance(node, ast.Call) and (
+                    isinstance(callee, ast.Name)
+                    and callee.id == func.name
+                    or isinstance(callee, ast.Attribute)
+                    and isinstance(callee.value, ast.Name)
+                    and callee.value.id == "self"
+                    and callee.attr == func.name
+                ):
+                    found.append(f"{path.name}:{node.lineno} {func.name}")
     assert found == []
 
 
@@ -233,6 +258,7 @@ B = BraidTuple(3, [BraidWord(3, [1]), BraidWord(3, [1])])
         lambda: list(enumerate_identity_factorizations(3.5, 2)),
         lambda: list(enumerate_identity_factorizations("3", 2)),
         lambda: orbit_partition(3, "4"),
+        lambda: orbit_partition(3, 3, cap="x"),
         lambda: pull_edge_to_front(F, 1, 2.0),
         lambda: to_dot([(1, 2)]),
         lambda: format_factorization([(1, 2)]),
@@ -255,6 +281,10 @@ B = BraidTuple(3, [BraidWord(3, [1]), BraidWord(3, [1])])
         lambda: parse_factorization(b"n=3; []"),
         lambda: parse_certificate(5),
         lambda: parse_braid_tuple(None),
+        lambda: format_braid_tuple(None),
+        lambda: format_braid_tuple("x"),
+        lambda: canonical_shape(ComponentSignature(3, 2, 0, "junk")),
+        lambda: format_signature(ComponentSignature(3, 2, 0, "junk")),
     ],
     ids=[
         "Factorization(3, 5)",
@@ -270,6 +300,7 @@ B = BraidTuple(3, [BraidWord(3, [1]), BraidWord(3, [1])])
         "enumerate_identity_factorizations(3.5, 2)",
         "enumerate_identity_factorizations('3', 2)",
         "orbit_partition(3, '4')",
+        "orbit_partition(3, 3, cap='x')",
         "pull_edge_to_front(f, 1, 2.0)",
         "to_dot(list)",
         "format_factorization(list)",
@@ -292,6 +323,10 @@ B = BraidTuple(3, [BraidWord(3, [1]), BraidWord(3, [1])])
         "parse_factorization(b'n=3; []')",
         "parse_certificate(5)",
         "parse_braid_tuple(None)",
+        "format_braid_tuple(None)",
+        "format_braid_tuple('x')",
+        "canonical_shape(junk signature)",
+        "format_signature(junk signature)",
     ],
 )
 def test_wrong_typed_arguments_raise_precondition_error(call):
