@@ -59,7 +59,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from .errors import InternalError, PreconditionError
+from .errors import HurwitzError, InternalError, PreconditionError
 from .factorization import (
     Direction,
     Factor,
@@ -132,15 +132,26 @@ def canonical_shape(sig: ComponentSignature) -> Factorization:
     """Construct the canonical factorization for a signature directly.
 
     This is the target the planner must reach; building it independently
-    from the signature gives a cross-check that costs O(m).
+    from the signature gives a cross-check that costs O(m).  A signature
+    that no factorization has (a negative identity count, a factor count
+    other than the identities plus the weights, or a weight that is odd or
+    below 2(|V| - 1)) raises PreconditionError naming it.
     """
     _require_signature(sig)
-    def fail(stage: str, problem: str) -> InternalError:
-        return InternalError(
+    def fail(stage: str, problem: str) -> PreconditionError:
+        return PreconditionError(
             f"{stage}: {problem}; signature {format_signature(sig)}"
         )
 
-    factors: list[Factor] = [None] * sig.identity_factor_count
+    identities = sig.identity_factor_count
+    weights = sum(weight for _, weight in sig.components)
+    if identities < 0 or identities + weights != sig.total_factors:
+        raise fail(
+            "counts",
+            f"{sig.total_factors} factors are not {identities} identities "
+            f"and {weights} of component weight",
+        )
+    factors: list[Factor] = [None] * identities
     for vertices, weight in sig.components:
         leftover = _leftover(vertices, weight, fail)
         for t in range(len(vertices) - 1):
@@ -150,7 +161,7 @@ def canonical_shape(sig: ComponentSignature) -> Factorization:
 
 
 def _leftover(
-    vertices: Sequence[int], weight: int, fail: Callable[[str, str], InternalError]
+    vertices: Sequence[int], weight: int, fail: Callable[[str, str], HurwitzError]
 ) -> int:
     """Weight beyond the doubled path; unless it is even and non-negative,
     raises ``fail("leftover", problem)``, which names the caller's input."""

@@ -11,8 +11,9 @@ from __future__ import annotations
 import argparse
 import sys
 from itertools import islice
+from operator import attrgetter
 from pathlib import Path
-from typing import TextIO
+from typing import Iterator, TextIO
 
 from .errors import FormatError, HurwitzError
 from .factorization import (
@@ -20,7 +21,6 @@ from .factorization import (
     Factorization,
     apply_certificate,
     apply_move,
-    format_certificate,
     format_factorization,
     parse_certificate,
     parse_factorization,
@@ -48,15 +48,17 @@ def _load_factorization(path: str) -> Factorization:
     return parse_factorization(_read_text(path))
 
 
-# DOT text is written this many lines at a time: the text of a large
-# factorization, a string an edge and then their join, would outweigh it.
-_DOT_LINES = 1 << 12
+# DOT text and certificates are written this many lines at a time: the
+# whole text, a string a line and then their join, would outweigh what it is
+# made from.
+_LINES = 1 << 12
 
 
-def _write_dot(f: Factorization, out: TextIO) -> None:
-    lines = _dot_lines(f)
-    while chunk := "".join(islice(lines, _DOT_LINES)):
-        out.write(chunk)
+def _write_lines(lines: Iterator[str], out: TextIO) -> None:
+    """Write ``lines``, each followed by a newline, _LINES at a time."""
+    while chunk := list(islice(lines, _LINES)):
+        chunk.append("")
+        out.write("\n".join(chunk))
 
 
 def _cmd_sig(args: argparse.Namespace) -> int:
@@ -64,7 +66,7 @@ def _cmd_sig(args: argparse.Namespace) -> int:
     # write the side file first, so a failed write leaves stdout empty
     if args.dot:
         with Path(args.dot).open("w") as out:
-            _write_dot(f, out)
+            _write_lines(_dot_lines(f), out)
     print(format_signature(signature(f)))
     return 0
 
@@ -86,8 +88,9 @@ def _cmd_canon(args: argparse.Namespace) -> int:
     f = _load_factorization(args.file)
     result = canonical_form(f)
     print(format_factorization(result.canonical))
-    if args.cert and result.certificate:
-        print(format_certificate(result.certificate))
+    if args.cert:
+        # the moves of canonical_form, so their text needs no type check
+        _write_lines(map(attrgetter("_text"), result.certificate), sys.stdout)
     return 0
 
 
@@ -162,9 +165,9 @@ def _cmd_dot(args: argparse.Namespace) -> int:
     f = _load_factorization(args.file)
     if args.dot:
         with Path(args.dot).open("w") as out:
-            _write_dot(f, out)
+            _write_lines(_dot_lines(f), out)
     else:
-        _write_dot(f, sys.stdout)
+        _write_lines(_dot_lines(f), sys.stdout)
     return 0
 
 

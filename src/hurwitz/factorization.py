@@ -531,7 +531,9 @@ def parse_factorization(text: str) -> Factorization:
 # so its scratch lists stay small beside the endpoint arrays it fills.  An
 # "e" is two characters and its scratch outweighs its 8 bytes of endpoints:
 # at 16K characters an all-identity list of 10^5 factors peaks at under 2
-# times the arrays.
+# times the arrays.  parse_certificate reads its text in chunks of the same
+# size: a line string of each move of the text would take about 50 bytes,
+# the move itself 8.
 _CHUNK = 1 << 14
 # Distinct left fields "(a" and right fields "b)", joined by commas.  A
 # point is leading zeros, then a nonzero digit and at most MAX_DEGREE's
@@ -725,34 +727,57 @@ def parse_certificate(text: str) -> list[HurwitzMove]:
     """Parse a certificate: one move per line, blank lines and '#' comments
     are skipped.
 
-    Certificates repeat their lines, so each distinct raw line is stripped
-    and read with _MOVE_RE once, in order of first occurrence: the first
-    malformed line in the text raises FormatError at its first non-blank
-    character.
+    The text is read a chunk of about _CHUNK characters at a time, each cut
+    right after a "\\n", so a "\\r\\n" is never split and the chunks' lines
+    are the text's lines; a text without "\\n" is one chunk.  Only the
+    move list, an 8-byte slot a line, and one entry per distinct line
+    outlive a chunk.
+    Certificates repeat their lines, so a table kept across the chunks
+    strips each distinct raw line and reads it with _MOVE_RE once, in order
+    of first occurrence: the first malformed line in the text raises
+    FormatError naming its line number, at its first non-blank character.
 
     >>> [str(m) for m in parse_certificate("F@0\\n# comment\\nI@2\\n")]
     ['F@0', 'I@2']
     """
     _require_type(text, str, "text")
-    raw_lines = text.splitlines()
-    table: dict[str, Optional[HurwitzMove]] = dict.fromkeys(raw_lines)
-    for raw in table:
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        m = _MOVE_RE.match(line)
-        if m and len(m[2].lstrip("0")) <= _POSITION_DIGITS:
-            table[raw] = HurwitzMove(_DIRECTIONS[m[1]], int(m[2]))
-            continue
-        i = raw_lines.index(raw)
-        start = sum(map(len, text.splitlines(keepends=True)[:i]))
-        problem = f"malformed move {line!r}" if not m else "move position out of range"
-        raise FormatError(
-            f"{problem} on line {i + 1}",
-            position=start + len(raw) - len(raw.lstrip()),
-        )
-    # a move is always true, so the filter drops only the skipped lines
-    return list(filter(None, map(table.__getitem__, raw_lines)))
+    table: dict[str, Optional[HurwitzMove]] = {}
+    # one slot a "\n", allocated once and written over: a list grown by
+    # appends is reallocated as it grows, and on glibc the blocks it left
+    # behind kept a 2.5 million move replay 14 MB larger in some runs
+    moves: list = [None] * text.count("\n")
+    filled = 0
+    start = lines_before = 0  # the chunk's offset and the lines before it
+    while start < len(text):
+        end = text.find("\n", start + _CHUNK) + 1 or len(text)
+        chunk = text[start:end]
+        raw_lines = chunk.splitlines()
+        for raw in dict.fromkeys(raw_lines):
+            if raw in table:
+                continue
+            line = raw.strip()
+            if not line or line.startswith("#"):
+                table[raw] = None
+                continue
+            m = _MOVE_RE.match(line)
+            if m and len(m[2].lstrip("0")) <= _POSITION_DIGITS:
+                table[raw] = HurwitzMove(_DIRECTIONS[m[1]], int(m[2]))
+                continue
+            i = raw_lines.index(raw)
+            offset = start + sum(map(len, chunk.splitlines(keepends=True)[:i]))
+            problem = f"malformed move {line!r}" if not m else "move position out of range"
+            raise FormatError(
+                f"{problem} on line {lines_before + i + 1}",
+                position=offset + len(raw) - len(raw.lstrip()),
+            )
+        # a move is always true, so the filter drops only the skipped lines
+        part = list(filter(None, map(table.__getitem__, raw_lines)))
+        moves[filled:filled + len(part)] = part
+        filled += len(part)
+        lines_before += len(raw_lines)
+        start = end
+    del moves[filled:]
+    return moves
 
 
 def format_certificate(moves: Iterable[HurwitzMove]) -> str:

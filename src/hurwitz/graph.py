@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from itertools import compress, repeat
+from itertools import compress, groupby, repeat
 from operator import add, is_not, mul
 from typing import Iterator
 
@@ -154,25 +154,24 @@ def to_dot(factorization: Factorization) -> str:
     each labeled with its weight.
     """
     _require_type(factorization, Factorization, "factorization")
-    return "".join(_dot_lines(factorization))
+    return "\n".join([*_dot_lines(factorization), ""])
 
 
 def _dot_lines(factorization: Factorization) -> Iterator[str]:
-    """The lines of ``to_dot``, each ending in a newline, made one at a
-    time so a writer need not hold them all.  An edge is counted as one
-    int, ``a * (degree + 1) + b``, which sorts as the pair does; an
-    identity is 0."""
+    """The lines of ``to_dot`` without their newlines, made one at a time so
+    a writer need not hold them all.  An edge is keyed by one int,
+    ``a * (degree + 1) + b``, which sorts as the pair does, and an identity
+    by 0; an edge's weight is the length of its run in the one sorted list
+    of keys, which holds an int a factor and no table of the edges."""
     span = factorization.degree + 1
-    counts = Counter(
+    keys = sorted(
         map(add, map(mul, factorization._lo, repeat(span)), factorization._hi)
     )
-    counts.pop(0, None)
-    yield "graph factorization {\n"
+    yield "graph factorization {"
     for v in range(1, span):
-        yield f"  {v};\n"
-    # the sorted keys alone: a list of (key, weight) pairs would be a tuple
-    # an edge
-    for key in sorted(counts):
-        a, b = divmod(key, span)
-        yield f'  {a} -- {b} [label="w={counts[key]}"];\n'
-    yield "}\n"
+        yield f"  {v};"
+    for key, run in groupby(keys):
+        if key:
+            a, b = divmod(key, span)
+            yield f'  {a} -- {b} [label="w={len(list(run))}"];'
+    yield "}"

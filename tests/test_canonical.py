@@ -198,7 +198,7 @@ class TestCanonicalShape:
         # a hand-built signature: weight 3 cannot cover a doubled path on
         # three points
         sig = ComponentSignature(3, 3, 0, (((1, 2, 3), 3),))
-        with pytest.raises(InternalError) as info:
+        with pytest.raises(PreconditionError) as info:
             canonical_shape(sig)
         assert str(info.value) == (
             "leftover: component {1, 2, 3} with weight 3: leftover -1 is not "

@@ -10,8 +10,10 @@ from pathlib import Path
 import pytest
 
 import hurwitz
-from hurwitz import factorization
+from hurwitz import cli, factorization
+from hurwitz.canonical import canonical_form
 from hurwitz.cli import main
+from hurwitz.factorization import format_certificate, format_factorization, parse_factorization
 
 F1_TEXT = "n=6; [(2,6),(1,4),(1,5),(3,6),(4,5),(1,5),(2,3),(3,6)]"
 F2_TEXT = "n=6; [(2,6),(1,5),(3,6),(3,6),(2,6),(1,5),(1,4),(1,4)]"
@@ -121,6 +123,30 @@ class TestCanon:
         code, out, _ = run("replay", f1_file, str(cert_path))
         assert code == 0
         assert out == CANONICAL_6 + "\n"
+
+    @pytest.mark.parametrize("lines_past_chunk", [-1, 0, 1, "2 chunks + 1"])
+    def test_cert_is_written_in_chunks_byte_for_byte(
+        self, run, f2_file, tmp_path, monkeypatch, lines_past_chunk
+    ):
+        # F2's certificate has 29 moves; the writer's chunk is set so that
+        # they are chunk - 1, chunk, chunk + 1 or 2 chunk + 1 lines
+        result = canonical_form(parse_factorization(F2_TEXT))
+        moves = len(result.certificate)
+        assert moves == 29
+        if lines_past_chunk == "2 chunks + 1":
+            chunk = (moves - 1) // 2
+        else:
+            chunk = moves - lines_past_chunk
+        monkeypatch.setattr(cli, "_LINES", chunk)
+        code, out, _ = run("canon", "--cert", f2_file)
+        assert code == 0
+        canonical = format_factorization(result.canonical)
+        assert out == f"{canonical}\n{format_certificate(result.certificate)}\n"
+        cert_path = tmp_path / "cert.txt"
+        cert_path.write_text(out.split("\n", 1)[1])
+        code, out, _ = run("replay", f2_file, str(cert_path))
+        assert code == 0
+        assert out == canonical + "\n"
 
     def test_cert_on_canonical_input_prints_nothing_extra(self, run, tmp_path):
         path = tmp_path / "c.txt"

@@ -799,6 +799,82 @@ class TestCertificateBulkRead:
         assert len(calls) <= len(set(raw))
 
 
+# malformed lines, one of which a drawn certificate may hold
+MALFORMED_LINES = ["G@1", "F@", "  F@x", "@3", "FF@1", " I@" + "9" * 25, "F@\u0663"]
+
+
+@st.composite
+def chunked_certificates(draw):
+    """Moves, padded moves such as ' F @ 007 ', blanks and '#' comments,
+    each ended by "\\n", "\\r\\n" or "\\r" (the last line perhaps by
+    nothing), with at most one malformed line among them."""
+    move = st.builds("{}@{}".format, st.sampled_from("FI"), st.integers(0, 12))
+    padded = st.builds(
+        "{} {} @ {}{} ".format,
+        st.sampled_from(["", " ", "\t"]),
+        st.sampled_from("FI"),
+        st.sampled_from(["", "0", "00"]),
+        st.integers(0, 12),
+    )
+    other = st.sampled_from(["", "   ", "# note", "  # F@1", "#"])
+    lines = draw(st.lists(st.one_of(move, padded, other), max_size=30))
+    if draw(st.booleans()):
+        lines.insert(
+            draw(st.integers(0, len(lines))), draw(st.sampled_from(MALFORMED_LINES))
+        )
+    breaks = draw(
+        st.lists(st.sampled_from(["\n", "\r\n", "\r"]), min_size=len(lines), max_size=len(lines))
+    )
+    if breaks and draw(st.booleans()):
+        breaks[-1] = ""
+    return "".join(map(str.__add__, lines, breaks))
+
+
+class TestCertificateChunks:
+    """parse_certificate reads factorization._CHUNK characters at a time,
+    cut after a "\\n"; these tests shrink the chunk to a few characters."""
+
+    @given(chunked_certificates(), st.integers(1, 64))
+    @settings(max_examples=400)
+    @example("F@0\r\nF@1\r\nG@2\r\n", 4)
+    @example("F@0\nF@1\nF@2\nG@3", 1)
+    def test_any_chunk_size_reads_like_the_whole_text(self, text, chunk):
+        expected = read_certificate_by_lines(text)
+        with patch.object(factorization, "_CHUNK", chunk):
+            try:
+                got = parse_certificate(text)
+            except FormatError as exc:
+                assert isinstance(expected, tuple), text
+                message, position = expected
+                assert str(exc) == f"{message} (at position {position})"
+                assert exc.position == position
+            else:
+                assert got == expected
+
+    def test_text_without_a_newline_is_one_chunk(self):
+        text = "\r".join(["F@1", "# note", "I@2"] * 100)
+        with patch.object(factorization, "_CHUNK", 1):
+            assert parse_certificate(text) == [forward(1), inverse(2)] * 100
+            with pytest.raises(FormatError, match="line 301") as info:
+                parse_certificate(text + "\rG@1")
+        assert info.value.position == len(text) + 1
+
+    def test_a_million_moves_peak_under_24_bytes_a_move(self):
+        # the moves themselves are a list of 8-byte pointers; the lines of
+        # one chunk and one table entry per distinct line are all else
+        m = 10**6
+        text = "\n".join(f"{'FI'[k & 1]}@{k % 1009}" for k in range(m)) + "\n"
+        tracemalloc.start()
+        try:
+            moves = parse_certificate(text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(moves) == m
+        assert moves[1009] == inverse(0)
+        assert peak <= 24 * m
+
+
 @st.composite
 def braid_tuples(draw):
     n = draw(st.integers(1, 6))

@@ -285,6 +285,11 @@ B = BraidTuple(3, [BraidWord(3, [1]), BraidWord(3, [1])])
         lambda: format_braid_tuple("x"),
         lambda: canonical_shape(ComponentSignature(3, 2, 0, "junk")),
         lambda: format_signature(ComponentSignature(3, 2, 0, "junk")),
+        lambda: canonical_shape(ComponentSignature(3, 2, 0, (((1, 2), 1),))),
+        lambda: canonical_shape(ComponentSignature(3, 1, 0, (((1, 2), 1),))),
+        lambda: canonical_shape(ComponentSignature(3, 2, 0, (((1, 2, 3), 2),))),
+        lambda: canonical_shape(ComponentSignature(3, 1, -1, (((1, 2), 2),))),
+        lambda: canonical_shape(ComponentSignature(3, 5, 0, (((1, 2), 2),))),
     ],
     ids=[
         "Factorization(3, 5)",
@@ -327,10 +332,16 @@ B = BraidTuple(3, [BraidWord(3, [1]), BraidWord(3, [1])])
         "format_braid_tuple('x')",
         "canonical_shape(junk signature)",
         "format_signature(junk signature)",
+        "canonical_shape(m=2, odd weight 1)",
+        "canonical_shape(m=1, odd weight 1)",
+        "canonical_shape(weight 2 on 3 points)",
+        "canonical_shape(e=-1)",
+        "canonical_shape(m=5, weight 2)",
     ],
 )
 def test_wrong_typed_arguments_raise_precondition_error(call):
-    """A public entry point given an argument of the wrong type raises a
-    HurwitzError, never TypeError or AttributeError, and never returns."""
+    """A public entry point given an argument of the wrong type, or a
+    well-typed signature that no factorization has, raises a HurwitzError,
+    never TypeError, AttributeError or InternalError, and never returns."""
     with pytest.raises(PreconditionError):
         call()
