@@ -121,7 +121,8 @@ def _projection_factor(word: BraidWord) -> Factor:
     strands = set(map(abs, word.letters))
     points = sorted(strands.union([s + 1 for s in strands]))
     swap = {p: (i, i + 1) for i, p in enumerate(points, 1) if p in strands}
-    images = product_images(len(points), map(swap.__getitem__, map(abs, word.letters)))
+    last_first = map(abs, reversed(word.letters))
+    images = product_images(len(points), map(swap.__getitem__, last_first))
     moved = [p for i, p in enumerate(points, 1) if images[i] != i]
     if not moved:
         return None

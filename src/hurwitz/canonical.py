@@ -56,6 +56,8 @@ is itself the equivalence certificate.
 
 from __future__ import annotations
 
+import operator
+import sys
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -133,9 +135,12 @@ def canonical_shape(sig: ComponentSignature) -> Factorization:
 
     This is the target the planner must reach; building it independently
     from the signature gives a cross-check that costs O(m).  A signature
-    that no factorization has (a negative identity count, a factor count
-    other than the identities plus the weights, or a weight that is odd or
-    below 2(|V| - 1)) raises PreconditionError naming it.
+    that no factorization has, or that `signature` never builds, raises
+    PreconditionError naming it: a negative identity count, a factor count
+    other than the identities plus the weights or above ``sys.maxsize``, a
+    weight that is odd or below 2(|V| - 1), or points that are not ints
+    ascending within each component, the components ascending by smallest
+    point and none sharing one.  Every check runs before a list is built.
     """
     _require_signature(sig)
     def fail(stage: str, problem: str) -> PreconditionError:
@@ -143,6 +148,24 @@ def canonical_shape(sig: ComponentSignature) -> Factorization:
             f"{stage}: {problem}; signature {format_signature(sig)}"
         )
 
+    seen: set[int] = set()
+    smallest = 0
+    leftovers = []
+    for vertices, weight in sig.components:
+        if (
+            set(map(type, vertices)) != {int}
+            or vertices[0] <= smallest
+            or any(map(operator.ge, vertices, vertices[1:]))
+            or not seen.isdisjoint(vertices)
+        ):
+            raise fail(
+                "points",
+                f"component {vertices}: points must be ints from 1, ascending, "
+                f"past the previous component's smallest and in no other",
+            )
+        smallest = vertices[0]
+        seen.update(vertices)
+        leftovers.append(_leftover(vertices, weight, fail))
     identities = sig.identity_factor_count
     weights = sum(weight for _, weight in sig.components)
     if identities < 0 or identities + weights != sig.total_factors:
@@ -151,9 +174,12 @@ def canonical_shape(sig: ComponentSignature) -> Factorization:
             f"{sig.total_factors} factors are not {identities} identities "
             f"and {weights} of component weight",
         )
+    if sig.total_factors > sys.maxsize:
+        raise fail(
+            "counts", f"{sig.total_factors} factors are more than a list holds"
+        )
     factors: list[Factor] = [None] * identities
-    for vertices, weight in sig.components:
-        leftover = _leftover(vertices, weight, fail)
+    for (vertices, _), leftover in zip(sig.components, leftovers):
         for t in range(len(vertices) - 1):
             factors += [(vertices[t], vertices[t + 1])] * 2
         factors += [(vertices[0], vertices[1])] * leftover

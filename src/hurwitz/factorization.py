@@ -18,7 +18,8 @@ both moves.
 ``_replay`` is the one move kernel: it applies moves to a factor list in
 place, and every move in the package, single or in a run, goes through it.
 ``product_images`` is the one product kernel: a product is an image list,
-entry ``x`` the image of the point ``x``.
+entry ``x`` the image of the point ``x``, built from the factors last first
+with one swap each and no inverse.
 """
 
 from __future__ import annotations
@@ -105,28 +106,25 @@ def normalize_factor(factor: Factor, degree: int) -> Factor:
     return (a, b) if a < b else (b, a)
 
 
-def product_images(n: int, factors: Iterable[Factor]) -> list[int]:
+def product_images(n: int, factors_last_first: Iterable[Factor]) -> list[int]:
     """Image list of the left-to-right product of transposition factors
-    (None factors are the identity): entry x is the image of the point x,
-    and entry 0 is 0.
+    (None factors are the identity), given last factor first: entry x is
+    the image of the point x, and entry 0 is 0.
 
-    Maintains the running product's preimage array, where appending a
-    factor ``(a, b)`` swaps the preimages of a and b, so each factor costs
-    O(1); the image list is its inverse, built in one pass at the end.  The
-    whole product is O(n + number of factors).  A pair ``(0, 0)`` swaps
-    entry 0 with itself, so endpoint arrays can be zipped in.
+    Putting a factor ``(a, b)`` in front of a product swaps the images of
+    a and b, so the list starts as the identity and each factor, last
+    first, costs one swap: O(n + number of factors), and no inverse is
+    built.  A pair ``(0, 0)`` swaps entry 0 with itself, so endpoint arrays
+    can be zipped in.
 
-    >>> product_images(3, [(1, 2), (2, 3)])
+    >>> product_images(3, reversed([(1, 2), (2, 3)]))
     [0, 3, 1, 2]
     """
-    pre = list(range(n + 1))   # pre[y] = preimage of y under the product so far
+    img = list(range(n + 1))
     # filter drops None in C, and each pair is unpacked and released, so a
     # zip of endpoint arrays reuses one result tuple
-    for a, b in filter(None, factors):
-        pre[a], pre[b] = pre[b], pre[a]
-    img = pre[:]
-    for y, x in enumerate(pre):
-        img[x] = y
+    for a, b in filter(None, factors_last_first):
+        img[a], img[b] = img[b], img[a]
     return img
 
 
@@ -214,7 +212,9 @@ class Factorization:
 
     def product(self) -> list[int]:
         """Image list of the left-to-right product (see product_images)."""
-        return product_images(self.degree, zip(self._lo, self._hi))
+        return product_images(
+            self.degree, zip(reversed(self._lo), reversed(self._hi))
+        )
 
     def is_identity_factorization(self) -> bool:
         """True when the product is the identity permutation."""
@@ -245,14 +245,9 @@ def _endpoints(factors: Sequence[Factor]) -> tuple[array, array]:
 
 
 def _as_factors(lo: array, hi: array) -> tuple[Factor, ...]:
-    """The factor tuple of endpoint arrays: the pairs zipped, then each
-    identity slot, found with ``index``, set to None."""
-    factors: list[Factor] = list(zip(lo, hi))
-    slot = -1
-    for _ in range(lo.count(0)):
-        slot = lo.index(0, slot + 1)
-        factors[slot] = None
-    return tuple(factors)
+    """The factor tuple of endpoint arrays: the pairs zipped, an identity's
+    ``(0, 0)`` as None."""
+    return tuple([p if p[0] else None for p in zip(lo, hi)])
 
 
 class Direction(Enum):

@@ -8,14 +8,13 @@ separately.  Elementary moves replace a factor by a conjugate under another
 factor, which permutes edges within a component without changing component
 membership or total weight, so the whole record is move-invariant.
 
-``signature`` takes O(m + degree) time for m factors and O(degree) memory
-beside one fixed-size chunk of the factors' endpoints.  Its components come
-from the package's one union-find, inline in ``signature``.
+``signature`` takes O(m + degree) time for m factors and O(degree) memory,
+whatever m is.  Its components come from the package's one union-find,
+inline in ``signature``.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from itertools import compress, groupby, repeat
 from operator import add, is_not, mul
@@ -44,26 +43,18 @@ class ComponentSignature:
         return format_signature(self)
 
 
-# signature counts the left endpoints _CHUNK at a time, so its Counter holds
-# at most _CHUNK keys whatever the degree; one Counter of them all would hold
-# up to degree fresh ints.  Inputs up to _CHUNK factors, all but the largest
-# in the benchmark, take one pass of the loop.
-_CHUNK = 1 << 17
-
-
 def signature(factorization: Factorization) -> ComponentSignature:
     """Compute the component signature of a factorization.
 
     Time O(m + degree), where the O(degree) part runs in C (three list
-    allocations and one scan for non-roots); memory O(degree + _CHUNK).
-    The endpoint arrays are read a chunk at a time: a Counter of the left
-    endpoints gives the identities (point 0) and each point's weight as the
-    smaller endpoint of an edge, and the chunk's pairs are joined into one
-    running union-find: path halving, the larger root hung under the
-    smaller, so every parent is at most its child.  A pair whose endpoints
-    already share a parent is skipped without a search; so is an identity,
-    because ``parent[0] == parent[0]``.  Only the points that carry an edge
-    are resolved and grouped, in one Python pass.
+    allocations and one scan for non-roots); memory O(degree).  One pass
+    over the endpoint arrays adds each factor's unit to the weight of its
+    smaller endpoint (point 0 for an identity) and joins its pair into one
+    union-find: path halving, the larger root hung under the smaller, so
+    every parent is at most its child.  A pair whose endpoints already
+    share a parent is skipped without a search; so is an identity, because
+    ``parent[0] == parent[0]``.  Only the points that carry an edge are
+    resolved and grouped, in one Python pass.
     """
     _require_type(factorization, Factorization, "factorization")
     degree = factorization.degree
@@ -71,23 +62,20 @@ def signature(factorization: Factorization) -> ComponentSignature:
     points = list(range(degree + 1))
     parent = points[:]
     low = [0] * (degree + 1)  # weight of the edges by their smaller endpoint
-    for start in range(0, len(lo), _CHUNK):
-        lo_chunk = lo[start:start + _CHUNK]
-        for a, w in Counter(lo_chunk).items():
-            low[a] += w
-        for a, b in zip(lo_chunk, hi[start:start + _CHUNK]):
-            if parent[a] == parent[b]:
-                continue
-            while parent[a] != a:
-                parent[a] = parent[parent[a]]
-                a = parent[a]
-            while parent[b] != b:
-                parent[b] = parent[parent[b]]
-                b = parent[b]
-            if a < b:
-                parent[b] = a
-            elif b < a:
-                parent[a] = b
+    for a, b in zip(lo, hi):
+        low[a] += 1
+        if parent[a] == parent[b]:
+            continue
+        while parent[a] != a:
+            parent[a] = parent[parent[a]]
+            a = parent[a]
+        while parent[b] != b:
+            parent[b] = parent[parent[b]]
+            b = parent[b]
+        if a < b:
+            parent[b] = a
+        elif b < a:
+            parent[a] = b
     identity, low[0] = low[0], 0
 
     # A point carries an edge when it is not a root or is the root of some

@@ -14,7 +14,7 @@ from unittest.mock import patch
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from hurwitz import factorization, graph
+from hurwitz import factorization
 from hurwitz.braid import (
     BraidTuple,
     BraidWord,
@@ -157,10 +157,12 @@ class TestFactorizationType:
 
 
 class TestProductImages:
+    """product_images takes the factors last first."""
+
     def test_order_is_left_to_right(self):
         # apply (1,2) first: 1 -> 2 -> 3
-        assert product_images(3, [(1, 2), (2, 3)]) == [0, 3, 1, 2]
-        assert product_images(3, [(2, 3), (1, 2)]) == [0, 2, 3, 1]
+        assert product_images(3, [(2, 3), (1, 2)]) == [0, 3, 1, 2]
+        assert product_images(3, [(1, 2), (2, 3)]) == [0, 2, 3, 1]
 
     def test_matches_fold(self):
         rng = random.Random(42)
@@ -174,7 +176,7 @@ class TestProductImages:
                 else:
                     a, b = rng.sample(range(1, n + 1), 2)
                     factors.append((min(a, b), max(a, b)))
-            assert tuple(product_images(n, factors)[1:]) == fold_product(n, factors)
+            assert tuple(product_images(n, factors[::-1])[1:]) == fold_product(n, factors)
 
     def test_empty_and_identity_factors(self):
         assert product_images(4, []) == [0, 1, 2, 3, 4]
@@ -984,22 +986,21 @@ def written(n, factors, separator=","):
 @st.composite
 def stores(draw):
     """A factor list with identities on the chunk boundaries of the parse
-    (in characters) and of signature (in factors), the two chunk sizes, and
-    a text of the list as format_factorization writes it."""
+    (in characters), the chunk size, and a text of the list as
+    format_factorization writes it."""
     n = draw(st.integers(2, 12))
     pairs = [(a, b) for a in range(1, n + 1) for b in range(a + 1, n + 1)]
     factors = draw(st.lists(st.one_of(st.none(), st.sampled_from(pairs)), max_size=40))
-    text_chunk, graph_chunk = draw(st.integers(1, 30)), draw(st.integers(1, 8))
+    text_chunk = draw(st.integers(1, 30))
     tokens = ["e" if f is None else f"({f[0]},{f[1]})" for f in factors]
     offset = 0
     for k, token in enumerate(tokens):
-        # the factor whose token holds a multiple of text_chunk, and those
-        # on either side of a multiple of graph_chunk
-        if offset // text_chunk != (offset + len(token)) // text_chunk or k % graph_chunk in (0, graph_chunk - 1):
+        # the factor whose token holds a multiple of text_chunk
+        if offset // text_chunk != (offset + len(token)) // text_chunk:
             if draw(st.booleans()):
                 factors[k] = None
         offset += len(token) + 1
-    return n, factors, text_chunk, graph_chunk, written(n, factors)
+    return n, factors, text_chunk, written(n, factors)
 
 
 class TestStoreAndView:
@@ -1010,14 +1011,14 @@ class TestStoreAndView:
     @given(stores(), st.data())
     @settings(max_examples=200)
     def test_every_path_gives_the_reference_factors(self, case, data):
-        n, factors, text_chunk, graph_chunk, text = case
+        n, factors, text_chunk, text = case
         reference = tuple(factors)
         swapped = [f if f is None or data.draw(st.booleans()) else f[::-1] for f in factors]
         moves = data.draw(st.lists(
             st.builds(HurwitzMove, st.sampled_from(Direction), st.integers(0, max(0, len(factors) - 2))),
             max_size=6 if len(factors) > 1 else 0,
         ))
-        with patch.object(factorization, "_CHUNK", text_chunk), patch.object(graph, "_CHUNK", graph_chunk):
+        with patch.object(factorization, "_CHUNK", text_chunk):
             built = {
                 "bulk": parse_factorization(text),
                 "tokens": parse_factorization(written(n, swapped, ", ")),
@@ -1046,7 +1047,7 @@ class TestStoreAndView:
     @given(stores())
     @settings(max_examples=50)
     def test_view_is_built_once_and_shared(self, case):
-        n, factors, _, _, text = case
+        n, factors, _, text = case
         f = parse_factorization(text)
         assert f.factors is f.factors
         view = tuple(factors)
@@ -1067,7 +1068,7 @@ class TestApplyMovePatchesTheStore:
     @given(stores(), st.data())
     @settings(max_examples=200)
     def test_single_moves_match_the_fold(self, case, data):
-        n, factors, text_chunk, _, text = case
+        n, factors, text_chunk, text = case
         with patch.object(factorization, "_CHUNK", text_chunk):
             parsed = parse_factorization(text)
         # a parsed input has no view until the first move builds it

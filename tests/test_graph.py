@@ -8,7 +8,6 @@ from collections import Counter, deque
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hurwitz import graph
 from hurwitz.factorization import (
     Factorization,
     HurwitzMove,
@@ -211,8 +210,9 @@ class TestSignature:
 
 
 class TestSignatureChunks:
-    """signature counts the factors graph._CHUNK at a time; these inputs put
-    edges, identities and joins on either side of the chunk boundaries."""
+    """signature agrees with the reference on short drawn inputs and on long
+    ones: lengths around 131,072 factors with identities on both sides of
+    its multiples, two paths joined by the last factor, all identities."""
 
     @given(st.data())
     @settings(max_examples=150)
@@ -222,13 +222,7 @@ class TestSignatureChunks:
         f = Factorization(
             n, data.draw(st.lists(st.sampled_from(pairs + [None]), max_size=40))
         )
-        chunk = data.draw(st.sampled_from([1, 2, 3, 5, 8, graph._CHUNK]))
-        saved = graph._CHUNK
-        graph._CHUNK = chunk
-        try:
-            assert signature(f) == reference_signature(f)
-        finally:
-            graph._CHUNK = saved
+        assert signature(f) == reference_signature(f)
 
     @pytest.mark.parametrize(
         "chunks, extra",
@@ -236,27 +230,27 @@ class TestSignatureChunks:
         ids=["chunk-1", "chunk", "chunk+1", "3chunk+7"],
     )
     def test_lengths_around_the_chunk_size(self, chunks, extra):
-        m = chunks * graph._CHUNK + extra
+        m = chunks * 131_072 + extra
         rng = random.Random(m)
         n = 3000
         factors = [
             None if rng.random() < 0.05 else tuple(sorted(rng.sample(range(1, n + 1), 2)))
             for _ in range(m)
         ]
-        # identities on both sides of every boundary
-        for k in range(graph._CHUNK, m, graph._CHUNK):
+        # identities on both sides of every multiple of 131,072
+        for k in range(131_072, m, 131_072):
             factors[k - 1] = factors[k] = None
         f = Factorization(n, factors)
         assert signature(f) == reference_signature(f)
 
     def test_halves_joined_in_the_last_chunk(self):
         # odd and even points form two paths, each resolved to its own root
-        # over the first chunks, and the last factor joins them
+        # over the first 262,144 factors, and the last factor joins them
         n = 200
         odd = [(a, a + 2) for a in range(1, n - 1, 2)]
         even = [(a, a + 2) for a in range(2, n - 1, 2)][::-1]
         cycle = odd + even
-        factors = [cycle[k % len(cycle)] for k in range(2 * graph._CHUNK)]
+        factors = [cycle[k % len(cycle)] for k in range(2 * 131_072)]
         f = Factorization(n, factors + [(n - 1, n)])
         s = signature(f)
         assert s == reference_signature(f)
@@ -271,14 +265,14 @@ class TestSignatureChunks:
         assert signature(f) == reference_signature(f)
 
     def test_all_identities_and_empty(self):
-        f = Factorization(5, [None] * (graph._CHUNK + 1))
-        assert signature(f) == ComponentSignature(5, graph._CHUNK + 1, graph._CHUNK + 1, ())
+        f = Factorization(5, [None] * 131_073)
+        assert signature(f) == ComponentSignature(5, 131_073, 131_073, ())
         assert signature(Factorization(5, [])) == ComponentSignature(5, 0, 0, ())
 
     def test_memory_stays_near_one_chunk(self):
         # a million distinct edges: one dict of them all peaked at 63 MB
-        # under tracemalloc, a chunk at a time peaks at 9 MB, and 14 MB when
-        # the last chunk's dict outlives the building of the next
+        # under tracemalloc; signature holds three lists of degree + 1 and
+        # the components, with no term that grows with m
         n = 1415
         pairs = [(a, b) for a in range(1, n + 1) for b in range(a + 1, n + 1)]
         f = Factorization(n, pairs[:1_000_000])
@@ -291,6 +285,28 @@ class TestSignatureChunks:
             tracemalloc.stop()
         assert s.components == ((tuple(range(1, n + 1)), 1_000_000),)
         assert peak < 12_000_000, f"signature peaked at {peak / 1e6:.1f} MB"
+
+    def test_memory_does_not_grow_with_m(self):
+        # the first m distinct edges at n = 1415, parsed from text so that no
+        # tuple view exists: the peak at a million factors is within 0.25 MB
+        # of the peak at a thousand
+        n = 1415
+        pairs = [(a, b) for a in range(1, n + 1) for b in range(a + 1, n + 1)]
+        peaks = []
+        for m in (1_000, 1_000_000):
+            text = "n=%d; [%s]" % (n, ",".join("(%d,%d)" % p for p in pairs[:m]))
+            f = parse_factorization(text)
+            del text
+            tracemalloc.start()
+            try:
+                s = signature(f)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            assert s.total_factors == m and f._view is None
+            del f
+        growth = peaks[1] - peaks[0]
+        assert growth < 250_000, f"signature's peak grew by {growth / 1e6:.2f} MB"
 
 
 class TestFormatting:

@@ -290,6 +290,12 @@ B = BraidTuple(3, [BraidWord(3, [1]), BraidWord(3, [1])])
         lambda: canonical_shape(ComponentSignature(3, 2, 0, (((1, 2, 3), 2),))),
         lambda: canonical_shape(ComponentSignature(3, 1, -1, (((1, 2), 2),))),
         lambda: canonical_shape(ComponentSignature(3, 5, 0, (((1, 2), 2),))),
+        lambda: canonical_shape(ComponentSignature(3, 4, 0, (((3, 1, 2), 4),))),
+        lambda: canonical_shape(ComponentSignature(4, 4, 0, (((3, 4), 2), ((1, 2), 2)))),
+        lambda: canonical_shape(ComponentSignature(3, 4, 0, (((1, 2), 2), ((1, 2), 2)))),
+        lambda: canonical_shape(ComponentSignature(3, 4, 0, (((1, 2), 2), ((2, 3), 2)))),
+        lambda: canonical_shape(ComponentSignature(3, 2**63, 2**63, ())),
+        lambda: canonical_shape(ComponentSignature(3, 2**63 + 2, 2**63, (((1, 2), 2),))),
     ],
     ids=[
         "Factorization(3, 5)",
@@ -337,6 +343,12 @@ B = BraidTuple(3, [BraidWord(3, [1]), BraidWord(3, [1])])
         "canonical_shape(weight 2 on 3 points)",
         "canonical_shape(e=-1)",
         "canonical_shape(m=5, weight 2)",
+        "canonical_shape(points 3,1,2 out of order)",
+        "canonical_shape(components out of order)",
+        "canonical_shape(one component twice)",
+        "canonical_shape(components share point 2)",
+        "canonical_shape(e=m=2**63)",
+        "canonical_shape(e=2**63, m=2**63+2)",
     ],
 )
 def test_wrong_typed_arguments_raise_precondition_error(call):
