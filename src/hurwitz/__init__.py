@@ -38,7 +38,6 @@ _MODULES = {
     "canonical_shape": "canonical",
     "enumerate_identity_factorizations": "oracle",
     "enumerate_orbit": "oracle",
-    "format_braid_tuple": "braid",
     "format_certificate": "factorization",
     "format_factorization": "factorization",
     "format_signature": "graph",
@@ -52,7 +51,6 @@ _MODULES = {
     "project_tuple": "braid",
     "pull_edge_to_front": "canonical",
     "signature": "graph",
-    "to_dot": "graph",
 }
 
 __all__ = list(_MODULES)

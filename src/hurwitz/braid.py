@@ -245,13 +245,3 @@ def parse_braid_tuple(text: str) -> BraidTuple:
             raise FormatError(f"word {i}: {exc}", position=offset(i, bad[0])) from exc
     return BraidTuple(degree, words)
 
-
-def format_braid_tuple(braid: BraidTuple) -> str:
-    """Render the text form, inverse to parse_braid_tuple.
-
-    >>> format_braid_tuple(BraidTuple(3, [BraidWord(3, (1, 2, -1)), BraidWord(3, (2,))]))
-    'n=3; [1 2 -1 | 2]'
-    """
-    _require_type(braid, BraidTuple, "braid")
-    body = " | ".join(" ".join(map(str, w.letters)) for w in braid.words)
-    return f"n={braid.degree}; [{body}]"

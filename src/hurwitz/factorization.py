@@ -134,7 +134,7 @@ class Factorization:
     The factors are stored once, in two parallel ``array('i')`` of
     endpoints: factor k is ``(lo[k], hi[k])`` with ``lo[k] < hi[k]``, and an
     identity is ``0, 0``.  That is 8 bytes a factor; a tuple a factor would
-    take about 64.  ``len``, ``product``, ``signature``, ``to_dot`` and
+    take about 64.  ``len``, ``product``, ``signature``, the DOT writer and
     ``format_factorization`` read the arrays.
 
     ``factors`` is a read-only view of the same sequence: a tuple of
@@ -272,12 +272,13 @@ class HurwitzMove:
     """An elementary move: direction plus the 0-based left slot it acts on.
 
     Instances are immutable and may be shared: the canonicalizer emits one
-    object per (direction, slot) and ``parse_certificate`` one per distinct
-    line.  Compare moves with ``==``, never ``is``.  The text form and the
-    two slots the move kernel reads are built once, at construction,
-    outside the fields, so ``==``, ``hash`` and ``repr`` see only direction
-    and position.  A direction that is not a Direction, or a position that
-    is not an int, raises PreconditionError.
+    object per (direction, slot), ``parse_certificate`` one per distinct
+    line and ``invert_certificate`` one per distinct move.  Compare moves
+    with ``==``, never ``is``.  The text form and the two slots the move
+    kernel reads are built once, at construction, outside the fields, so
+    ``==``, ``hash`` and ``repr`` see only direction and position.  A
+    direction that is not a Direction, or a position that is not an int,
+    raises PreconditionError.
     """
 
     direction: Direction
@@ -375,18 +376,8 @@ def _reject_move(move: object) -> NoReturn:
     raise PreconditionError(f"moves must be HurwitzMoves, got {move!r}")
 
 
-_PAIR_MOVES = {
-    True: (HurwitzMove(Direction.FORWARD, 0),),
-    False: (HurwitzMove(Direction.INVERSE, 0),),
-}
-
-
-def move_pair(s: Factor, t: Factor, forward: bool) -> tuple[Factor, Factor]:
-    """The pair that replaces the adjacent factors ``s, t`` under one move:
-    the kernel run on the two slots."""
-    pair = [s, t]
-    _replay(pair, _PAIR_MOVES[forward])
-    return pair[0], pair[1]
+# The one move `conjugate_factor` replays: forward at slot 0.
+_CONJUGATE_MOVES = (HurwitzMove(Direction.FORWARD, 0),)
 
 
 def conjugate_factor(s: Factor, t: Factor) -> Factor:
@@ -399,7 +390,9 @@ def conjugate_factor(s: Factor, t: Factor) -> Factor:
     >>> conjugate_factor((1, 2), (1, 2))
     (1, 2)
     """
-    return move_pair(s, t, True)[0]
+    pair = [s, t]
+    _replay(pair, _CONJUGATE_MOVES)
+    return pair[0]
 
 
 def apply_move(factorization: Factorization, move: HurwitzMove) -> Factorization:
@@ -446,12 +439,19 @@ def invert_certificate(moves: Iterable[HurwitzMove]) -> MoveCertificate:
     """Reverse the sequence and flip each move's direction.
 
     Replaying the result undoes the original certificate exactly.  An item
-    that is not a HurwitzMove raises PreconditionError naming it.
+    that is not a HurwitzMove raises PreconditionError naming it.  Equal
+    moves share one inverse, so the result costs a slot a move.
     """
-    return tuple([
-        move.inverted() if type(move) is HurwitzMove else _reject_move(move)
-        for move in reversed(list(_require_iterable(moves, "moves")))
-    ])
+    inverses: dict[str, HurwitzMove] = {}
+    result = []
+    for move in reversed(list(_require_iterable(moves, "moves"))):
+        if type(move) is not HurwitzMove:
+            _reject_move(move)
+        inverse = inverses.get(move._text)
+        if inverse is None:
+            inverse = inverses[move._text] = move.inverted()
+        result.append(inverse)
+    return tuple(result)
 
 
 # Digit runs are length-checked before int(), which refuses runs longer than

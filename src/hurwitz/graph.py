@@ -135,22 +135,14 @@ def _require_signature(sig: object) -> None:
         )
 
 
-def to_dot(factorization: Factorization) -> str:
-    """Render the graph in DOT form with deterministic ordering.
-
-    Vertices appear in ascending order, then edges sorted by endpoint pair,
-    each labeled with its weight.
-    """
-    _require_type(factorization, Factorization, "factorization")
-    return "\n".join([*_dot_lines(factorization), ""])
-
-
 def _dot_lines(factorization: Factorization) -> Iterator[str]:
-    """The lines of ``to_dot`` without their newlines, made one at a time so
-    a writer need not hold them all.  An edge is keyed by one int,
-    ``a * (degree + 1) + b``, which sorts as the pair does, and an identity
-    by 0; an edge's weight is the length of its run in the one sorted list
-    of keys, which holds an int a factor and no table of the edges."""
+    """The graph's DOT lines without their newlines, made one at a time so
+    a writer need not hold them all: the vertices ascending, then the edges
+    sorted by endpoint pair, each labeled with its weight.  An edge is keyed
+    by one int, ``a * (degree + 1) + b``, which sorts as the pair does, and
+    an identity by 0; an edge's weight is the length of its run in the one
+    sorted list of keys, which holds an int a factor and no table of the
+    edges."""
     span = factorization.degree + 1
     keys = sorted(
         map(add, map(mul, factorization._lo, repeat(span)), factorization._hi)

@@ -20,7 +20,7 @@ from .factorization import (
     Factorization,
     _require_int,
     _require_type,
-    move_pair,
+    conjugate_factor,
 )
 from .graph import ComponentSignature, signature
 
@@ -73,8 +73,9 @@ class _MoveTable:
     pair, what a move adds to that value: the forward result, then the
     inverse result, without a result equal to ``here`` or to the forward
     one.  Shifted left by ``k * bits`` it is what the move adds to a state at
-    slot k.  Entries are filled by `move_pair` on first use, so the table
-    grows with the code pairs the searches meet and never with the degree.
+    slot k.  Entries are filled by `conjugate_factor` on first use, so the
+    table grows with the code pairs the searches meet and never with the
+    degree.
     """
 
     def __init__(self, points: int, slots: int):
@@ -132,11 +133,11 @@ class _MoveTable:
         return tuple([factors[run >> k & mask] for run in runs for k in shifts][:slots])
 
     def fill(self, here: int) -> tuple[int, ...]:
-        bits = self.bits
-        s, t = here & ((1 << bits) - 1), here >> bits
+        factors, bits = self.factors, self.bits
+        s, t = factors[here & ((1 << bits) - 1)], factors[here >> bits]
         results: list[int] = []
-        for forward in (True, False):
-            x, y = move_pair(self.factors[s], self.factors[t], forward)
+        # transpositions are involutions, so t^-1 s t is t s t^-1
+        for x, y in ((conjugate_factor(s, t), s), (t, conjugate_factor(t, s))):
             value = self.encode(x) | self.encode(y) << bits
             if value != here and value not in results:
                 results.append(value)
@@ -265,6 +266,8 @@ def _identity_tuples(degree: int, length: int) -> Iterator[State]:
             f"exceed the enumeration guard ({ENUMERATION_GUARD}); use smaller "
             "degree or length"
         )
+    if length % 2:  # each factor flips the product's parity
+        return
     if length == 0:  # one empty tuple; n(n-1)/2 transpositions would be waste
         yield ()
         return
@@ -280,8 +283,6 @@ def _identity_tuples(degree: int, length: int) -> Iterator[State]:
     # b lies on it and merges two cycles otherwise, so the deficit moves by
     # one; a slot is filled only while the slots after it can still cancel
     # the product.  The stack is explicit, so no length recurses.
-    if length % 2:  # each factor flips the product's parity
-        return
     images = list(range(degree + 1))  # images[0] unused
     deficits = [0]  # the deficit after each filled slot
     choice: list[int] = []  # transposition index of each filled slot

@@ -12,7 +12,6 @@ from hurwitz.braid import (
     BraidWord,
     _projection_factor,
     braid_hurwitz_move,
-    format_braid_tuple,
     parse_braid_tuple,
     project_tuple,
 )
@@ -22,6 +21,12 @@ from hurwitz.factorization import MAX_DEGREE, Direction, HurwitzMove, apply_move
 
 def word(degree, *letters):
     return BraidWord(degree, letters)
+
+
+def braid_text(b):
+    """The text form of a braid tuple, as README gives it."""
+    body = " | ".join(" ".join(map(str, w.letters)) for w in b.words)
+    return f"n={b.degree}; [{body}]"
 
 
 def inverse_letters(letters):
@@ -282,11 +287,11 @@ class TestBraidMove:
 class TestBraidText:
     def test_round_trip(self):
         b = BraidTuple(3, [word(3, 1, 2, -1), word(3, 2)])
-        assert format_braid_tuple(b) == "n=3; [1 2 -1 | 2]"
+        assert braid_text(b) == "n=3; [1 2 -1 | 2]"
         assert parse_braid_tuple("n=3; [1 2 -1 | 2]") == b
 
     def test_empty_tuple_round_trip(self):
-        assert format_braid_tuple(BraidTuple(4, [])) == "n=4; []"
+        assert braid_text(BraidTuple(4, [])) == "n=4; []"
         assert parse_braid_tuple("n=4; []") == BraidTuple(4, [])
 
     def test_empty_word_segment(self):
@@ -294,7 +299,9 @@ class TestBraidText:
         assert [w.letters for w in b.words] == [(), (2,)]
 
     def test_format_word(self):
-        assert format_braid_tuple(BraidTuple(4, [word(4, 1, -3, 2)])) == "n=4; [1 -3 2]"
+        b = BraidTuple(4, [word(4, 1, -3, 2)])
+        assert braid_text(b) == "n=4; [1 -3 2]"
+        assert parse_braid_tuple("n=4; [1 -3 2]") == b
 
     def test_malformed_header(self):
         with pytest.raises(FormatError):

@@ -3,6 +3,7 @@
 import hashlib
 import itertools
 import random
+import statistics
 import subprocess
 import sys
 import time
@@ -885,3 +886,35 @@ class TestCertificateLength:
             for seed in range(30)
         )
         assert total <= 42_024
+
+    def test_certificates_against_the_bfs_optimum(self):
+        # the yardstick: BFS distances from the canonical shape of the class
+        # {1,2,3,4}:8, with a move rule of its own (xyx), against the
+        # planner's certificates.  At the pin the sample's distances were
+        # 3..19, the median ratio 3.4 and the max 11.25 (45 moves at
+        # distance 4); the mean certificate 37.77 moves, the mean distance
+        # 11.16
+        shape = canonical_shape(
+            ComponentSignature(4, 8, 0, (((1, 2, 3, 4), 8),))
+        ).factors
+        dist = {shape: 0}
+        frontier = [shape]
+        while frontier:
+            reached = []
+            for f in frontier:
+                d = dist[f] + 1
+                for k in range(len(f) - 1):
+                    s, t = f[k], f[k + 1]
+                    for pair in ((xyx(s, t), s), (t, xyx(t, s))):
+                        g = f[:k] + pair + f[k + 2:]
+                        if g not in dist:
+                            dist[g] = d
+                            reached.append(g)
+            frontier = reached
+        assert len(dist) == 131_040 and max(dist.values()) == 19
+        ratios = [
+            len(canonical_form(Factorization(4, factors)).certificate)
+            / dist[factors]
+            for factors in random.Random(3).sample(sorted(dist), 2000)
+        ]
+        assert statistics.median(ratios) <= 3.4 and max(ratios) <= 11.25

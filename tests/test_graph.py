@@ -17,9 +17,9 @@ from hurwitz.factorization import (
 )
 from hurwitz.graph import (
     ComponentSignature,
+    _dot_lines,
     format_signature,
     signature,
-    to_dot,
 )
 
 F1 = parse_factorization("n=6; [(2,6),(1,4),(1,5),(3,6),(4,5),(1,5),(2,3),(3,6)]")
@@ -67,10 +67,11 @@ def reference_signature(f):
 
 
 def dot_edges(f):
-    """The edge weights to_dot renders, as {(a, b): weight}."""
+    """The edge weights the DOT lines render, as {(a, b): weight}."""
+    text = "\n".join(_dot_lines(f))
     return {
         (int(a), int(b)): int(w)
-        for a, b, w in re.findall(r'  (\d+) -- (\d+) \[label="w=(\d+)"\];', to_dot(f))
+        for a, b, w in re.findall(r'  (\d+) -- (\d+) \[label="w=(\d+)"\];', text)
     }
 
 
@@ -332,7 +333,7 @@ class TestFormatting:
             '  4 -- 5 [label="w=1"];\n'
             "}\n"
         )
-        assert to_dot(F1) == expected
+        assert "".join(f"{line}\n" for line in _dot_lines(F1)) == expected
 
     def test_signature_is_hashable_value(self):
         assert len({signature(F1), signature(F2)}) == 1

@@ -4,6 +4,7 @@ import hashlib
 import itertools
 import random
 import time
+import tracemalloc
 from collections import deque
 from unittest.mock import patch
 
@@ -265,6 +266,18 @@ class TestEnumeration:
 
     def test_odd_length_empty(self):
         assert list(enumerate_identity_factorizations(3, 3)) == []
+
+    def test_odd_length_lists_no_transpositions(self):
+        # length 1 passes the guard up to degree 14,142; listing all
+        # n(n-1)/2 transpositions first peaked at 102.4 MB at degree 1500
+        tracemalloc.start()
+        try:
+            assert list(enumerate_identity_factorizations(1500, 1)) == []
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+        assert orbit_partition(1500, 1) == []
 
     def test_length_zero(self):
         factorizations = list(enumerate_identity_factorizations(3, 0))
