@@ -32,10 +32,10 @@ from .factorization import (
     MAX_DEGREE,
     _FORWARD,
     Direction,
-    Factor,
     Factorization,
     HurwitzMove,
     _new,
+    _Pair,
     _parse_degree,
     _reject_move,
     _require_int,
@@ -113,8 +113,8 @@ class BraidTuple:
         return iter(self.words)
 
 
-def _projection_factor(word: BraidWord) -> Factor:
-    """The factor ``word`` projects to.  Only the strands it touches can
+def _projection_factor(word: BraidWord) -> _Pair:
+    """The endpoint pair ``word`` projects to.  Only the strands it touches can
     move, so they are relabelled 1..k in order, multiplied there and mapped
     back: the cost follows the word's length, not its degree.  A strand's
     upper neighbour is the next point, so its letters swap labels i, i + 1."""
@@ -125,7 +125,7 @@ def _projection_factor(word: BraidWord) -> Factor:
     images = product_images(len(points), map(swap.__getitem__, last_first))
     moved = [p for i, p in enumerate(points, 1) if images[i] != i]
     if not moved:
-        return None
+        return (0, 0)
     if len(moved) == 2:
         return (moved[0], moved[1])
     raise PreconditionError(
@@ -145,7 +145,7 @@ def project_tuple(braid: BraidTuple) -> Factorization:
     ((1, 2), None)
     """
     _require_type(braid, BraidTuple, "braid")
-    factors: list[Factor] = []
+    factors: list[_Pair] = []
     for i, word in enumerate(braid.words):
         try:
             factors.append(_projection_factor(word))
@@ -155,7 +155,7 @@ def project_tuple(braid: BraidTuple) -> Factorization:
     # Factorization checks it, after the words
     degree = braid.degree
     _require_int(degree, f"degree must be at most {MAX_DEGREE}", 1, MAX_DEGREE)
-    return Factorization._trusted(degree, tuple(factors))
+    return Factorization._trusted(degree, factors)
 
 
 def braid_hurwitz_move(braid: BraidTuple, move: HurwitzMove) -> BraidTuple:

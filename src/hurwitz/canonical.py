@@ -68,6 +68,7 @@ from .factorization import (
     Factorization,
     HurwitzMove,
     MoveCertificate,
+    _Pair,
     _replay,
     _require_int,
     _require_type,
@@ -229,7 +230,7 @@ _CONJUGATE = {
 
 
 def _slide(
-    p: int, cells: list[Factor], pair: Factor, g: int, t: int
+    p: int, cells: list[_Pair], pair: _Pair, g: int, t: int
 ) -> list[tuple[int, tuple[int, ...]]]:
     """The rewrites, as (slot, codes), that swap the pair from gap g to gap
     t of the doubled path cells at slot p: a _SWAP at slot p + 2k for each
@@ -239,7 +240,7 @@ def _slide(
     return [(p + 2 * k, _SWAP) for k in passed if cells[k] != pair]
 
 
-def _index(factors: list[Factor], u: int, v: int, lo: int, hi: int) -> int:
+def _index(factors: list[_Pair], u: int, v: int, lo: int, hi: int) -> int:
     """The first slot in [lo, hi) holding the edge {u, v}, or -1."""
     try:
         return factors.index((u, v) if u < v else (v, u), lo, hi)
@@ -248,7 +249,7 @@ def _index(factors: list[Factor], u: int, v: int, lo: int, hi: int) -> int:
 
 
 class _Planner:
-    """Mutable factor list plus the move log that shaped it.
+    """Mutable list of endpoint pairs plus the move log that shaped it.
 
     All mutation goes through run(): each carry and each walk is one run of
     moves, applied to the list by the move kernel and appended to the log as
@@ -261,14 +262,14 @@ class _Planner:
     def __init__(self, factorization: Factorization):
         self.source = factorization
         self.degree = factorization.degree
-        self.factors: list[Factor] = list(factorization.factors)
+        self.factors = factorization._pairs()
         self.moves: list[HurwitzMove] = []
         # move code 2k is forward at slot k, 2k + 1 inverse at slot k
         self._shared: list[HurwitzMove | None] = [None] * (2 * len(self.factors))
 
     def result(self) -> CanonicalResult:
         return CanonicalResult(
-            canonical=Factorization._trusted(self.degree, tuple(self.factors)),
+            canonical=Factorization._trusted(self.degree, self.factors),
             certificate=tuple(self.moves),
         )
 
@@ -315,7 +316,7 @@ class _Planner:
         self.walk_pair(lo, (p - lo) // 2, (), (q - lo) // 2)
 
     def walk_pair(
-        self, lo: int, gap: int, steps: Sequence[tuple[int, Factor]], end: int
+        self, lo: int, gap: int, steps: Sequence[tuple[int, _Pair]], end: int
     ) -> None:
         """Conjugate the doubled pair at gap by the path cells of steps, in
         one run of moves.
@@ -366,15 +367,14 @@ class _Planner:
     # -- the pull rewrite ---------------------------------------------------
 
     def _bfs(
-        self, edges: set[Factor], start: int
+        self, edges: set[_Pair], start: int
     ) -> tuple[dict[int, set[int]], dict[int, int]]:
         """The graph of the window's distinct edges and BFS distances from
         start."""
         adj: dict[int, set[int]] = {}
-        for f in edges:
-            if f is None:
+        for a, b in edges:
+            if not a:
                 raise self._fail("pull", "an identity factor in the window")
-            a, b = f
             adj.setdefault(a, set()).add(b)
             adj.setdefault(b, set()).add(a)
         dist = {start: 0}
@@ -471,7 +471,7 @@ class _Planner:
         moves).
         """
         block = {v: i for i, (vs, _) in enumerate(sig.components) for v in vs}
-        keys = [-1 if f is None else block[f[0]] for f in self.factors]
+        keys = [block.get(a, -1) for a, _ in self.factors]
         for j in range(len(keys)):
             key = keys[j]
             dest = j
@@ -549,9 +549,9 @@ class _Planner:
         done = not any(map(v01.__ne__, f[u0:hi]))
         while not done:
             factor = f[u0]
-            if factor is None:
-                raise self._fail("tail", f"an identity factor at slot {u0}")
             a, b = factor
+            if not a:
+                raise self._fail("tail", f"an identity factor at slot {u0}")
             # double it: the rest of the unprocessed region multiplies to
             # (a,b), so it connects a to b and a second copy can be pulled
             self.pull(u0 + 1, hi, (a,), b)
@@ -602,7 +602,7 @@ def pull_edge_to_front(
         _require_int(v, "a vertex must be a positive int", 1)
     if v1 == v2:
         raise PreconditionError(f"endpoints must differ, got {v1} twice")
-    if any(f is None for f in factorization.factors):
+    if 0 in factorization._lo:
         raise PreconditionError("identity factors are not allowed here")
     sig = signature(factorization)
     if len(sig.components) != 1:

@@ -1,8 +1,10 @@
 """Transposition factorizations and the Hurwitz move calculus.
 
 A factorization of degree ``n`` is a finite sequence of factors, each either
-a transposition ``(a, b)`` with ``1 <= a < b <= n`` or the identity marker
-``None`` (written ``e`` in text form).  The product is taken left to right.
+a transposition ``(a, b)`` with ``1 <= a < b <= n`` or the identity (written
+``e`` in text form).  The product is taken left to right.  The public form of
+a factor spells the identity ``None``; inside the package a factor is an
+endpoint pair, the identity ``(0, 0)``, which is what a Factorization stores.
 
 The two elementary rewrites are indexed by the left slot of the pair they
 touch (0-based):
@@ -11,12 +13,12 @@ touch (0-based):
 * inverse at ``k``:   ``..., s, t, ...  ->  ..., t, t^-1 s t, ...``
 
 Both preserve the left-to-right product.  Conjugating a transposition by a
-transposition yields a transposition, and the identity marker conjugates to
-whatever it is conjugated against, so the factor alphabet is closed under
-both moves.
+transposition yields a transposition, and conjugating by or against the
+identity changes nothing, so the factor alphabet is closed under both moves.
 
-``_replay`` is the one move kernel: it applies moves to a factor list in
-place, and every move in the package, single or in a run, goes through it.
+``_replay`` is the one move kernel: it applies moves to a list of endpoint
+pairs in place, and every move in the package, single or in a run, goes
+through it.
 ``product_images`` is the one product kernel: a product is an image list,
 entry ``x`` the image of the point ``x``, built from the factors last first
 with one swap each and no inverse.
@@ -37,6 +39,8 @@ from .errors import FormatError, MoveRangeError, PreconditionError
 
 # A factor: a normalized transposition (a < b) or None for the identity.
 Factor = Optional[tuple[int, int]]
+# A factor inside the package: a normalized transposition or (0, 0).
+_Pair = tuple[int, int]
 
 # The largest degree the package accepts, in the parsers and at construction:
 # products, signatures and DOT output allocate arrays of size degree.
@@ -106,24 +110,22 @@ def normalize_factor(factor: Factor, degree: int) -> Factor:
     return (a, b) if a < b else (b, a)
 
 
-def product_images(n: int, factors_last_first: Iterable[Factor]) -> list[int]:
-    """Image list of the left-to-right product of transposition factors
-    (None factors are the identity), given last factor first: entry x is
-    the image of the point x, and entry 0 is 0.
+def product_images(n: int, pairs_last_first: Iterable[_Pair]) -> list[int]:
+    """Image list of the left-to-right product of endpoint pairs, given
+    last pair first: entry x is the image of the point x, and entry 0 is 0.
 
     Putting a factor ``(a, b)`` in front of a product swaps the images of
     a and b, so the list starts as the identity and each factor, last
     first, costs one swap: O(n + number of factors), and no inverse is
-    built.  A pair ``(0, 0)`` swaps entry 0 with itself, so endpoint arrays
-    can be zipped in.
+    built.  The identity ``(0, 0)`` swaps entry 0 with itself.
 
     >>> product_images(3, reversed([(1, 2), (2, 3)]))
     [0, 3, 1, 2]
     """
     img = list(range(n + 1))
-    # filter drops None in C, and each pair is unpacked and released, so a
-    # zip of endpoint arrays reuses one result tuple
-    for a, b in filter(None, factors_last_first):
+    # each pair is unpacked and released, so a zip of endpoint arrays
+    # reuses one result tuple
+    for a, b in pairs_last_first:
         img[a], img[b] = img[b], img[a]
     return img
 
@@ -132,22 +134,21 @@ class Factorization:
     """An immutable factor sequence over the points ``1..degree``.
 
     The factors are stored once, in two parallel ``array('i')`` of
-    endpoints: factor k is ``(lo[k], hi[k])`` with ``lo[k] < hi[k]``, and an
-    identity is ``0, 0``.  That is 8 bytes a factor; a tuple a factor would
-    take about 64.  ``len``, ``product``, ``signature``, the DOT writer and
-    ``format_factorization`` read the arrays.
+    endpoints and nothing else: factor k is ``(lo[k], hi[k])`` with
+    ``lo[k] < hi[k]``, and an identity is ``0, 0``.  That is 8 bytes a
+    factor; a tuple a factor would take about 64.  The package reads the
+    arrays, or their pairs as a list through ``_pairs``.
 
-    ``factors`` is a read-only view of the same sequence: a tuple of
-    normalized transpositions (smaller entry first) and ``None`` for the
-    identity.  The parser builds it on first access and caches it; the
-    constructor keeps the tuple it normalized as the view.  Two
-    factorizations are equal when their degrees and factors are.
+    ``factors`` is the public form, built on each access, as iteration and
+    slicing are: a tuple of normalized transpositions (smaller entry first)
+    and ``None`` for the identity.  Two factorizations are equal when their
+    degrees and factors are.
 
     A degree outside ``1..MAX_DEGREE``, or a factor that is not ``None`` or
     a pair of distinct int points in range, raises PreconditionError.
     """
 
-    __slots__ = ("degree", "_lo", "_hi", "_view")
+    __slots__ = ("degree", "_lo", "_hi")
 
     degree: int
 
@@ -156,26 +157,28 @@ class Factorization:
         _require_int(
             degree, f"degree must be at most {MAX_DEGREE}", 1, MAX_DEGREE
         )
-        normalized = tuple(
-            normalize_factor(f, degree)
-            for f in _require_iterable(factors, "factors")
-        )
-        _fill(self, degree, *_endpoints(normalized), normalized)
+        lo, hi = array("i"), array("i")
+        append_lo, append_hi = lo.append, hi.append
+        for f in _require_iterable(factors, "factors"):
+            a, b = normalize_factor(f, degree) or (0, 0)
+            append_lo(a)
+            append_hi(b)
+        _fill(self, degree, lo, hi)
 
     @classmethod
-    def _trusted(cls, degree: int, factors: tuple[Factor, ...]) -> "Factorization":
-        """Wrap factors that are already normalized and range-checked; the
-        tuple is kept as the view."""
-        return _fill(_new(cls), degree, *_endpoints(factors), factors)
+    def _trusted(cls, degree: int, pairs: Sequence[_Pair]) -> "Factorization":
+        """Wrap endpoint pairs already normalized and range-checked."""
+        lo = array("i", [p[0] for p in pairs])
+        return _fill(_new(cls), degree, lo, array("i", [p[1] for p in pairs]))
 
     @property
     def factors(self) -> tuple[Factor, ...]:
-        """The factors as a tuple, built from the arrays on first access."""
-        view = self._view
-        if view is None:
-            view = _as_factors(self._lo, self._hi)
-            _setattr(self, "_view", view)
-        return view
+        """The factors as a tuple, built from the arrays on each access."""
+        return _as_factors(zip(self._lo, self._hi))
+
+    def _pairs(self) -> list[_Pair]:
+        """The endpoint pairs as a new list, zipped in C."""
+        return list(zip(self._lo, self._hi))
 
     def __setattr__(self, name: str, value: object) -> NoReturn:
         raise FrozenInstanceError(f"cannot assign to field {name!r}")
@@ -208,6 +211,9 @@ class Factorization:
         return iter(self.factors)
 
     def __getitem__(self, i: int) -> Factor:
+        # an int in range reads the arrays; a slice or a bad index, the tuple
+        if type(i) is int and -len(self._lo) <= i < len(self._lo):
+            return (self._lo[i], self._hi[i]) if self._lo[i] else None
         return self.factors[i]
 
     def product(self) -> list[int]:
@@ -224,30 +230,18 @@ class Factorization:
         return format_factorization(self)
 
 
-def _fill(
-    f: Factorization, degree: int, lo: array, hi: array, view: Optional[tuple]
-) -> Factorization:
+def _fill(f: Factorization, degree: int, lo: array, hi: array) -> Factorization:
     """Set the fields of a new Factorization, from endpoint arrays already
-    checked against ``degree`` and, if built, their view; return it."""
+    checked against ``degree``; return it."""
     _setattr(f, "degree", degree)
     _setattr(f, "_lo", lo)
     _setattr(f, "_hi", hi)
-    _setattr(f, "_view", view)
     return f
 
 
-def _endpoints(factors: Sequence[Factor]) -> tuple[array, array]:
-    """The endpoint arrays of normalized factors: ``0, 0`` for None."""
-    return (
-        array("i", [f[0] if f else 0 for f in factors]),
-        array("i", [f[1] if f else 0 for f in factors]),
-    )
-
-
-def _as_factors(lo: array, hi: array) -> tuple[Factor, ...]:
-    """The factor tuple of endpoint arrays: the pairs zipped, an identity's
-    ``(0, 0)`` as None."""
-    return tuple([p if p[0] else None for p in zip(lo, hi)])
+def _as_factors(pairs: Iterable[_Pair]) -> tuple[Factor, ...]:
+    """The public factor tuple of endpoint pairs: ``(0, 0)`` as None."""
+    return tuple([p if p[0] else None for p in pairs])
 
 
 class Direction(Enum):
@@ -323,14 +317,15 @@ class HurwitzMove:
 MoveCertificate = tuple[HurwitzMove, ...]
 
 
-def _replay(factors: list[Factor], moves: Sequence[HurwitzMove]) -> None:
-    """Apply ``moves`` to ``factors`` in place, left to right.
+def _replay(pairs: list[_Pair], moves: Sequence[HurwitzMove]) -> None:
+    """Apply ``moves`` to the endpoint pairs in place, left to right.
 
     Forward at k gives ``s t s^-1, s``; inverse gives ``t, t^-1 s t``.  This
     is the only code that applies a move.  Transpositions are involutions,
     so conjugating ``x`` by ``c`` fixes ``x`` when the two are equal or
     disjoint, and otherwise swaps the point they share for the other point
-    of ``c``; conjugating by or against the identity changes nothing.  A
+    of ``c``.  The identity ``(0, 0)`` shares no point with a transposition
+    and equals itself, so conjugating by or against it changes nothing.  A
     move whose position falls outside the list raises MoveRangeError naming
     its index within ``moves``; a move that is not a HurwitzMove raises
     PreconditionError naming it.  Moves before the bad one stay applied.
@@ -343,30 +338,29 @@ def _replay(factors: list[Factor], moves: Sequence[HurwitzMove]) -> None:
             # left by the right, and the conjugate takes the other's slot
             i = move._c_slot
             j = move._x_slot
-            c = factors[i]
-            x = factors[j]
-            if c is not None and x is not None:
-                # c = (a, b) and x = (p, q) are ascending, so when they share
-                # one point, only two of the four results need ordering
-                a, b = c
-                p, q = x
-                if p == a:
-                    if q != b:
-                        x = (b, q) if b < q else (q, b)
-                elif p == b:
-                    x = (a, q)
-                elif q == a:
-                    x = (p, b)
-                elif q == b:
-                    x = (p, a) if p < a else (a, p)
-            factors[i] = x
-            factors[j] = c
+            c = pairs[i]
+            x = pairs[j]
+            # c = (a, b) and x = (p, q) are ascending, so when they share
+            # one point, only two of the four results need ordering
+            a, b = c
+            p, q = x
+            if p == a:
+                if q != b:
+                    x = (b, q) if b < q else (q, b)
+            elif p == b:
+                x = (a, q)
+            elif q == a:
+                x = (p, b)
+            elif q == b:
+                x = (p, a) if p < a else (a, p)
+            pairs[i] = x
+            pairs[j] = c
     except IndexError:
         # only the two reads index, so the move wrote nothing; the first
         # move equal to it is out of range too
         raise MoveRangeError(
             f"move {moves.index(move)} ({move}) out of range for "
-            f"length {len(factors)}"
+            f"length {len(pairs)}"
         ) from None
 
 
@@ -380,8 +374,8 @@ def _reject_move(move: object) -> NoReturn:
 _CONJUGATE_MOVES = (HurwitzMove(Direction.FORWARD, 0),)
 
 
-def conjugate_factor(s: Factor, t: Factor) -> Factor:
-    """Return ``s t s^-1`` as a normalized factor.
+def conjugate_factor(s: _Pair, t: _Pair) -> _Pair:
+    """Return ``s t s^-1`` as a normalized endpoint pair.
 
     >>> conjugate_factor((1, 2), (2, 3))
     (1, 3)
@@ -412,11 +406,11 @@ def apply_certificate(
 ) -> Factorization:
     """Replay a move sequence left to right on a copy of the factors.
 
-    The result's endpoint arrays are copies of the input's with only the
-    slots the moves rewrote set again: the kernel stores a new factor object
-    in a slot whose value it changes, so an identity test against the
-    input's view finds them, in C.  A single move costs two slots, not a
-    new store.
+    The moves are replayed on the input's endpoint pairs, and the result's
+    endpoint arrays are copies of the input's with only the slots the moves
+    rewrote set again: the kernel stores a new pair object in a slot whose
+    value it changes, so an identity test against the input's pairs finds
+    them, in C.
 
     A move whose position falls outside the current length raises
     MoveRangeError naming the offending index within ``moves``; a move that
@@ -425,14 +419,14 @@ def apply_certificate(
     _require_type(factorization, Factorization, "factorization")
     if not isinstance(moves, (list, tuple)):
         moves = list(_require_iterable(moves, "moves"))
-    view = factorization.factors
-    factors = list(view)
-    _replay(factors, moves)
+    before = factorization._pairs()
+    pairs = before[:]
+    _replay(pairs, moves)
     lo = factorization._lo[:]
     hi = factorization._hi[:]
-    for k in compress(count(), map(operator.is_not, factors, view)):
-        lo[k], hi[k] = factors[k] or (0, 0)
-    return _fill(_new(Factorization), factorization.degree, lo, hi, tuple(factors))
+    for k in compress(count(), map(operator.is_not, pairs, before)):
+        lo[k], hi[k] = pairs[k]
+    return _fill(_new(Factorization), factorization.degree, lo, hi)
 
 
 def invert_certificate(moves: Iterable[HurwitzMove]) -> MoveCertificate:
@@ -519,7 +513,7 @@ def parse_factorization(text: str) -> Factorization:
             f"unexpected trailing content {tail!r}",
             position=len(text) - len(text[pos:].lstrip()),
         )
-    return _fill(_new(Factorization), degree, lo, hi, None)
+    return _fill(_new(Factorization), degree, lo, hi)
 
 
 # The bulk path takes the list a chunk of about _CHUNK characters at a time,

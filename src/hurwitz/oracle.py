@@ -10,7 +10,7 @@ signature classes; the census streams the enumeration through one move table.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Iterator, Optional, Sequence
 
 from .errors import PreconditionError
 from .factorization import (
@@ -18,6 +18,8 @@ from .factorization import (
     MAX_DEGREE,
     Factor,
     Factorization,
+    _as_factors,
+    _Pair,
     _require_int,
     _require_type,
     conjugate_factor,
@@ -61,10 +63,11 @@ _SPAN = 32
 class _MoveTable:
     """Factor codes, packed states and coded moves for orbit searches.
 
-    Code 0 is the identity; codes 1, 2, ... name transpositions in the order
-    the searches meet them.  Moves never leave a component, so every code is
-    an edge among the seeds' ``points`` points, and ``bits``, the bit length
-    of the number of such edges (at least 1), holds any code.  A state packs
+    A factor is an endpoint pair.  Code 0 is the identity ``(0, 0)``; codes
+    1, 2, ... name transpositions in the order the searches meet them.
+    Moves never leave a component, so every code is an edge among the
+    seeds' ``points`` points, and ``bits``, the bit length of the number of
+    such edges (at least 1), holds any code.  A state packs
     ``slots`` codes into one int, slot k in bits ``[k * bits, (k + 1) * bits)``;
     its bytes are its runs of ``run_bytes`` bytes (see `_SPAN`), so packing,
     windowing and decoding each take O(m).
@@ -83,19 +86,19 @@ class _MoveTable:
         self.bits = max(1, edges.bit_length())  # a seed of identities: 1
         self.run_bytes = _SPAN * self.bits // 8
         self.slots = slots
-        self.factors: list[Factor] = [None]
-        self.codes: dict[Factor, int] = {None: 0}
+        self.factors: list[_Pair] = [(0, 0)]
+        self.codes: dict[_Pair, int] = {(0, 0): 0}
         self.deltas: dict[int, tuple[int, ...]] = {}
 
-    def encode(self, factor: Factor) -> int:
+    def encode(self, factor: _Pair) -> int:
         code = self.codes.get(factor)
         if code is None:
             code = self.codes[factor] = len(self.factors)
             self.factors.append(factor)
         return code
 
-    def pack(self, factors: State) -> int:
-        """The state of ``factors``, a tuple of ``slots`` factors."""
+    def pack(self, factors: Sequence[_Pair]) -> int:
+        """The state of ``factors``, ``slots`` endpoint pairs."""
         codes, bits, runs = list(map(self.encode, factors)), self.bits, []
         for start in range(0, len(codes), _SPAN):
             run = 0
@@ -124,13 +127,15 @@ class _MoveTable:
         ]
 
     def decode(self, state: int) -> State:
+        """The public factor tuple of ``state``."""
         factors, bits, slots = self.factors, self.bits, self.slots
         mask, size = (1 << bits) - 1, self.run_bytes
         data = state.to_bytes(-(-slots // _SPAN) * size, "little")
         shifts = range(0, min(slots, _SPAN) * bits, bits)  # one run: its slots only
         starts = range(0, len(data), size)
         runs = (int.from_bytes(data[i:i + size], "little") for i in starts)
-        return tuple([factors[run >> k & mask] for run in runs for k in shifts][:slots])
+        pairs = [factors[run >> k & mask] for run in runs for k in shifts]
+        return _as_factors(pairs[:slots])
 
     def fill(self, here: int) -> tuple[int, ...]:
         factors, bits = self.factors, self.bits
@@ -218,10 +223,9 @@ def enumerate_orbit(
     """
     _require_type(factorization, Factorization, "factorization")
     _require_int(cap, "cap must be positive", 1)
-    factors = factorization.factors
-    points = {p for factor in factors if factor is not None for p in factor}
-    table = _MoveTable(len(points), len(factors))
-    visited, truncated = _search(table.pack(factors), table, cap)
+    points = {*factorization._lo, *factorization._hi} - {0}
+    table = _MoveTable(len(points), len(factorization))
+    visited, truncated = _search(table.pack(factorization._pairs()), table, cap)
     return OrbitReport(
         seed=factorization,
         orbit_size=len(visited),
@@ -246,7 +250,7 @@ def enumerate_identity_factorizations(
         yield Factorization._trusted(degree, factors)
 
 
-def _identity_tuples(degree: int, length: int) -> Iterator[State]:
+def _identity_tuples(degree: int, length: int) -> Iterator[tuple[_Pair, ...]]:
     """The factor tuples of enumerate_identity_factorizations, in its order
     and with its argument checks."""
     _require_int(degree, f"degree must be in 2..{MAX_DEGREE}", 2, MAX_DEGREE)

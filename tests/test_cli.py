@@ -290,13 +290,19 @@ class TestProjectAndDot:
 
 
 class TestStoreReaders:
-    """sig, equiv and dot read a factorization's endpoint arrays: none of
-    them builds the tuple view, so a million-factor file never costs a tuple
-    per factor."""
+    """Every command reads a factorization's endpoint arrays, or their
+    pairs: none of them builds the public factor tuple, so a million-factor
+    file never costs a tuple per factor beyond the pairs a rewrite needs."""
 
     def test_no_command_builds_the_factor_view(self, run, f1_file, f2_file, tmp_path, monkeypatch):
         other = tmp_path / "other.txt"
         other.write_text("n=6; [(1,2),(1,2),(1,2),(1,2),(1,2),(1,2),(1,2),(1,2)]")
+        with_identities = tmp_path / "e.txt"
+        with_identities.write_text("n=4; [e,(1,2),(2,3),e,(2,3),(1,2)]")
+        cert = tmp_path / "f1.cert"
+        cert.write_text(format_certificate(canonical_form(parse_factorization(F1_TEXT)).certificate))
+        braid = tmp_path / "braid.txt"
+        braid.write_text("n=4; [1 2 -1 | 2 2 | | 3]")
         dot_path = tmp_path / "g.dot"
         cases = [
             ("sig", f1_file),
@@ -304,19 +310,33 @@ class TestStoreReaders:
             ("equiv", f1_file, f2_file),
             ("equiv", f1_file, str(other)),
             ("dot", f1_file),
+            ("canon", f1_file, "--cert"),
+            ("canon", str(with_identities), "--cert"),
+            ("replay", f1_file, str(cert)),
+            ("move", f1_file, "F@0"),
+            ("move", str(with_identities), "I@2"),
+            ("orbit", f1_file, "--cap", "100"),
+            ("orbit", str(with_identities)),
+            ("census", "3", "4"),
+            ("project", str(braid)),
         ]
         expected = [run(*argv) for argv in cases]
         dot_text = dot_path.read_text()
         dot_path.unlink()
 
-        def refuse(lo, hi):
+        def refuse(pairs):
             raise AssertionError("the factor view was built")
 
         monkeypatch.setattr(factorization, "_as_factors", refuse)
         assert [run(*argv) for argv in cases] == expected
         assert dot_path.read_text() == dot_text == expected[4][1]
-        assert [code for code, _, _ in expected] == [0, 0, 0, 1, 0]
+        assert [code for code, _, _ in expected] == [0, 0, 0, 1] + [0] * 10
         assert expected[0][1] == "n=6; m=8; e=0; [{1,4,5}:4,{2,3,6}:4]\n"
+        assert expected[6][1].startswith("n=4; [e,e,(1,2),(1,2),(2,3),(2,3)]\n")
+        assert expected[7][1] == CANONICAL_6 + "\n"
+        assert expected[9][1] == "n=4; [e,(1,2),e,(2,3),(2,3),(1,2)]\n"
+        assert expected[10][1] == "size=100\ntruncated=true\n"
+        assert expected[13][1] == "n=4; [(1,3),e,e,(3,4)]\n"
         with pytest.raises(AssertionError, match="view"):
             factorization.parse_factorization(F1_TEXT).factors
 

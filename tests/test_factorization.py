@@ -2,6 +2,7 @@
 
 import copy
 import dataclasses
+import gc
 import pickle
 import random
 import re
@@ -20,6 +21,7 @@ from hurwitz.braid import (
     BraidWord,
     braid_hurwitz_move,
     parse_braid_tuple,
+    project_tuple,
 )
 from hurwitz.canonical import canonical_form
 from hurwitz.errors import FormatError, MoveRangeError, PreconditionError
@@ -156,7 +158,8 @@ class TestFactorizationType:
 
 
 class TestProductImages:
-    """product_images takes the factors last first."""
+    """product_images takes endpoint pairs last first; (0, 0) is the
+    identity."""
 
     def test_order_is_left_to_right(self):
         # apply (1,2) first: 1 -> 2 -> 3
@@ -171,7 +174,7 @@ class TestProductImages:
             factors = []
             for _ in range(m):
                 if rng.random() < 0.15:
-                    factors.append(None)
+                    factors.append((0, 0))
                 else:
                     a, b = rng.sample(range(1, n + 1), 2)
                     factors.append((min(a, b), max(a, b)))
@@ -179,7 +182,7 @@ class TestProductImages:
 
     def test_empty_and_identity_factors(self):
         assert product_images(4, []) == [0, 1, 2, 3, 4]
-        assert product_images(4, [None, None]) == [0, 1, 2, 3, 4]
+        assert product_images(4, [(0, 0), (0, 0)]) == [0, 1, 2, 3, 4]
         assert product_images(2, [(1, 2), (1, 2)]) == [0, 1, 2]
 
 
@@ -195,8 +198,10 @@ class TestConjugation:
         assert conjugate_factor((1, 2), (1, 2)) == (1, 2)
 
     def test_identity_cases(self):
-        assert conjugate_factor(None, (1, 2)) == (1, 2)
-        assert conjugate_factor((1, 2), None) is None
+        # inside the package the identity is the endpoint pair (0, 0)
+        assert conjugate_factor((0, 0), (1, 2)) == (1, 2)
+        assert conjugate_factor((1, 2), (0, 0)) == (0, 0)
+        assert conjugate_factor((0, 0), (0, 0)) == (0, 0)
 
 
 class TestApplyMove:
@@ -671,7 +676,7 @@ class TestBulkParse:
         assert bulk is not None and bulk[2] == len(text)
         f = parse_factorization(text)
         expected = [(1, 2), None] * (1 + 3 * factorization._CHUNK // 8) + [None]
-        assert list(f.factors) == list(factorization._as_factors(*bulk[:2])) == expected
+        assert list(f.factors) == list(factorization._as_factors(zip(*bulk[:2]))) == expected
         assert f == parse_factorization(text.replace(",", ", "))
 
     @pytest.mark.parametrize(
@@ -1031,8 +1036,8 @@ def stores(draw):
 
 class TestStoreAndView:
     """Every way to build a factorization fills the same endpoint store and
-    gives the same tuple view, and the readers of the store agree with
-    folds over that view."""
+    gives the same public factor tuple, and the readers of the store agree
+    with folds over that tuple."""
 
     @given(stores(), st.data())
     @settings(max_examples=200)
@@ -1049,7 +1054,7 @@ class TestStoreAndView:
                 "bulk": parse_factorization(text),
                 "tokens": parse_factorization(written(n, swapped, ", ")),
                 "init": Factorization(n, swapped),
-                "trusted": Factorization._trusted(n, reference),
+                "trusted": Factorization._trusted(n, [f or (0, 0) for f in reference]),
                 "replay": apply_certificate(Factorization(n, factors), []),
             }
             replayed = apply_certificate(parse_factorization(text), moves)
@@ -1072,17 +1077,106 @@ class TestStoreAndView:
 
     @given(stores())
     @settings(max_examples=50)
-    def test_view_is_built_once_and_shared(self, case):
+    def test_store_is_the_endpoint_arrays_only(self, case):
         n, factors, _, text = case
         f = parse_factorization(text)
-        assert f.factors is f.factors
-        view = tuple(factors)
-        g = Factorization._trusted(n, view)
-        assert g.factors is view and g == f
+        g = Factorization._trusted(n, [x or (0, 0) for x in factors])
+        assert Factorization.__slots__ == ("degree", "_lo", "_hi")
+        assert g == f and g.factors == f.factors == tuple(factors)
         assert repr(f) == f"Factorization(degree={n}, factors={tuple(factors)!r})"
         with pytest.raises(dataclasses.FrozenInstanceError):
             f.degree = n + 1
+        with pytest.raises(AttributeError):
+            object.__setattr__(f, "_view", f.factors)
         assert pickle.loads(pickle.dumps(f)) == copy.deepcopy(f) == f
+
+
+def refuse_the_factor_tuple(pairs):
+    raise AssertionError("the public factor tuple was built")
+
+
+class TestIndexing:
+    """An int index reads the endpoint arrays, so it builds no factor tuple;
+    a slice goes through the public tuple."""
+
+    @given(stores(), st.data())
+    @settings(max_examples=100)
+    def test_index_agrees_with_the_factor_tuple(self, case, data):
+        n, factors, text_chunk, text = case
+        with patch.object(factorization, "_CHUNK", text_chunk):
+            parsed = parse_factorization(text)
+        moves = data.draw(st.lists(
+            st.builds(HurwitzMove, st.sampled_from(Direction), st.integers(0, max(0, len(factors) - 2))),
+            max_size=6 if len(factors) > 1 else 0,
+        ))
+        replayed = apply_certificate(parse_factorization(text), moves)
+        for f in (parsed, Factorization(n, factors), replayed):
+            m = len(f)
+            with patch.object(factorization, "_as_factors", refuse_the_factor_tuple):
+                got = [f[k] for k in range(-m, m)]
+            want = f.factors
+            assert got == [want[k] for k in range(-m, m)]
+            for part in (slice(None), slice(1, None), slice(None, -1), slice(None, None, 2), slice(-3, None, -1)):
+                assert f[part] == want[part]
+            for k in (m, -m - 1):
+                with pytest.raises(IndexError, match="tuple index out of range"):
+                    f[k]
+
+    def test_indexing_a_parse_retains_nothing(self):
+        f = parse_factorization(sparse_text())
+        tracemalloc.start()
+        try:
+            first, last = f[0], f[-1]
+            retained = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert (first, last) == (f.factors[0], f.factors[-1])
+        assert retained < 1_000, f"f[0] retained {retained} bytes"
+
+
+def traced(build):
+    """The result of ``build()``, and the traced bytes it retains and peaks
+    at while building.  A full collection empties the interpreter's free
+    lists first: the tuple free list alone keeps 2,000 tuples, 110 KB."""
+    tracemalloc.start()
+    try:
+        result = build()
+        gc.collect()
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, retained, peak
+
+
+class TestStoreMemory:
+    """A Factorization holds its two endpoint arrays and nothing else, 8
+    bytes a factor, whichever code built it; a tuple a factor would retain
+    about 72 bytes."""
+
+    def test_constructor_retains_the_arrays_only(self):
+        rng = random.Random(11)
+        m = 10**5
+        pairs = [tuple(rng.sample(range(1, 10**4 + 1), 2)) for _ in range(m)]
+        f, retained, peak = traced(lambda: Factorization(10**4, pairs))
+        assert len(f) == m and f[7] == tuple(sorted(pairs[7]))
+        assert retained <= 9 * m, f"retained {retained / m:.1f} B a factor"
+        assert peak <= 12 * m, f"peaked at {peak / m:.1f} B a factor"
+
+    def test_derived_factorizations_retain_the_arrays_only(self):
+        # a doubled path on four points, out of order, then 10^4 copies of
+        # (1, 2): the certificate is 14 moves
+        f = Factorization(4, [(2, 3), (3, 4), (3, 4), (2, 3), (1, 2), (1, 2)] + [(1, 2)] * 10**4)
+        words = [(1,), (2, 2), (1, 2, -1), (3,)] * 2_500
+        braid = BraidTuple(4, [BraidWord(4, w) for w in words])
+        cases = {
+            "canonical_form": lambda: canonical_form(f).canonical,
+            "apply_certificate": lambda: apply_certificate(f, [forward(0), inverse(1), forward(5)]),
+            "project_tuple": lambda: project_tuple(braid),
+        }
+        for name, build in cases.items():
+            g, retained, _ = traced(build)
+            assert len(g) >= 10**4
+            assert retained <= 9 * len(g), f"{name} retained {retained / len(g):.1f} B a factor"
 
 
 class TestApplyMovePatchesTheStore:
@@ -1097,7 +1191,6 @@ class TestApplyMovePatchesTheStore:
         n, factors, text_chunk, text = case
         with patch.object(factorization, "_CHUNK", text_chunk):
             parsed = parse_factorization(text)
-        # a parsed input has no view until the first move builds it
         f = data.draw(st.sampled_from([parsed, Factorization(n, factors)]))
         moves = data.draw(st.lists(
             st.builds(HurwitzMove, st.sampled_from(Direction), st.integers(-1, len(factors))),
@@ -1111,8 +1204,8 @@ class TestApplyMovePatchesTheStore:
                 g = apply_move(f, move)
                 want = replay_one_by_one(want, [move])
                 same = Factorization(n, want)
-                assert g.factors == want and g.factors is g.factors
-                assert factorization._as_factors(g._lo, g._hi) == want
+                assert g.factors == want
+                assert factorization._as_factors(zip(g._lo, g._hi)) == want
                 assert g == same and hash(g) == hash(same)
                 assert (g._lo, g._hi) == (same._lo, same._hi)
                 assert format_factorization(g) == written(n, want)

@@ -126,7 +126,8 @@ def test_expand_gives_the_single_moves_in_slot_order(data):
                 expected.append(result)
     points = len({p for x in f.factors if x is not None for p in x})
     table = _MoveTable(points, len(f))
-    state = table.pack(f.factors)
+    # the table packs endpoint pairs and decodes to the public factor tuple
+    state = table.pack(f._pairs())
     assert table.decode(state) == f.factors
     order = []
     assert not _expand(state, table, {state}, order, DEFAULT_CAP)
@@ -151,14 +152,14 @@ def test_state_layout_round_trips_across_run_boundaries(data):
     )
     pairs = [(a, b) for a in range(1, n + 1) for b in range(a + 1, n + 1)]
     factors = tuple(
-        data.draw(st.lists(st.sampled_from(pairs + [None]), min_size=slots, max_size=slots))
+        data.draw(st.lists(st.sampled_from(pairs + [(0, 0)]), min_size=slots, max_size=slots))
     )
     table = _MoveTable(n, slots)
     state = table.pack(factors)
     assert table.bits == bits
     codes = [table.codes[x] for x in factors]
     assert state == sum(code << k * bits for k, code in enumerate(codes))
-    assert table.decode(state) == factors
+    assert table.decode(state) == tuple(x if x[0] else None for x in factors)
 
     def window(j):
         return sum(code << k * bits for k, code in enumerate(codes[32 * j:32 * j + 33]))

@@ -4,6 +4,7 @@ loads."""
 import ast
 import importlib.util
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -138,6 +139,36 @@ def test_every_public_name_has_a_caller():
     sources = [p for p in sorted(package.glob("*.py")) if p.name != "__init__.py"]
     used = set().union(*map(_used_names, [*sources, worker]))
     assert set(hurwitz.__all__) - used == set(UNUSED_PUBLIC)
+
+
+def test_no_module_imports_a_name_it_never_mentions():
+    """Each name a module of the package imports appears again in its own
+    text, code, comments and doctests included: an import nothing reads is
+    left over from a change.  ``__init__.py``, which exports lazily, and
+    ``__future__`` features are left out."""
+    package = Path(hurwitz.__file__).resolve().parent
+    unused = []
+    for path in sorted(package.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        text = path.read_text()
+        imports = [
+            node
+            for node in ast.walk(ast.parse(text, str(path)))
+            if isinstance(node, (ast.Import, ast.ImportFrom))
+        ]
+        rest = text.splitlines()
+        for node in imports:
+            rest[node.lineno - 1 : node.end_lineno] = [""] * (node.end_lineno - node.lineno + 1)
+        rest = "\n".join(rest)
+        unused += [
+            f"{path.name}: {name}"
+            for node in imports
+            if getattr(node, "module", None) != "__future__"
+            for name in [(alias.asname or alias.name).split(".")[0] for alias in node.names]
+            if not re.search(rf"\b{re.escape(name)}\b", rest)
+        ]
+    assert unused == []
 
 
 def test_no_perm_module():
