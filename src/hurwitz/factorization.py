@@ -449,9 +449,12 @@ def invert_certificate(moves: Iterable[HurwitzMove]) -> MoveCertificate:
 
 
 # Digit runs are length-checked before int(), which refuses runs longer than
-# 4,300 digits.  A factor entry with more significant digits than the largest
-# degree is out of range for every degree; a move position with more digits
-# than sys.maxsize can address no list.
+# 4,300 digits.  Any number of leading zeros is allowed, and the patterns or
+# lstrip skip them, so only significant digits are converted; the bulk
+# path's fields alone keep theirs, at most 600 (see _POINT).  A factor entry
+# with more significant digits than the largest degree is out of range for
+# every degree; a move position with more digits than sys.maxsize can
+# address no list.
 _DEGREE_DIGITS = len(str(MAX_DEGREE))
 _POSITION_DIGITS = len(str(sys.maxsize))
 
@@ -525,11 +528,12 @@ def parse_factorization(text: str) -> Factorization:
 # the move itself 8.
 _CHUNK = 1 << 14
 # Distinct left fields "(a" and right fields "b)", joined by commas.  A
-# point is leading zeros, then a nonzero digit and at most MAX_DEGREE's
-# other digits: a field matches in one way only, so a failed match
-# backtracks in linear time, and a point is at least 1.  A zero point is
-# out of range for every degree and is left to the token loop.
-_POINT = r"0*[1-9][0-9]{0,%d}" % (_DEGREE_DIGITS - 1)
+# point is up to 600 leading zeros, then a nonzero digit and at most
+# MAX_DEGREE's other digits: a field matches in one way only, so a failed
+# match backtracks in linear time, a point is at least 1, and int() takes
+# every field under the lowest digit limit it can be set to, 640.  A zero
+# point, or a longer run of zeros, is left to the token loop.
+_POINT = r"0{0,600}[1-9][0-9]{0,%d}" % (_DEGREE_DIGITS - 1)
 _LEFT_FIELDS_RE = re.compile(r"\(%s(?:,\(%s)*" % (_POINT, _POINT))
 _RIGHT_FIELDS_RE = re.compile(r"%s\)(?:,%s\))*" % (_POINT, _POINT))
 _NO_PARENS = str.maketrans("", "", "()")
@@ -671,10 +675,10 @@ def _reject_factor(text: str, pos: int, degree: int) -> NoReturn:
         end = start + 1
     elif ch == "(":
         # a pair with digit runs of any length, counted before int()
-        pair = re.compile(r"\(\s*([0-9]+)\s*,\s*([0-9]+)\s*\)").match(text, start)
+        pair = re.compile(r"\(\s*0*([0-9]+)\s*,\s*0*([0-9]+)\s*\)").match(text, start)
         if not pair:
             raise FormatError("malformed transposition", position=start)
-        if max(len(d.lstrip("0")) for d in pair.groups()) > _DEGREE_DIGITS:
+        if max(map(len, pair.groups())) > _DEGREE_DIGITS:
             raise FormatError(
                 f"factor entry out of range for degree {degree}", position=start
             )
@@ -707,7 +711,7 @@ def format_factorization(factorization: Factorization) -> str:
     return f"n={factorization.degree}; [{','.join(parts)}]"
 
 
-_MOVE_RE = re.compile(r"([FI])\s*@\s*([0-9]+)$")
+_MOVE_RE = re.compile(r"([FI])\s*@\s*0*([0-9]+)$")
 # A move line's letter to its direction: a call of Direction costs more.
 _DIRECTIONS = {d._value_: d for d in Direction}
 
@@ -749,7 +753,7 @@ def parse_certificate(text: str) -> list[HurwitzMove]:
                 table[raw] = None
                 continue
             m = _MOVE_RE.match(line)
-            if m and len(m[2].lstrip("0")) <= _POSITION_DIGITS:
+            if m and len(m[2]) <= _POSITION_DIGITS:
                 table[raw] = HurwitzMove(_DIRECTIONS[m[1]], int(m[2]))
                 continue
             i = raw_lines.index(raw)

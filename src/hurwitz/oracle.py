@@ -79,6 +79,11 @@ class _MoveTable:
     slot k.  Entries are filled by `conjugate_factor` on first use, so the
     table grows with the code pairs the searches meet and never with the
     degree.
+
+    A table of at most _SPAN + 1 slots, one window, also keeps
+    ``shifted[k][here]``: ``deltas[here]`` already shifted to pair slot k,
+    filled by `shift` on first use.  It lives on the table, so the searches
+    of a census share it.
     """
 
     def __init__(self, points: int, slots: int):
@@ -89,6 +94,9 @@ class _MoveTable:
         self.factors: list[_Pair] = [(0, 0)]
         self.codes: dict[_Pair, int] = {(0, 0): 0}
         self.deltas: dict[int, tuple[int, ...]] = {}
+        self.shifted: list[dict[int, tuple[int, ...]]] = (
+            [{} for _ in range(slots - 1)] if slots <= _SPAN + 1 else []
+        )
 
     def encode(self, factor: _Pair) -> int:
         code = self.codes.get(factor)
@@ -149,6 +157,16 @@ class _MoveTable:
         deltas = self.deltas[here] = tuple(value - here for value in results)
         return deltas
 
+    def shift(self, slot: dict[int, tuple[int, ...]], here: int) -> tuple[int, ...]:
+        """Enter and return ``deltas[here]`` shifted to the pair slot k
+        whose table is ``slot``: the search loop holds the table, not k."""
+        k = next(k for k, table in enumerate(self.shifted) if table is slot)
+        deltas = self.deltas.get(here)
+        if deltas is None:
+            deltas = self.fill(here)
+        moves = slot[here] = tuple(delta << k * self.bits for delta in deltas)
+        return moves
+
 
 def _expand(
     state: int,
@@ -157,9 +175,10 @@ def _expand(
     order: list[int],
     cap: int,
 ) -> bool:
-    """Add the unvisited states one move from ``state`` to ``visited`` and
-    ``order``: slots ascending, forward before inverse.  Returns True when
-    a new state is met with ``cap`` states already known.
+    """Add the unvisited states one move from ``state``, a state of more
+    than one window, to ``visited`` and ``order``: slots ascending, forward
+    before inverse.  Returns True when a new state is met with ``cap``
+    states already known.
 
     Each pair is read from its window, a small int; only a move result costs
     a pass over the whole state.  A skipped move result equals ``state`` or
@@ -170,9 +189,7 @@ def _expand(
     pair_mask = (1 << 2 * bits) - 1
     pairs = table.slots - 1
     shift = 0  # k * bits at slot k
-    # a state of at most _SPAN + 1 slots is its own window: skipping the
-    # split there saves about a fifth of the search's time
-    for j, window in enumerate(table.windows(state) if pairs > _SPAN else (state,)):
+    for j, window in enumerate(table.windows(state)):
         for _ in range(min(_SPAN, pairs - j * _SPAN)):
             here = window & pair_mask
             try:
@@ -192,16 +209,69 @@ def _expand(
     return False
 
 
-def _search(state: int, table: _MoveTable, cap: int) -> tuple[set[int], bool]:
+# What an orbit search may hold, in bytes.  A state costs 4 B for each 30
+# bits of its packed int and about _STATE_BYTES more: the int's header, its
+# set entry, its list slot and the allocator's rounding.  The budget holds
+# DEFAULT_CAP states of any one-window state: 33 slots of at most 12 bits
+# take 166 B.
+_SEARCH_BUDGET = 256 << 20
+_STATE_BYTES = 110
+
+
+def _search(state: int, table: _MoveTable, cap: int) -> tuple[list[int], bool]:
     """BFS closure of the packed ``state`` under elementary moves: the
-    visited states, and whether the search stopped at ``cap`` states with
-    more to explore."""
+    visited states in BFS order, and whether the search stopped at ``cap``
+    states with more to explore.  PreconditionError if more states than
+    _SEARCH_BUDGET holds are needed.
+
+    A state of one window is expanded here, with the table's pre-shifted
+    moves, so a move result costs one add and one set lookup: calling
+    `_expand` for each state took about a third of the search's time.
+    Longer states go to `_expand`.  Both visit slots ascending, forward
+    before inverse, and skip the same results.
+    """
+    size = _STATE_BYTES + 4 * -(-table.slots * table.bits // 30)
+    limit = min(cap, max(1, _SEARCH_BUDGET // size))
     visited = {state}
-    order = [state]  # BFS order: the loop below reads it as it grows
+    order = [state]  # BFS order: the loops below read it as it grows
+    if table.slots > _SPAN + 1:
+        for state in order:
+            if _expand(state, table, visited, order, limit):
+                return _stopped(order, cap, size)
+        return order, False
+    bits, slots = table.bits, table.shifted
+    pair_mask = (1 << 2 * bits) - 1
     for state in order:
-        if _expand(state, table, visited, order, cap):
-            return visited, True
-    return visited, False
+        window = state
+        for slot in slots:
+            here = window & pair_mask
+            window >>= bits
+            try:
+                moves = slot[here]
+            except KeyError:
+                moves = table.shift(slot, here)
+            for delta in moves:
+                nxt = state + delta
+                if nxt in visited:
+                    continue
+                if len(visited) == limit:
+                    return _stopped(order, cap, size)
+                visited.add(nxt)
+                order.append(nxt)
+    return order, False
+
+
+def _stopped(order: list[int], cap: int, size: int) -> tuple[list[int], bool]:
+    """The truncated result of a search that stopped at ``len(order)``
+    states; PreconditionError if that is below ``cap``, where the memory
+    budget stopped it."""
+    if len(order) < cap:
+        raise PreconditionError(
+            f"orbit search stopped at its memory budget of "
+            f"{_SEARCH_BUDGET >> 20} MiB: {len(order)} states of about {size} B "
+            f"each; a cap of at most {len(order)} fits"
+        )
+    return order, True
 
 
 def enumerate_orbit(
@@ -225,12 +295,12 @@ def enumerate_orbit(
     _require_int(cap, "cap must be positive", 1)
     points = {*factorization._lo, *factorization._hi} - {0}
     table = _MoveTable(len(points), len(factorization))
-    visited, truncated = _search(table.pack(factorization._pairs()), table, cap)
+    order, truncated = _search(table.pack(factorization._pairs()), table, cap)
     return OrbitReport(
         seed=factorization,
-        orbit_size=len(visited),
+        orbit_size=len(order),
         truncated=truncated,
-        members=frozenset(map(table.decode, visited)) if keep_members else None,
+        members=frozenset(map(table.decode, order)) if keep_members else None,
     )
 
 
@@ -344,10 +414,10 @@ def orbit_partition(
         state = table.pack(factors)
         if state in seen:
             continue
-        visited, truncated = _search(state, table, cap)
-        seen |= visited
+        order, truncated = _search(state, table, cap)
+        seen.update(order)
         seed = Factorization._trusted(degree, factors)
         buckets.setdefault(signature(seed), []).append(
-            OrbitReport(seed=seed, orbit_size=len(visited), truncated=truncated)
+            OrbitReport(seed=seed, orbit_size=len(order), truncated=truncated)
         )
     return list(buckets.items())

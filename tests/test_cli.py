@@ -2,6 +2,7 @@
 
 import io
 import os
+import random
 import subprocess
 import sys
 import time
@@ -372,6 +373,44 @@ class TestErrorHandling:
         assert out == ""
         assert err.startswith("error: ")
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "argv, stdin, code, out",
+        [
+            (("sig", "-"), "n=3; [(%s1,2),(1,2)]", 0, "n=3; m=2; e=0; [{1,2}:2]\n"),
+            (("canon", "-"), "n=3; [(%s1,2),(1,2)]", 0, "n=3; [(1,2),(1,2)]\n"),
+            (("sig", "-"), "n=3; [( 1,2),(%s1,5)]", 2, ""),
+            (("replay", "{f}", "-"), "F@%s0\n", 0, "n=3; [(1,2),(1,2)]\n"),
+        ],
+        ids=["sig", "canon", "sig out of range", "replay"],
+    )
+    def test_long_zero_runs(self, run, tmp_path, argv, stdin, code, out):
+        # past int()'s 4,300-digit limit: read as the number, or refused
+        path = tmp_path / "f.txt"
+        path.write_text("n=3; [(1,2),(1,2)]")
+        argv = [arg.replace("{f}", str(path)) for arg in argv]
+        got = run(*argv, stdin=stdin % ("0" * 4400))
+        assert got[:2] == (code, out)
+        assert "Traceback" not in got[2]
+        assert (got[2] == "") == (code == 0)
+
+    def test_orbit_beyond_the_memory_budget(self, tmp_path):
+        # a 20,000-factor palindrome on 6 points: 10.8 KB a state, so the
+        # default cap would take about 10.8 GB; refused at the search's budget
+        rng = random.Random(0)
+        word = [tuple(sorted(rng.sample(range(1, 7), 2))) for _ in range(10_000)]
+        path = tmp_path / "palindrome.txt"
+        path.write_text(format_factorization(factorization.Factorization(6, word + word[::-1])))
+        proc = subprocess.run(
+            [sys.executable, "-m", "hurwitz.cli", "orbit", str(path)],
+            capture_output=True,
+            text=True,
+            timeout=30,
+        )
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("error: orbit search stopped at its memory budget")
+        assert "Traceback" not in proc.stderr
 
     @pytest.mark.parametrize("degree", ["2", "3"])
     def test_census_beyond_guard(self, degree):

@@ -1360,3 +1360,54 @@ def test_format_error_position_is_the_offending_token(parse, text, token):
     with pytest.raises(FormatError) as info:
         parse(text)
     assert text.index(token) == info.value.position
+
+
+# A zero run past int()'s 4,300-digit limit: only significant digits are
+# converted, so each of these reads as its value or fails as a FormatError.
+ZEROS = "0" * 4400
+
+
+class TestLongZeroRuns:
+    @pytest.mark.parametrize(
+        "text, factors",
+        [
+            # whitespace-free: the bulk path's form
+            (f"n=3; [({ZEROS}1,2),(1,{ZEROS}3),e]", ((1, 2), (1, 3), None)),
+            # with whitespace: the token loop's form
+            (f"n=3; [( {ZEROS}1, 2), e]", ((1, 2), None)),
+            (f"n={ZEROS}3; [(3,{ZEROS}1)]", ((1, 3),)),
+        ],
+        ids=["bulk", "tokens", "degree"],
+    )
+    def test_accepted(self, text, factors):
+        assert parse_factorization(text).factors == factors
+        assert parse_factorization(text.replace(",", ", ")).factors == factors
+
+    @pytest.mark.parametrize(
+        "text, message, position",
+        [
+            (f"n=3; [( 1,2),({ZEROS}1,5)]", "factor (1,5) out of range for degree 3", 13),
+            (f"n=3; [(1,2),({ZEROS}1,5)]", "factor (1,5) out of range for degree 3", 12),
+            (f"n=3; [e,(2,{ZEROS}2)]", "factor (2,2) is not a transposition", 8),
+            (f"n=3; [({ZEROS}12345678,1)]", "factor entry out of range for degree 3", 6),
+        ],
+        ids=["tokens", "bulk", "transposition", "entry"],
+    )
+    def test_refused(self, text, message, position):
+        with pytest.raises(FormatError) as info:
+            parse_factorization(text)
+        assert str(info.value) == f"{message} (at position {position})"
+
+    def test_certificate_lines(self):
+        text = f"F@{ZEROS}0\n I @ {ZEROS}7\nF@{ZEROS}0\n"
+        assert [str(m) for m in parse_certificate(text)] == ["F@0", "I@7", "F@0"]
+        with pytest.raises(FormatError, match="move position out of range on line 2"):
+            parse_certificate(f"F@0\nF@{ZEROS}1{'0' * 19}\n")
+
+    def test_bulk_path_takes_up_to_600_zeros(self):
+        # int() takes 640 digits under any digit limit; longer runs go to
+        # the token loop, which converts significant digits only
+        for zeros, bulk in ((600, True), (601, False)):
+            text = f"n=3; [({'0' * zeros}1,2),(1,{'0' * zeros}3)]"
+            assert (factorization._parse_bulk(text, 6, 3) is not None) == bulk
+            assert parse_factorization(text).factors == ((1, 2), (1, 3))

@@ -23,8 +23,8 @@ from hurwitz.factorization import (
 from hurwitz.graph import format_signature, signature
 from hurwitz.oracle import (
     DEFAULT_CAP,
-    _expand,
     _MoveTable,
+    _search,
     enumerate_identity_factorizations,
     enumerate_orbit,
     orbit_partition,
@@ -114,9 +114,14 @@ class TestEnumerateOrbit:
 @given(st.data())
 @settings(max_examples=80)
 def test_expand_gives_the_single_moves_in_slot_order(data):
+    # up to 8 factors, one window, or 34..40, which `_expand` walks window
+    # by window
     n = data.draw(st.integers(2, 6))
     pairs = [(a, b) for a in range(1, n + 1) for b in range(a + 1, n + 1)]
-    factors = data.draw(st.lists(st.one_of(st.none(), st.sampled_from(pairs)), max_size=8))
+    length = data.draw(st.integers(0, 8) | st.integers(34, 40))
+    factors = data.draw(
+        st.lists(st.one_of(st.none(), st.sampled_from(pairs)), min_size=length, max_size=length)
+    )
     f = Factorization(n, factors)
     expected = []
     for k in range(len(f) - 1):
@@ -129,11 +134,12 @@ def test_expand_gives_the_single_moves_in_slot_order(data):
     # the table packs endpoint pairs and decodes to the public factor tuple
     state = table.pack(f._pairs())
     assert table.decode(state) == f.factors
-    order = []
-    assert not _expand(state, table, {state}, order, DEFAULT_CAP)
-    assert [table.decode(s) for s in order] == expected
-    # with the cap reached, the first new state stops the expansion
-    assert _expand(state, table, {state}, [], 1) == bool(expected)
+    # the first BFS level follows the seed: slots ascending, forward before
+    # inverse; the cap stops the search right after it
+    order = _search(state, table, len(expected) + 1)[0]
+    assert [table.decode(s) for s in order] == [f.factors] + expected
+    # with the cap reached, the first new state stops the search
+    assert _search(state, table, 1) == ([state], bool(expected))
 
 
 # the smallest number of points whose edges need 1, 2, ..., 10 bits a code
@@ -226,6 +232,19 @@ def _wide_agreement_cases():
     return {"tree30": tree, "palindrome70": palindrome}
 
 
+def _boundary_agreement_cases():
+    """Seeds of 32, 33 and 34 slots: the longest states the search expands
+    in one window, and the shortest with two."""
+    rng = random.Random(20261020)
+    pairs = [(a, b) for a in range(1, 7) for b in range(a + 1, 7)]
+    word = [rng.choice(pairs) for _ in range(17)]
+    return {
+        "palindrome32": Factorization(6, word[:16] + word[15::-1]),
+        "palindrome33": Factorization(6, word[:16] + [None] + word[15::-1]),
+        "palindrome34": Factorization(6, word + word[::-1]),
+    }
+
+
 def _assert_agrees(f, cap):
     size, truncated, members = _reference_orbit(f, cap)
     report = enumerate_orbit(f, cap=cap, keep_members=True)
@@ -245,6 +264,50 @@ def test_agrees_with_reference_bfs_on_wide_states(name, cap):
     f = _wide_agreement_cases()[name]
     assert len(f) > 33
     _assert_agrees(f, cap)
+
+
+@pytest.mark.parametrize("name", sorted(_boundary_agreement_cases()))
+@pytest.mark.parametrize("cap", [1, 2, 7, 500])
+def test_agrees_with_reference_bfs_across_the_window_boundary(name, cap):
+    f = _boundary_agreement_cases()[name]
+    assert len(f) == int(name[-2:])
+    _assert_agrees(f, cap)
+
+
+class TestMemoryBudget:
+    """A search that would hold more than its byte budget is refused, never
+    truncated; the message names the states reached and the cap that fits."""
+
+    @pytest.mark.parametrize(
+        "f, size",
+        [
+            # the connected n = 4, m = 8 class: 131,040 states of 24 bits
+            (Factorization(4, [(1, 2), (1, 2), (2, 3), (2, 3), (3, 4), (3, 4), (1, 2), (1, 2)]), 114),
+            # 70 slots of 4 bits, in three windows
+            (_wide_agreement_cases()["palindrome70"], 150),
+        ],
+        ids=["one window", "three windows"],
+    )
+    def test_refused_past_the_budget(self, f, size):
+        states = (1 << 20) // size
+        with patch("hurwitz.oracle._SEARCH_BUDGET", 1 << 20):
+            with pytest.raises(PreconditionError) as info:
+                enumerate_orbit(f)
+            assert str(info.value) == (
+                f"orbit search stopped at its memory budget of 1 MiB: {states} "
+                f"states of about {size} B each; a cap of at most {states} fits"
+            )
+            # that cap is a truncated search, as without the budget
+            report = enumerate_orbit(f, cap=states)
+        assert (report.orbit_size, report.truncated) == (states, True)
+
+    def test_an_orbit_inside_the_budget_is_exact(self):
+        f = Factorization(4, [(1, 2), (1, 2), (2, 3), (2, 3), (3, 4), (3, 4)])
+        with patch("hurwitz.oracle._SEARCH_BUDGET", 1 << 20):
+            report = enumerate_orbit(f)
+            partition = orbit_partition(4, 6)
+        assert (report.orbit_size, report.truncated) == (2880, False)
+        assert sum(r.orbit_size for _, reports in partition for r in reports) == 3_936
 
 
 class TestEnumeration:
