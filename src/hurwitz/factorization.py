@@ -449,12 +449,14 @@ def invert_certificate(moves: Iterable[HurwitzMove]) -> MoveCertificate:
 
 
 # Digit runs are length-checked before int(), which refuses runs longer than
-# 4,300 digits.  Any number of leading zeros is allowed, and the patterns or
-# lstrip skip them, so only significant digits are converted; the bulk
-# path's fields alone keep theirs, at most 600 (see _POINT).  A factor entry
-# with more significant digits than the largest degree is out of range for
-# every degree; a move position with more digits than sys.maxsize can
-# address no list.
+# 4,300 digits.  Any number of leading zeros is allowed, and _TOKEN_RE or
+# lstrip skips them, so only significant digits are converted; the bulk
+# path's fields alone keep theirs, at most 600 (see _POINT).  A pattern
+# never puts an unbounded zero run before an unbounded digit run: the two
+# could split a run in quadratically many ways before a match fails.  A
+# factor entry with more significant digits than the largest degree is out
+# of range for every degree; a move position with more digits than
+# sys.maxsize can address no list.
 _DEGREE_DIGITS = len(str(MAX_DEGREE))
 _POSITION_DIGITS = len(str(sys.maxsize))
 
@@ -675,15 +677,16 @@ def _reject_factor(text: str, pos: int, degree: int) -> NoReturn:
         end = start + 1
     elif ch == "(":
         # a pair with digit runs of any length, counted before int()
-        pair = re.compile(r"\(\s*0*([0-9]+)\s*,\s*0*([0-9]+)\s*\)").match(text, start)
+        pair = re.compile(r"\(\s*([0-9]+)\s*,\s*([0-9]+)\s*\)").match(text, start)
         if not pair:
             raise FormatError("malformed transposition", position=start)
-        if max(map(len, pair.groups())) > _DEGREE_DIGITS:
+        digits = [d.lstrip("0") or "0" for d in pair.groups()]
+        if max(map(len, digits)) > _DEGREE_DIGITS:
             raise FormatError(
                 f"factor entry out of range for degree {degree}", position=start
             )
         try:
-            normalize_factor((int(pair.group(1)), int(pair.group(2))), degree)
+            normalize_factor((int(digits[0]), int(digits[1])), degree)
         except PreconditionError as exc:
             raise FormatError(str(exc), position=start) from exc
         end = pair.end()
@@ -711,7 +714,7 @@ def format_factorization(factorization: Factorization) -> str:
     return f"n={factorization.degree}; [{','.join(parts)}]"
 
 
-_MOVE_RE = re.compile(r"([FI])\s*@\s*0*([0-9]+)$")
+_MOVE_RE = re.compile(r"([FI])\s*@\s*([0-9]+)$")
 # A move line's letter to its direction: a call of Direction costs more.
 _DIRECTIONS = {d._value_: d for d in Direction}
 
@@ -753,8 +756,8 @@ def parse_certificate(text: str) -> list[HurwitzMove]:
                 table[raw] = None
                 continue
             m = _MOVE_RE.match(line)
-            if m and len(m[2]) <= _POSITION_DIGITS:
-                table[raw] = HurwitzMove(_DIRECTIONS[m[1]], int(m[2]))
+            if m and len(m[2].lstrip("0")) <= _POSITION_DIGITS:
+                table[raw] = HurwitzMove(_DIRECTIONS[m[1]], int(m[2].lstrip("0") or "0"))
                 continue
             i = raw_lines.index(raw)
             offset = start + sum(map(len, chunk.splitlines(keepends=True)[:i]))

@@ -80,7 +80,7 @@ class _MoveTable:
     table grows with the code pairs the searches meet and never with the
     degree.
 
-    A table of at most _SPAN + 1 slots, one window, also keeps
+    A table of at most _SPAN + 1 slots, ``one_window``, also keeps
     ``shifted[k][here]``: ``deltas[here]`` already shifted to pair slot k,
     filled by `shift` on first use.  It lives on the table, so the searches
     of a census share it.
@@ -91,11 +91,12 @@ class _MoveTable:
         self.bits = max(1, edges.bit_length())  # a seed of identities: 1
         self.run_bytes = _SPAN * self.bits // 8
         self.slots = slots
+        self.one_window = slots <= _SPAN + 1
         self.factors: list[_Pair] = [(0, 0)]
         self.codes: dict[_Pair, int] = {(0, 0): 0}
         self.deltas: dict[int, tuple[int, ...]] = {}
         self.shifted: list[dict[int, tuple[int, ...]]] = (
-            [{} for _ in range(slots - 1)] if slots <= _SPAN + 1 else []
+            [{} for _ in range(slots - 1)] if self.one_window else []
         )
 
     def encode(self, factor: _Pair) -> int:
@@ -122,9 +123,9 @@ class _MoveTable:
         """``state`` cut into its windows (see `_SPAN`), in slot order: one
         window up to _SPAN + 1 slots, and above that the bytes of window j
         from the start of run j, masked to _SPAN + 1 slots."""
-        count = (self.slots - 2) // _SPAN + 1
-        if count <= 1:
+        if self.one_window:
             return [state]
+        count = (self.slots - 2) // _SPAN + 1
         bits, size = self.bits, self.run_bytes
         # window j is in bytes j * size + [0, size + bits)
         data = state.to_bytes(count * size + bits, "little")
@@ -157,14 +158,13 @@ class _MoveTable:
         deltas = self.deltas[here] = tuple(value - here for value in results)
         return deltas
 
-    def shift(self, slot: dict[int, tuple[int, ...]], here: int) -> tuple[int, ...]:
-        """Enter and return ``deltas[here]`` shifted to the pair slot k
-        whose table is ``slot``: the search loop holds the table, not k."""
-        k = next(k for k, table in enumerate(self.shifted) if table is slot)
+    def shift(self, k: int, here: int) -> tuple[int, ...]:
+        """Enter and return ``shifted[k][here]``."""
         deltas = self.deltas.get(here)
         if deltas is None:
             deltas = self.fill(here)
-        moves = slot[here] = tuple(delta << k * self.bits for delta in deltas)
+        shift = k * self.bits
+        moves = self.shifted[k][here] = tuple(delta << shift for delta in deltas)
         return moves
 
 
@@ -234,7 +234,7 @@ def _search(state: int, table: _MoveTable, cap: int) -> tuple[list[int], bool]:
     limit = min(cap, max(1, _SEARCH_BUDGET // size))
     visited = {state}
     order = [state]  # BFS order: the loops below read it as it grows
-    if table.slots > _SPAN + 1:
+    if not table.one_window:
         for state in order:
             if _expand(state, table, visited, order, limit):
                 return _stopped(order, cap, size)
@@ -242,14 +242,14 @@ def _search(state: int, table: _MoveTable, cap: int) -> tuple[list[int], bool]:
     bits, slots = table.bits, table.shifted
     pair_mask = (1 << 2 * bits) - 1
     for state in order:
-        window = state
+        shift = 0  # k * bits at slot k
         for slot in slots:
-            here = window & pair_mask
-            window >>= bits
+            here = state >> shift & pair_mask
             try:
                 moves = slot[here]
             except KeyError:
-                moves = table.shift(slot, here)
+                moves = table.shift(shift // bits, here)
+            shift += bits
             for delta in moves:
                 nxt = state + delta
                 if nxt in visited:

@@ -7,6 +7,7 @@ import pickle
 import random
 import re
 import sys
+import time
 import tracemalloc
 from collections import Counter
 from types import SimpleNamespace
@@ -1411,3 +1412,22 @@ class TestLongZeroRuns:
             text = f"n=3; [({'0' * zeros}1,2),(1,{'0' * zeros}3)]"
             assert (factorization._parse_bulk(text, 6, 3) is not None) == bulk
             assert parse_factorization(text).factors == ((1, 2), (1, 3))
+
+    @pytest.mark.parametrize(
+        "parse, text, message",
+        [
+            (parse_factorization, "n=3; [(%s]", "malformed transposition"),
+            (parse_factorization, "n=3; [( 1,2),(1,%s]", "malformed transposition"),
+            (parse_certificate, "F@%sx\n", "malformed move"),
+            (parse_certificate, "I @ %s1 x", "malformed move"),
+        ],
+        ids=["pair", "second point", "move", "move with digit"],
+    )
+    def test_malformed_after_a_long_run_fails_in_linear_time(self, parse, text, message):
+        # a pattern that let two digit runs share the zeros would try every
+        # split of the run: about 5 * 10**9 steps for these 10**5 zeros
+        text = text % ("0" * 10**5)
+        t0 = time.perf_counter()
+        with pytest.raises(FormatError, match=message):
+            parse(text)
+        assert time.perf_counter() - t0 < 2.0
