@@ -30,6 +30,7 @@ from typing import Iterable, Iterator
 from .errors import FormatError, MoveRangeError, PreconditionError
 from .factorization import (
     MAX_DEGREE,
+    _DEGREE_DIGITS,
     _FORWARD,
     Direction,
     Factorization,
@@ -37,6 +38,7 @@ from .factorization import (
     _new,
     _Pair,
     _parse_degree,
+    _quote,
     _reject_move,
     _require_int,
     _require_iterable,
@@ -228,20 +230,22 @@ def parse_braid_tuple(text: str) -> BraidTuple:
     for i, segment in enumerate(segments):
         letters = []
         for j, token in enumerate(segment.split()):
-            try:
-                if not _LETTER_RE.fullmatch(token):
-                    raise ValueError(token)
-                x = int(token)
-            except ValueError:
+            if not _LETTER_RE.fullmatch(token):
                 raise FormatError(
-                    f"word {i}: invalid letter {token!r}", position=offset(i, j)
-                ) from None
-            letters.append(x)
-        try:
-            words.append(BraidWord(degree, letters))
-        except PreconditionError as exc:
-            # the first letter out of range
-            bad = [j for j, x in enumerate(letters) if not 0 < abs(x) < degree]
-            raise FormatError(f"word {i}: {exc}", position=offset(i, bad[0])) from exc
-    return BraidTuple(degree, words)
+                    f"word {i}: invalid letter {_quote(token)}", position=offset(i, j)
+                )
+            # its sign and significant digits: more digits than MAX_DEGREE
+            # has are out of range for every degree, and int() never reads them
+            digits = token.lstrip("-0")
+            x = int(digits) if 0 < len(digits) <= _DEGREE_DIGITS else degree
+            if x >= degree:
+                letter = ("-" if token[0] == "-" and digits else "") + (digits or "0")
+                raise FormatError(
+                    f"word {i}: letter {_quote(letter, str)} out of range for "
+                    f"degree {degree} (valid magnitudes 1..{degree - 1})",
+                    position=offset(i, j),
+                )
+            letters.append(-x if token[0] == "-" else x)
+        words.append(BraidWord._trusted(degree, tuple(letters)))
+    return BraidTuple._trusted(degree, tuple(words))
 

@@ -33,7 +33,7 @@ from array import array
 from dataclasses import FrozenInstanceError, dataclass
 from enum import Enum
 from itertools import compress, count
-from typing import Iterable, Iterator, NoReturn, Optional, Sequence
+from typing import Callable, Iterable, Iterator, NoReturn, Optional, Sequence
 
 from .errors import FormatError, MoveRangeError, PreconditionError
 
@@ -472,6 +472,19 @@ def _parse_degree(match: re.Match[str]) -> int:
     return int(digits)
 
 
+# An error message shows at most this many characters of the text it names,
+# so its length does not grow with the input's.
+_QUOTE_CHARS = 200
+
+
+def _quote(text: str, form: Callable[[str], str] = repr) -> str:
+    """``form(text)``; a longer text than _QUOTE_CHARS shows only its first
+    _QUOTE_CHARS characters, followed by ``...``."""
+    if len(text) <= _QUOTE_CHARS:
+        return form(text)
+    return form(text[:_QUOTE_CHARS]) + "..."
+
+
 # Text form: "n=6; [(2,6),(1,4),e,(4,5)]".  Whitespace is insignificant
 # everywhere outside tokens; the factor list may be empty, which group 2 of
 # the header matches.  Numbers are ASCII digits: ``\d`` in a str pattern and
@@ -515,7 +528,7 @@ def parse_factorization(text: str) -> Factorization:
     tail = text[pos:].strip()
     if tail:
         raise FormatError(
-            f"unexpected trailing content {tail!r}",
+            f"unexpected trailing content {_quote(tail)}",
             position=len(text) - len(text[pos:].lstrip()),
         )
     return _fill(_new(Factorization), degree, lo, hi)
@@ -761,7 +774,7 @@ def parse_certificate(text: str) -> list[HurwitzMove]:
                 continue
             i = raw_lines.index(raw)
             offset = start + sum(map(len, chunk.splitlines(keepends=True)[:i]))
-            problem = f"malformed move {line!r}" if not m else "move position out of range"
+            problem = f"malformed move {_quote(line)}" if not m else "move position out of range"
             raise FormatError(
                 f"{problem} on line {lines_before + i + 1}",
                 position=offset + len(raw) - len(raw.lstrip()),

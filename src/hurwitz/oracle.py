@@ -72,18 +72,15 @@ class _MoveTable:
     its bytes are its runs of ``run_bytes`` bytes (see `_SPAN`), so packing,
     windowing and decoding each take O(m).
 
-    ``deltas[here]`` lists, for the two-slot value ``here`` of an adjacent
-    pair, what a move adds to that value: the forward result, then the
-    inverse result, without a result equal to ``here`` or to the forward
-    one.  Shifted left by ``k * bits`` it is what the move adds to a state at
-    slot k.  Entries are filled by `conjugate_factor` on first use, so the
-    table grows with the code pairs the searches meet and never with the
-    degree.
-
-    A table of at most _SPAN + 1 slots, ``one_window``, also keeps
-    ``shifted[k][here]``: ``deltas[here]`` already shifted to pair slot k,
-    filled by `shift` on first use.  It lives on the table, so the searches
-    of a census share it.
+    ``shifted[i][here]`` lists, for the two-slot value ``here`` of the pair
+    at slots i and i + 1 of a window, what a move adds to the window: the
+    forward result, then the inverse result, without a result equal to
+    ``here`` or to the forward one, each shifted left by ``i * bits``.  So
+    ``shifted[0]`` holds the unshifted moves, and window j's moves are
+    further shifted by ``_SPAN * j * bits``.  Entries are filled by `shift`
+    on first use, so the table grows with the code pairs the searches meet
+    and never with the degree; it lives on the table, so the searches of a
+    census share it.
     """
 
     def __init__(self, points: int, slots: int):
@@ -91,13 +88,11 @@ class _MoveTable:
         self.bits = max(1, edges.bit_length())  # a seed of identities: 1
         self.run_bytes = _SPAN * self.bits // 8
         self.slots = slots
-        self.one_window = slots <= _SPAN + 1
         self.factors: list[_Pair] = [(0, 0)]
         self.codes: dict[_Pair, int] = {(0, 0): 0}
-        self.deltas: dict[int, tuple[int, ...]] = {}
-        self.shifted: list[dict[int, tuple[int, ...]]] = (
-            [{} for _ in range(slots - 1)] if self.one_window else []
-        )
+        self.shifted: list[dict[int, tuple[int, ...]]] = [
+            {} for _ in range(min(slots - 1, _SPAN))
+        ]
 
     def encode(self, factor: _Pair) -> int:
         code = self.codes.get(factor)
@@ -120,11 +115,9 @@ class _MoveTable:
         return int.from_bytes(data, "little")
 
     def windows(self, state: int) -> list[int]:
-        """``state`` cut into its windows (see `_SPAN`), in slot order: one
-        window up to _SPAN + 1 slots, and above that the bytes of window j
-        from the start of run j, masked to _SPAN + 1 slots."""
-        if self.one_window:
-            return [state]
+        """``state``, of more than one window, cut into its windows (see
+        `_SPAN`) in slot order: the bytes of window j from the start of run
+        j, masked to _SPAN + 1 slots."""
         count = (self.slots - 2) // _SPAN + 1
         bits, size = self.bits, self.run_bytes
         # window j is in bytes j * size + [0, size + bits)
@@ -146,67 +139,22 @@ class _MoveTable:
         pairs = [factors[run >> k & mask] for run in runs for k in shifts]
         return _as_factors(pairs[:slots])
 
-    def fill(self, here: int) -> tuple[int, ...]:
-        factors, bits = self.factors, self.bits
-        s, t = factors[here & ((1 << bits) - 1)], factors[here >> bits]
-        results: list[int] = []
-        # transpositions are involutions, so t^-1 s t is t s t^-1
-        for x, y in ((conjugate_factor(s, t), s), (t, conjugate_factor(t, s))):
-            value = self.encode(x) | self.encode(y) << bits
-            if value != here and value not in results:
-                results.append(value)
-        deltas = self.deltas[here] = tuple(value - here for value in results)
-        return deltas
-
-    def shift(self, k: int, here: int) -> tuple[int, ...]:
-        """Enter and return ``shifted[k][here]``."""
-        deltas = self.deltas.get(here)
+    def shift(self, i: int, here: int) -> tuple[int, ...]:
+        """Enter and return ``shifted[i][here]``."""
+        deltas = self.shifted[0].get(here)
         if deltas is None:
-            deltas = self.fill(here)
-        shift = k * self.bits
-        moves = self.shifted[k][here] = tuple(delta << shift for delta in deltas)
+            factors, bits = self.factors, self.bits
+            s, t = factors[here & ((1 << bits) - 1)], factors[here >> bits]
+            results: list[int] = []
+            # transpositions are involutions, so t^-1 s t is t s t^-1
+            for x, y in ((conjugate_factor(s, t), s), (t, conjugate_factor(t, s))):
+                value = self.encode(x) | self.encode(y) << bits
+                if value != here and value not in results:
+                    results.append(value)
+            deltas = self.shifted[0][here] = tuple(value - here for value in results)
+        shift = i * self.bits
+        moves = self.shifted[i][here] = tuple(delta << shift for delta in deltas)
         return moves
-
-
-def _expand(
-    state: int,
-    table: _MoveTable,
-    visited: set[int],
-    order: list[int],
-    cap: int,
-) -> bool:
-    """Add the unvisited states one move from ``state``, a state of more
-    than one window, to ``visited`` and ``order``: slots ascending, forward
-    before inverse.  Returns True when a new state is met with ``cap``
-    states already known.
-
-    Each pair is read from its window, a small int; only a move result costs
-    a pass over the whole state.  A skipped move result equals ``state`` or
-    the slot's forward result, so it is visited already and skipping it
-    changes no report.
-    """
-    deltas, bits = table.deltas, table.bits
-    pair_mask = (1 << 2 * bits) - 1
-    pairs = table.slots - 1
-    shift = 0  # k * bits at slot k
-    for j, window in enumerate(table.windows(state)):
-        for _ in range(min(_SPAN, pairs - j * _SPAN)):
-            here = window & pair_mask
-            try:
-                moves = deltas[here]
-            except KeyError:
-                moves = table.fill(here)
-            for delta in moves:
-                nxt = state + (delta << shift)
-                if nxt in visited:
-                    continue
-                if len(visited) == cap:
-                    return True
-                visited.add(nxt)
-                order.append(nxt)
-            window >>= bits
-            shift += bits
-    return False
 
 
 # What an orbit search may hold, in bytes.  A state costs 4 B for each 30
@@ -224,23 +172,45 @@ def _search(state: int, table: _MoveTable, cap: int) -> tuple[list[int], bool]:
     states with more to explore.  PreconditionError if more states than
     _SEARCH_BUDGET holds are needed.
 
-    A state of one window is expanded here, with the table's pre-shifted
-    moves, so a move result costs one add and one set lookup: calling
-    `_expand` for each state took about a third of the search's time.
-    Longer states go to `_expand`.  Both visit slots ascending, forward
-    before inverse, and skip the same results.
+    Every state is expanded here, slots ascending, forward before inverse,
+    with the table's per-position moves, so a move result costs one add and
+    one set lookup (a call per state took about a third of the search's
+    time).  A skipped move result equals the state or the slot's forward
+    result, so it is visited already and skipping it changes no report.  A
+    state of one window is read in place; a longer one is cut into its
+    windows, and window j's moves are shifted further by ``base``.
     """
     size = _STATE_BYTES + 4 * -(-table.slots * table.bits // 30)
     limit = min(cap, max(1, _SEARCH_BUDGET // size))
     visited = {state}
     order = [state]  # BFS order: the loops below read it as it grows
-    if not table.one_window:
-        for state in order:
-            if _expand(state, table, visited, order, limit):
-                return _stopped(order, cap, size)
-        return order, False
     bits, slots = table.bits, table.shifted
     pair_mask = (1 << 2 * bits) - 1
+    if table.slots > _SPAN + 1:
+        pairs = table.slots - 1
+        # the positions of each window: _SPAN pairs, the last what is left
+        rows = [slots[:pairs - j] for j in range(0, pairs, _SPAN)]
+        for state in order:
+            base = 0  # _SPAN * j * bits at window j
+            for window, row in zip(table.windows(state), rows):
+                shift = 0  # i * bits at position i
+                for slot in row:
+                    here = window >> shift & pair_mask
+                    try:
+                        moves = slot[here]
+                    except KeyError:
+                        moves = table.shift(shift // bits, here)
+                    shift += bits
+                    for delta in moves:
+                        nxt = state + (delta << base)
+                        if nxt in visited:
+                            continue
+                        if len(visited) == limit:
+                            return _stopped(order, cap, size)
+                        visited.add(nxt)
+                        order.append(nxt)
+                base += _SPAN * bits
+        return order, False
     for state in order:
         shift = 0  # k * bits at slot k
         for slot in slots:

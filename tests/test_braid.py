@@ -315,3 +315,43 @@ class TestBraidText:
     def test_out_of_range_letter_names_word(self):
         with pytest.raises(FormatError, match="word 0"):
             parse_braid_tuple("n=3; [7]")
+
+    @pytest.mark.parametrize(
+        "text, letters",
+        [
+            ("n=3; [0001 -02]", [(1, -2)]),
+            # past int()'s 4,300-digit limit, a letter is still its
+            # significant digits
+            ("n=3; [%s1 | -%s2]" % ("0" * 4400, "0" * 4400), [(1,), (-2,)]),
+        ],
+        ids=["short zero runs", "long zero runs"],
+    )
+    def test_leading_zeros_are_not_significant(self, text, letters):
+        assert [w.letters for w in parse_braid_tuple(text).words] == letters
+
+    @pytest.mark.parametrize(
+        "text, message, position",
+        [
+            ("n=3; [7]", "word 0: letter 7 out of range for degree 3", 6),
+            ("n=3; [1 | 1 -0007]", "word 1: letter -7 out of range for degree 3", 12),
+            ("n=3; [-000]", "word 0: letter 0 out of range for degree 3", 6),
+            # more significant digits than MAX_DEGREE: out of range unread
+            (
+                "n=3; [2 %s12345678]" % ("0" * 4400),
+                "word 0: letter 12345678 out of range for degree 3",
+                8,
+            ),
+            (
+                "n=3; [-%s]" % ("9" * 5000),
+                "word 0: letter -%s... out of range for degree 3" % ("9" * 199),
+                6,
+            ),
+        ],
+        ids=["one digit", "zero-padded", "zero", "long zero run", "5,000 digits"],
+    )
+    def test_out_of_range_letter_message_and_position(self, text, message, position):
+        with pytest.raises(FormatError) as info:
+            parse_braid_tuple(text)
+        valid = "valid magnitudes 1..2"
+        assert str(info.value) == f"{message} ({valid}) (at position {position})"
+        assert info.value.position == position

@@ -381,8 +381,9 @@ class TestErrorHandling:
             (("canon", "-"), "n=3; [(%s1,2),(1,2)]", 0, "n=3; [(1,2),(1,2)]\n"),
             (("sig", "-"), "n=3; [( 1,2),(%s1,5)]", 2, ""),
             (("replay", "{f}", "-"), "F@%s0\n", 0, "n=3; [(1,2),(1,2)]\n"),
+            (("project", "-"), "n=3; [%s1 | 1]", 0, "n=3; [(1,2),(1,2)]\n"),
         ],
-        ids=["sig", "canon", "sig out of range", "replay"],
+        ids=["sig", "canon", "sig out of range", "replay", "project"],
     )
     def test_long_zero_runs(self, run, tmp_path, argv, stdin, code, out):
         # past int()'s 4,300-digit limit: read as the number, or refused

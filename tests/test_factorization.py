@@ -1339,6 +1339,39 @@ def test_numbers_are_ascii_digits(parse, text, message, position):
 
 
 @pytest.mark.parametrize(
+    "parse, text, message, position",
+    [
+        (
+            parse_factorization,
+            "n=3; [(1,2),(1,2)]" + "x" * 10**6,
+            "unexpected trailing content %r..." % ("x" * 200),
+            18,
+        ),
+        (
+            parse_certificate,
+            "F@" + "0" * 10**6 + "x",
+            "malformed move %r... on line 1" % ("F@" + "0" * 198),
+            0,
+        ),
+        (
+            parse_braid_tuple,
+            "n=3; [" + "1x" * 10**5 + "]",
+            "word 0: invalid letter %r..." % ("1x" * 100),
+            6,
+        ),
+    ],
+    ids=["factorization trailing content", "certificate line", "braid letter"],
+)
+def test_messages_quote_a_bounded_prefix(parse, text, message, position):
+    # the message quotes the first 200 characters of the text it names,
+    # however long that text is
+    with pytest.raises(FormatError) as info:
+        parse(text)
+    assert str(info.value) == f"{message} (at position {position})"
+    assert len(str(info.value)) < 300
+
+
+@pytest.mark.parametrize(
     "parse, text, token",
     [
         (parse_factorization, "n=3; [(1,2) (1,3)]", "(1,3)"),

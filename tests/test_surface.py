@@ -141,6 +141,36 @@ def test_every_public_name_has_a_caller():
     assert set(hurwitz.__all__) - used == set(UNUSED_PUBLIC)
 
 
+def test_every_private_definition_has_a_caller():
+    """Each private function, method or class of the package is named in
+    the package's code, as a name or an attribute: one that nothing names
+    is left over from a change.  Private is a name with a leading
+    underscore, or any definition inside a function or a private class;
+    dunders are left out.  Imports, docstrings and comments do not count."""
+    package = Path(hurwitz.__file__).resolve().parent
+    defined, named = [], set()
+    for path in sorted(package.glob("*.py")):
+        stack = [(ast.parse(path.read_text(), str(path)), False)]
+        while stack:  # (node, whether its definitions are private)
+            node, hidden = stack.pop()
+            for child in ast.iter_child_nodes(node):
+                inner = hidden
+                if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                    dunder = child.name.startswith("__") and child.name.endswith("__")
+                    private = hidden or child.name.startswith("_") and not dunder
+                    if private and not dunder:
+                        defined.append((child.name, f"{path.name}:{child.lineno}"))
+                    inner = private or not isinstance(child, ast.ClassDef)
+                elif isinstance(child, ast.Name):
+                    named.add(child.id)
+                elif isinstance(child, ast.Attribute):
+                    named.add(child.attr)
+                stack.append((child, inner))
+    unnamed = [f"{where} {name}" for name, where in defined if name not in named]
+    assert defined
+    assert unnamed == []
+
+
 def test_no_module_imports_a_name_it_never_mentions():
     """Each name a module of the package imports appears again in its own
     text, code, comments and doctests included: an import nothing reads is
