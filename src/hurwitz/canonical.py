@@ -309,12 +309,6 @@ class _Planner:
         else:
             self.run(range(2 * j - 1, 2 * dest - 1, -2))
 
-    def move_cell(self, p: int, q: int) -> None:
-        """Swap the doubled cell at slot p to slot q, cell by cell; the cells
-        in between shift one cell towards p.  This is a walk without steps."""
-        lo = min(p, q)
-        self.walk_pair(lo, (p - lo) // 2, (), (q - lo) // 2)
-
     def walk_pair(
         self, lo: int, gap: int, steps: Sequence[tuple[int, _Pair]], end: int
     ) -> None:
@@ -490,22 +484,15 @@ class _Planner:
 
     # -- per-block canonicalization -------------------------------------------
 
-    def canonicalize_block(
-        self, lo: int, hi: int, vertices: Sequence[int]
-    ) -> None:
-        """Rewrite one component block into its canonical shape.
+    def _build_path(self, lo: int, hi: int, vertices: Sequence[int]) -> None:
+        """Stage 1: produce the doubled ascending path cells.
 
-        The block must hold the transposition factors of a single connected
-        component on the ascending ``vertices`` whose subproduct is the
-        identity; both are consequences of grouping an identity
+        The block [lo, hi) must hold the transposition factors of a single
+        connected component on the ascending ``vertices`` whose subproduct
+        is the identity; both are consequences of grouping an identity
         factorization.
         """
         _leftover(vertices, hi - lo, self._fail)
-        self._build_path(lo, hi, vertices)
-        self._normalize_tail(lo, hi, vertices)
-
-    def _build_path(self, lo: int, hi: int, vertices: Sequence[int]) -> None:
-        """Stage 1: produce the doubled ascending path cells."""
         for k in range(1, len(vertices)):
             target_v = vertices[k]
             suffix_lo = lo + 2 * (k - 1)
@@ -580,8 +567,10 @@ class _Planner:
             if not done:
                 parked += 1
                 u0 += 2
+        # each parked pair, the last first, walks without steps past path
+        # cells 1 .. l - 2
         for q in range(parked, 0, -1):
-            self.move_cell(lo + 2 * q, lo + 2 * (q + path_cells - 1))
+            self.walk_pair(lo + 2 * q, 0, (), path_cells - 1)
 
 
 def pull_edge_to_front(
@@ -651,7 +640,8 @@ def canonical_form(factorization: Factorization) -> CanonicalResult:
     planner.group(sig)
     lo = sig.identity_factor_count
     for vertices, weight in sig.components:
-        planner.canonicalize_block(lo, lo + weight, vertices)
+        planner._build_path(lo, lo + weight, vertices)
+        planner._normalize_tail(lo, lo + weight, vertices)
         lo += weight
     result = planner.result()
     if result.canonical != canonical_shape(sig):

@@ -2,8 +2,8 @@
 
 One subcommand per capability, plain text in and out, exit codes usable
 from shell pipelines: 0 for success (and for "equivalent"), 1 for a
-negative equiv verdict, 2 for any error.  File arguments accept ``-`` for
-stdin.
+negative verdict (equiv's "NOT EQUIVALENT", census's "theorem=VIOLATED"),
+2 for any error.  File arguments accept ``-`` for stdin.
 """
 
 from __future__ import annotations
@@ -150,7 +150,7 @@ def _cmd_census(args: argparse.Namespace) -> int:
         f"total factorizations={total} orbits={orbits} "
         f"signatures={len(partition)} theorem={verdict}"
     )
-    return 0
+    return 1 if verdict == "VIOLATED" else 0
 
 
 def _cmd_project(args: argparse.Namespace) -> int:
@@ -163,11 +163,7 @@ def _cmd_project(args: argparse.Namespace) -> int:
 
 def _cmd_dot(args: argparse.Namespace) -> int:
     f = _load_factorization(args.file)
-    if args.dot:
-        with Path(args.dot).open("w") as out:
-            _write_lines(_dot_lines(f), out)
-    else:
-        _write_lines(_dot_lines(f), sys.stdout)
+    _write_lines(_dot_lines(f), sys.stdout)
     return 0
 
 
@@ -242,7 +238,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("dot", help="print the factorization graph as DOT")
     p.add_argument("file")
-    p.add_argument("--dot", metavar="FILE", help="write to a file instead of stdout")
     p.set_defaults(func=_cmd_dot)
 
     return parser

@@ -157,6 +157,7 @@ class TestProjection:
 class TestProjectTuple:
     def test_transpositions_and_identity(self):
         t = BraidTuple(3, [word(3, 1), word(3, 2, 2), word(3, -2)])
+        assert len(t) == 3 and list(t) == list(t.words)
         assert project_tuple(t).factors == ((1, 2), None, (2, 3))
 
     def test_non_transposition_image_rejected_with_index(self):

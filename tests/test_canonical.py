@@ -211,12 +211,74 @@ class TestCanonicalShape:
         # identity factorization never produces
         f = Factorization(3, [(1, 2), (2, 3)])
         with pytest.raises(InternalError) as info:
-            _Planner(f).canonicalize_block(0, 2, [1, 2, 3])
+            _Planner(f)._build_path(0, 2, [1, 2, 3])
         message = str(info.value)
         assert message.startswith(
             "leftover: component {1, 2, 3} with weight 2: leftover -2 is not "
             "a non-negative even count"
         )
+        assert parse_factorization(message.rsplit("input ", 1)[1]) == f
+
+
+def fails_in_pull(monkeypatch):
+    # an identity inside the window a pull searches
+    f = Factorization(3, [(1, 2), None, (2, 3)])
+    return f, lambda: _Planner(f).pull(0, 3, (1,), 3)
+
+
+def fails_in_tail(monkeypatch):
+    # an identity behind a path, where grouping never leaves one
+    f = Factorization(3, [(1, 2), (1, 2), None, None])
+    return f, lambda: _Planner(f)._normalize_tail(0, 4, [1, 2])
+
+
+def fails_in_path(monkeypatch):
+    f = Factorization(3, [(1, 3), (1, 3), (1, 2), (1, 2)])
+    monkeypatch.setattr(_Planner, "walk_pair", lambda *args: None)
+    return f, lambda: canonical_form(f)
+
+
+def fails_in_walk(monkeypatch):
+    # the walk predicts its moves, but the kernel applies none of them
+    f = Factorization(3, [(1, 2), (1, 2), (2, 3), (2, 3)])
+    monkeypatch.setattr(canonical, "_replay", lambda *args: None)
+    return f, lambda: _Planner(f).walk_pair(0, 1, [(0, (1, 3))], 0)
+
+
+def fails_in_check(monkeypatch, name):
+    # the function canonical_form checks its output against returns another
+    # factorization
+    f = Factorization(3, [(2, 3), (2, 3), (1, 2), (1, 2)])
+    other = Factorization(3, [(1, 3)] * 4)
+    monkeypatch.setattr(canonical, name, lambda *args: other)
+    return f, lambda: canonical_form(f)
+
+
+class TestPlannerFailures:
+    """Every planner InternalError names its stage and carries its input as
+    text that parses back to it; each is reached by a hand-built input or a
+    patched step."""
+
+    @pytest.mark.parametrize(
+        "stage, make",
+        [
+            ("pull: an identity factor in the window", fails_in_pull),
+            ("tail: an identity factor at slot 2", fails_in_tail),
+            ("path: path cell 1 is not (2, 3) twice", fails_in_path),
+            ("walk: slots [0,4) do not hold the path cells", fails_in_walk),
+            ("cross-check: output does not match the canonical shape",
+             lambda mp: fails_in_check(mp, "canonical_shape")),
+            ("replay: certificate does not replay to the output",
+             lambda mp: fails_in_check(mp, "apply_certificate")),
+        ],
+        ids=["pull", "tail", "path", "walk", "cross-check", "replay"],
+    )
+    def test_names_stage_and_input(self, monkeypatch, stage, make):
+        f, call = make(monkeypatch)
+        with pytest.raises(InternalError) as info:
+            call()
+        message = str(info.value)
+        assert message.startswith(stage)
         assert parse_factorization(message.rsplit("input ", 1)[1]) == f
 
 
@@ -579,8 +641,9 @@ class TestCellRewrites:
 
 
 def swap_cell_by_cell(planner, p, q):
-    """Reference for move_cell: one _SWAP rewrite per unequal neighbour,
-    each checked on its own; returns the number of equal cells skipped."""
+    """Reference for a walk without steps, which moves the doubled cell at
+    slot p to slot q: one _SWAP rewrite per unequal neighbour, each checked
+    on its own; returns the number of equal cells skipped."""
     f = planner.factors
     skipped = 0
     for s in [*range(p, q, 2), *range(p - 2, q - 2, -2)]:
@@ -594,9 +657,9 @@ def swap_cell_by_cell(planner, p, q):
 
 
 def walk_step_by_step(planner, lo, gap, steps, end):
-    """Reference for walk_pair: per step, the swaps of move_cell one at a
-    time, then one conjugating rewrite, each checked on its own; returns
-    the number of equal cells skipped."""
+    """Reference for walk_pair: per step, the swaps of swap_cell_by_cell
+    one at a time, then one conjugating rewrite, each checked on its own;
+    returns the number of equal cells skipped."""
     f = planner.factors
     skipped = 0
     nexts = [c for c, _ in steps[1:]] + [end]
@@ -637,6 +700,7 @@ def check_walks(f):
 
 
 class TestMoveCell:
+    # a walk without steps moves the doubled cell at slot p to slot q;
     # equal, overlapping and disjoint neighbours on both sides of each cell
     CELLS = [(1, 2), (2, 3), (1, 2), (1, 2), (3, 4), (1, 3)]
 
@@ -644,7 +708,8 @@ class TestMoveCell:
         f = Factorization(4, [cell for cell in self.CELLS for _ in range(2)])
         for p, q in itertools.product(range(0, len(f), 2), repeat=2):
             planner, reference = _Planner(f), _Planner(f)
-            planner.move_cell(p, q)
+            lo = min(p, q)
+            planner.walk_pair(lo, (p - lo) // 2, (), (q - lo) // 2)
             swap_cell_by_cell(reference, p, q)
             assert planner.factors == reference.factors
             assert planner.moves == reference.moves
@@ -656,7 +721,8 @@ class TestMoveCell:
         f = Factorization(4, [cell for cell in self.CELLS for _ in range(2)])
         for p, q, swaps in [(0, 10, 3), (6, 0, 1)]:
             planner = _Planner(f)
-            planner.move_cell(p, q)
+            lo = min(p, q)
+            planner.walk_pair(lo, (p - lo) // 2, (), (q - lo) // 2)
             assert len(planner.moves) == 4 * swaps
 
 

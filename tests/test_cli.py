@@ -11,10 +11,12 @@ from pathlib import Path
 import pytest
 
 import hurwitz
-from hurwitz import cli, factorization
+from hurwitz import cli, factorization, oracle
 from hurwitz.canonical import canonical_form
 from hurwitz.cli import main
 from hurwitz.factorization import format_certificate, format_factorization, parse_factorization
+from hurwitz.graph import signature
+from hurwitz.oracle import OrbitReport
 
 F1_TEXT = "n=6; [(2,6),(1,4),(1,5),(3,6),(4,5),(1,5),(2,3),(3,6)]"
 F2_TEXT = "n=6; [(2,6),(1,5),(3,6),(3,6),(2,6),(1,5),(1,4),(1,4)]"
@@ -263,6 +265,18 @@ class TestOrbitAndCensus:
         assert code == 0
         assert out.strip().endswith("theorem=UNKNOWN")
 
+    def test_census_violated_exits_1(self, run, monkeypatch):
+        # two orbits for one signature, a counterexample to the theorem
+        seed = parse_factorization("n=3; [(1,2),(1,2)]")
+        report = OrbitReport(seed=seed, orbit_size=1, truncated=False)
+        monkeypatch.setattr(
+            oracle, "orbit_partition",
+            lambda degree, length, cap: [(signature(seed), [report, report])],
+        )
+        code, out, _ = run("census", "3", "2", "--quiet")
+        assert code == 1
+        assert out == "total factorizations=2 orbits=2 signatures=1 theorem=VIOLATED\n"
+
 
 class TestProjectAndDot:
     def test_project(self, run):
@@ -282,12 +296,15 @@ class TestProjectAndDot:
         assert out.endswith("}\n")
         assert out.count(" -- ") == 6
 
-    def test_dot_to_file(self, run, f1_file, tmp_path):
-        target = tmp_path / "out.dot"
-        code, out, _ = run("dot", f1_file, "--dot", str(target))
-        assert code == 0
-        assert out == ""
-        assert target.read_text().endswith("}\n")
+    def test_dot_has_no_file_option(self, run, f1_file, tmp_path, capsys):
+        # `hurwitz dot FILE > OUT` writes the file
+        with pytest.raises(SystemExit) as exc:
+            run("dot", f1_file, "--dot", str(tmp_path / "out.dot"))
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: hurwitz ")
+        assert "unrecognized arguments: --dot" in err
+        assert not (tmp_path / "out.dot").exists()
 
 
 class TestStoreReaders:

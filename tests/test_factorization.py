@@ -680,6 +680,16 @@ class TestBulkParse:
         assert list(f.factors) == list(factorization._as_factors(zip(*bulk[:2]))) == expected
         assert f == parse_factorization(text.replace(",", ", "))
 
+    def test_second_cut_inside_a_factor_is_refused(self):
+        # one-character chunks cut at the comma inside (1,2,3), then at the
+        # comma after 2: neither follows ')' or 'e'
+        text = "n=3; [(1,2,3),e]"
+        with patch.object(factorization, "_CHUNK", 1):
+            assert factorization._parse_bulk(text, 6, 3) is None
+            with pytest.raises(FormatError) as info:
+                parse_factorization(text)
+        assert str(info.value) == "malformed transposition (at position 6)"
+
     @pytest.mark.parametrize(
         "text, message, position",
         [
@@ -1087,6 +1097,9 @@ class TestStoreAndView:
         assert repr(f) == f"Factorization(degree={n}, factors={tuple(factors)!r})"
         with pytest.raises(dataclasses.FrozenInstanceError):
             f.degree = n + 1
+        with pytest.raises(dataclasses.FrozenInstanceError, match="cannot delete field 'degree'"):
+            del f.degree
+        assert f.__eq__(f.factors) is NotImplemented and f != f.factors
         with pytest.raises(AttributeError):
             object.__setattr__(f, "_view", f.factors)
         assert pickle.loads(pickle.dumps(f)) == copy.deepcopy(f) == f

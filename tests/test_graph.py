@@ -218,7 +218,7 @@ class TestSignatureChunks:
 
     @given(st.data())
     @settings(max_examples=150)
-    def test_agrees_with_reference_for_any_chunk_size(self, data):
+    def test_agrees_with_reference_on_drawn_inputs(self, data):
         n = data.draw(st.integers(1, 10))
         pairs = [(a, b) for a in range(1, n + 1) for b in range(a + 1, n + 1)]
         f = Factorization(
@@ -320,6 +320,7 @@ class TestFormatting:
     def test_signature_string(self):
         assert (
             format_signature(signature(F1))
+            == str(signature(F1))
             == "n=6; m=8; e=0; [{1,4,5}:4,{2,3,6}:4]"
         )
 
