@@ -29,18 +29,18 @@ a ``_Planner`` method:
   shortcut at the smaller slot when that leaves the rest of the path
   intact, then the edge is carried to the front (a source whose edge the
   window already holds is only carried, and no BFS runs);
-* ``walk_pair``: a doubled pair is conjugated by one path cell after
-  another, so its endpoints climb or descend the path.  It is built from
-  five four-move rewrites of two adjacent doubled cells that hold for any
-  transpositions x, y (with ``z = x y x``): swap ``x x y y -> y y x x``,
-  shift right by left ``x x y y -> x x z z``, shift left by right
-  ``y y x x -> z z x x``, and the crossings that conjugate the moving pair
-  as it passes a cell, ``y y x x -> x x z z`` and ``x x y y -> z z x x``.
-  The pair crosses a cell while conjugating whenever its next cell lies
-  beyond, so each step costs one rewrite, and it swaps past equal cells for
-  free.  No rewrite changes a path cell, so the walk predicts every move
-  and every value of the pair up front and applies the whole walk as one
-  run of moves.
+* ``climb``: a pair (v_i, v_k) pulled twice behind path cells 0 .. k - 2
+  becomes path cell k - 1, (v_{k-1}, v_k), in one fixed run of
+  4(k - 2 - i) + 3 moves, so the path on l vertices costs its pulls plus
+  at most (2l - 3)(l - 2) climb moves;
+* ``walk_pair``: a leftover doubled pair is conjugated by one path cell
+  after another, so its endpoints descend the path, by the five four-move
+  rewrites of two adjacent doubled cells below (``_SWAP`` and the four of
+  ``_CONJUGATE``), which hold for any two transpositions.  The pair crosses
+  a cell while conjugating whenever its next cell lies beyond, so each step
+  costs one rewrite, and it swaps past equal cells for free.  No rewrite
+  changes a path cell, so the walk predicts every move and every value of
+  the pair up front and applies the whole walk as one run of moves.
 
 The leftover weight of a component is walked down to ``(v_0,v_1)`` one
 doubled pair at a time, every pair the same way, until only ``(v_0,v_1)``
@@ -251,12 +251,12 @@ def _index(factors: list[_Pair], u: int, v: int, lo: int, hi: int) -> int:
 class _Planner:
     """Mutable list of endpoint pairs plus the move log that shaped it.
 
-    All mutation goes through run(): each carry and each walk is one run of
-    moves, applied to the list by the move kernel and appended to the log as
-    the same list, so the log is exactly what was applied.  The log shares
-    one immutable move per (direction, slot), made the first time that slot
-    moves in that direction, so a slot that never moves costs no move
-    object.
+    All mutation goes through run(): each carry, climb and walk is one run
+    of moves, applied to the list by the move kernel and appended to the log
+    as the same list, so the log is exactly what was applied.  The log
+    shares one immutable move per (direction, slot), made the first time
+    that slot moves in that direction, so a slot that never moves costs no
+    move object.
     """
 
     def __init__(self, factorization: Factorization):
@@ -357,6 +357,19 @@ class _Planner:
                 f"slots [{lo},{q}) do not hold the path cells with the pair "
                 f"at gap {end}",
             )
+
+    def climb(self, lo: int, i: int, k: int) -> None:
+        """Turn the pair (v_i, t) doubled behind path cells 0 .. k - 2 at
+        slot lo into (v_{k-1}, t) doubled, i < k - 1, in 4(k - 2 - i) + 3
+        moves on slots lo + 2i + 1 .. lo + 2k - 1.  The up run U, F at each
+        odd offset s and I at each even one in 2i + 1 .. 2k - 4, leaves
+        x = (v_i, v_{k-1}) in front of the pair y y; F I F there turns x y y
+        into x z z, z = x y x; U undone then restores the cells it touched.
+        """
+        top = lo + 2 * k - 3
+        # codes 2s and 2s + 3 are F@s and I@(s + 1); code c ^ 1 undoes c
+        up = [c for s in range(lo + 2 * i + 1, top, 2) for c in (2 * s, 2 * s + 3)]
+        self.run([*up, 2 * top, 2 * top + 3, 2 * top, *[c ^ 1 for c in up[::-1]]])
 
     # -- the pull rewrite ---------------------------------------------------
 
@@ -490,23 +503,30 @@ class _Planner:
         The block [lo, hi) must hold the transposition factors of a single
         connected component on the ascending ``vertices`` whose subproduct
         is the identity; both are consequences of grouping an identity
-        factorization.
+        factorization.  Cell k - 1 is two checked pulls of (v_i, v_k), v_i
+        the nearest spanned vertex, and a checked climb of 4(k - 2 - i) + 3.
         """
+        f = self.factors
         _leftover(vertices, hi - lo, self._fail)
         for k in range(1, len(vertices)):
-            target_v = vertices[k]
-            suffix_lo = lo + 2 * (k - 1)
-            vs = self.pull(suffix_lo, hi, vertices[:k], target_v)
-            self.pull(suffix_lo + 1, hi, (vs,), target_v)
-            # walk the doubled pair's lower endpoint up to vertices[k-1]
-            steps = [
-                (c, (vertices[c + 1], target_v))
-                for c in range(vertices.index(vs), k - 1)
-            ]
-            self.walk_pair(lo, k - 1, steps, k - 1)
-            cell = (vertices[k - 1], target_v)
-            if self.factors[suffix_lo : suffix_lo + 2] != [cell, cell]:
-                raise self._fail("path", f"path cell {k - 1} is not {cell} twice")
+            t = vertices[k]
+            p = lo + 2 * k  # the pulled pair goes to slots p - 2 and p - 1
+            vs = self.pull(p - 2, hi, vertices[:k], t)
+            self.pull(p - 1, hi, (vs,), t)
+            if f[p - 2 : p] != [(vs, t)] * 2:
+                raise self._fail(
+                    "path", f"slots [{p - 2},{p}) do not hold {(vs, t)} twice"
+                )
+            i = vertices.index(vs)
+            if i < k - 1:
+                self.climb(lo, i, k)
+            q = lo + 2 * i
+            cells = [(vertices[c], vertices[c + 1]) for c in range(i, k)]
+            if f[q:p:2] != cells or f[q + 1 : p : 2] != cells:
+                raise self._fail(
+                    "climb",
+                    f"slots [{q},{p}) do not hold path cells {i}..{k - 1} twice",
+                )
 
     def _normalize_tail(
         self, lo: int, hi: int, vertices: Sequence[int]

@@ -131,11 +131,11 @@ class TestCanon:
     def test_cert_is_written_in_chunks_byte_for_byte(
         self, run, f2_file, tmp_path, monkeypatch, lines_past_chunk
     ):
-        # F2's certificate has 29 moves; the writer's chunk is set so that
+        # F2's certificate has 27 moves; the writer's chunk is set so that
         # they are chunk - 1, chunk, chunk + 1 or 2 chunk + 1 lines
         result = canonical_form(parse_factorization(F2_TEXT))
         moves = len(result.certificate)
-        assert moves == 29
+        assert moves == 27
         if lines_past_chunk == "2 chunks + 1":
             chunk = (moves - 1) // 2
         else:

@@ -393,8 +393,8 @@ class TestCertificates:
         assert apply_certificate(there, invert_certificate(moves)) == f
 
     def test_invert_shares_one_inverse_per_distinct_move(self):
-        # a doubled random tree on 400 points: its 640,484-move certificate
-        # has 1,593 distinct moves; a new move per item retained 199 B a
+        # a doubled random tree on 400 points: its 479,436-move certificate
+        # has 1,592 distinct moves; a new move per item retained 199 B a
         # move, a shared one about 8.5 B
         rng = random.Random(1)
         tree = []
@@ -409,7 +409,7 @@ class TestCertificates:
             retained = tracemalloc.get_traced_memory()[0]
         finally:
             tracemalloc.stop()
-        assert len(inverse_moves) == len(result.certificate) == 640_484
+        assert len(inverse_moves) == len(result.certificate) == 479_436
         assert retained <= 16 * len(inverse_moves)
         assert apply_certificate(result.canonical, inverse_moves) == f
 
