@@ -449,14 +449,13 @@ def invert_certificate(moves: Iterable[HurwitzMove]) -> MoveCertificate:
 
 
 # Digit runs are length-checked before int(), which refuses runs longer than
-# 4,300 digits.  Any number of leading zeros is allowed, and _TOKEN_RE or
-# lstrip skips them, so only significant digits are converted; the bulk
-# path's fields alone keep theirs, at most 600 (see _POINT).  A pattern
-# never puts an unbounded zero run before an unbounded digit run: the two
-# could split a run in quadratically many ways before a match fails.  A
-# factor entry with more significant digits than the largest degree is out
-# of range for every degree; a move position with more digits than
-# sys.maxsize can address no list.
+# 4,300 digits.  Any number of leading zeros is allowed, and _TOKEN_RE,
+# lstrip or the bulk path skips them, so only significant digits are
+# converted.  A pattern never puts an unbounded zero run before an
+# unbounded digit run: the two could split a run in quadratically many ways
+# before a match fails.  A factor entry with more significant digits than
+# the largest degree is out of range for every degree; a move position with
+# more digits than sys.maxsize can address no list.
 _DEGREE_DIGITS = len(str(MAX_DEGREE))
 _POSITION_DIGITS = len(str(sys.maxsize))
 
@@ -504,10 +503,11 @@ def parse_factorization(text: str) -> Factorization:
     """Parse the textual factorization form.
 
     A factor list without whitespace, the form format_factorization writes,
-    is parsed in bulk by string methods.  A list with whitespace, and any
-    list the bulk checks refuse, is read token by token, and only that loop
-    raises for a bad factor: a text gives the same factors, or the same
-    FormatError message and position, whichever path reads it.
+    is parsed in bulk by a pattern match and the JSON reader.  A list with
+    whitespace, and any list the bulk checks refuse, is read token by
+    token, and only that loop raises for a bad factor: a text gives the
+    same factors, or the same FormatError message and position, whichever
+    path reads it.
 
     >>> parse_factorization("n=3; [(1,2), e, (3,1)]").factors
     ((1, 2), None, (1, 3))
@@ -535,22 +535,33 @@ def parse_factorization(text: str) -> Factorization:
 
 
 # The bulk path takes the list a chunk of about _CHUNK characters at a time,
-# so its scratch lists stay small beside the endpoint arrays it fills.  An
-# "e" is two characters and its scratch outweighs its 8 bytes of endpoints:
-# at 16K characters an all-identity list of 10^5 factors peaks at under 2
-# times the arrays.  parse_certificate reads its text in chunks of the same
-# size: a line string of each move of the text would take about 50 bytes,
-# the move itself 8.
-_CHUNK = 1 << 14
-# Distinct left fields "(a" and right fields "b)", joined by commas.  A
-# point is up to 600 leading zeros, then a nonzero digit and at most
-# MAX_DEGREE's other digits: a field matches in one way only, so a failed
-# match backtracks in linear time, a point is at least 1, and int() takes
-# every field under the lowest digit limit it can be set to, 640.  A zero
-# point, or a longer run of zeros, is left to the token loop.
-_POINT = r"0{0,600}[1-9][0-9]{0,%d}" % (_DEGREE_DIGITS - 1)
-_LEFT_FIELDS_RE = re.compile(r"\(%s(?:,\(%s)*" % (_POINT, _POINT))
-_RIGHT_FIELDS_RE = re.compile(r"%s\)(?:,%s\))*" % (_POINT, _POINT))
+# so its scratch stays small beside the endpoint arrays it fills.  An "e" is
+# two characters and its scratch outweighs its 8 bytes of endpoints: a
+# chunk's list of points holds two 8-byte slots a factor, and at 8K
+# characters an all-identity list of 10^5 factors peaks at under 2 times
+# the arrays.  parse_certificate reads its text in chunks of the same size:
+# a line string of each move of the text would take about 50 bytes, the
+# move itself 8.
+_CHUNK = 1 << 13
+# A point is a nonzero digit and at most MAX_DEGREE's other digits, so it
+# is at least 1 and is a JSON number.  A padded point has up to 600 leading
+# zeros before that, stripped before the JSON reader, which refuses them: a
+# point matches in one way only, so a failed match backtracks in linear
+# time.  A zero point, or a longer run of zeros, is left to the token loop.
+_PLAIN_POINT = r"[1-9][0-9]{0,%d}" % (_DEGREE_DIGITS - 1)
+_POINT = r"0{0,600}" + _PLAIN_POINT
+
+
+def _list_re(point: str) -> re.Pattern[str]:
+    """Factors "(a,b)", each point matching ``point``, or "e", joined by
+    commas."""
+    factor = r"(?:\(%s,%s\)|e)" % (point, point)
+    return re.compile(r"%s(?:,%s)*" % (factor, factor))
+
+
+_PLAIN_LIST_RE = _list_re(_PLAIN_POINT)
+_PADDED_LIST_RE = _list_re(_POINT)
+_LEADING_ZEROS_RE = re.compile(r"(?<=[(,])0+")
 _NO_PARENS = str.maketrans("", "", "()")
 
 
@@ -561,19 +572,20 @@ def _parse_bulk(
     first ']' and the offset after it, or None where the token loop must
     decide.
 
-    Every factor of a chunk becomes two comma-separated fields, "(a" and
-    "b)", or "e" and "e" once each "e" is doubled.  Each distinct field is
-    checked and converted once per call, into a table of its point: 0 for a
-    left "e" and 1 for a right one, so a pair passes ``x < y`` only when it
-    is an ascending transposition in range or "e", "e".  None is returned,
+    A chunk must match the list grammar, with or without leading zeros,
+    before the standard library's JSON reader converts its points in C:
+    each "e" is read as the points 0 and 1, so a pair passes ``x < y`` only
+    when it is an ascending transposition or an "e".  None is returned,
     never an error raised, for whitespace, a pair not in ascending order, a
-    field out of range or malformed, or a list without ']'.
+    point out of range or malformed, or a list without ']'.
     """
+    # imported here: the import takes about 1.5 ms, which commands that
+    # read no factor list need not pay
+    import json
+
     close = text.find("]", pos)
     if close < 0:
         return None
-    left = {"e": 0}
-    right = {"e": 1}
     lo, hi = array("i"), array("i")
     while True:
         # cut at a comma after ')' or 'e': a pair has one comma inside it
@@ -584,53 +596,27 @@ def _parse_bulk(
                 return None
         if cut < 0:
             cut = close
-        fields = text[pos:cut].replace("e", "e,e").split(",")
-        xs = fields[0::2]
-        ys = fields[1::2]
-        del fields
-        if not (
-            len(xs) == len(ys)
-            and _add_fields(left, xs, _LEFT_FIELDS_RE, degree)
-            and _add_fields(right, ys, _RIGHT_FIELDS_RE, degree)
-        ):
-            return None
-        xv = list(map(left.__getitem__, xs))
-        yv = list(map(right.__getitem__, ys))
-        # a right "e" passes only after a left "e", so equal counts pair them
-        identities = xs.count("e")
-        if not all(map(operator.lt, xv, yv)) or ys.count("e") != identities:
+        chunk = text[pos:cut]
+        if not _PLAIN_LIST_RE.fullmatch(chunk):
+            if not _PADDED_LIST_RE.fullmatch(chunk):
+                return None
+            chunk = _LEADING_ZEROS_RE.sub("", chunk)
+        points = json.loads("[" + chunk.replace("e", "0,1").translate(_NO_PARENS) + "]")
+        xs = points[0::2]
+        ys = points[1::2]
+        del points
+        if max(ys) > degree or not all(map(operator.lt, xs, ys)):
             return None
         base = len(hi)
-        lo.fromlist(xv)
-        hi.fromlist(yv)
+        lo.fromlist(xs)
+        hi.fromlist(ys)
         slot = -1
-        for _ in range(identities):
-            slot = xs.index("e", slot + 1)
+        for _ in range(xs.count(0)):
+            slot = xs.index(0, slot + 1)
             hi[base + slot] = 0
         if cut == close:
             return lo, hi, close + 1
         pos = cut + 1
-
-
-def _add_fields(
-    table: dict[str, int],
-    fields: list[str],
-    pattern: re.Pattern[str],
-    degree: int,
-) -> bool:
-    """Enter the fields not yet in ``table`` with their points; False if one
-    does not match ``pattern`` or its point is above ``degree``."""
-    new = list(set(fields).difference(table))
-    if not new:
-        return True
-    joined = ",".join(new)
-    if not pattern.fullmatch(joined):
-        return False
-    points = list(map(int, joined.translate(_NO_PARENS).split(",")))
-    if max(points) > degree:
-        return False
-    table.update(zip(new, points))
-    return True
 
 
 def _parse_tokens(text: str, pos: int, degree: int) -> tuple[array, array, int]:

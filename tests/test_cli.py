@@ -626,6 +626,9 @@ _COMMAND_MODULES = {
     "orbit": ["hurwitz.oracle"], "census": ["hurwitz.oracle"],
     "project": ["hurwitz.braid"],
 }
+# Commands that read no factor list, so never import json, which only the
+# bulk list reader uses.
+_NO_JSON_COMMANDS = {"census", "project"}
 
 
 @pytest.fixture
@@ -664,13 +667,15 @@ class TestEntryPoint:
             "main(sys.argv[1:])\n"
             "print(*sorted(m for m in sys.modules if m.split('.')[0] == 'hurwitz'),"
             " file=sys.stderr)\n"
+            "print('json' in sys.modules, file=sys.stderr)\n"
         )
         proc = subprocess.run(
             [sys.executable, "-c", code, *entry_argv],
             capture_output=True, text=True, env=_child_env(), timeout=60,
         )
-        loaded = proc.stderr.splitlines()[-1].split()
-        assert loaded == sorted(_BASE_MODULES + _COMMAND_MODULES[entry_argv[0]])
+        *_, loaded, json_loaded = proc.stderr.splitlines()
+        assert loaded.split() == sorted(_BASE_MODULES + _COMMAND_MODULES[entry_argv[0]])
+        assert json_loaded == str(entry_argv[0] not in _NO_JSON_COMMANDS)
 
     def test_module_invocation(self, tmp_path):
         path = tmp_path / "f.txt"

@@ -701,6 +701,15 @@ class TestBulkParse:
             ("n=3; [(1,2),(1,2e]", "malformed transposition", 12),
             ("n=3; [(1,2),(1]", "malformed transposition", 12),
             ("n=3; [e,e,(1]", "malformed transposition", 10),
+            # numbers the JSON reader takes but the list grammar does not
+            ("n=3; [(1,2),(-1,2)]", "malformed transposition", 12),
+            ("n=3; [(1,2),(+1,2)]", "malformed transposition", 12),
+            ("n=3; [(1,2),(1.0,2)]", "malformed transposition", 12),
+            ("n=3; [(1,2),(1e1,2)]", "malformed transposition", 12),
+            ("n=3; [(1,2),(NaN,2)]", "malformed transposition", 12),
+            ("n=3; [(1,2),(true,2)]", "malformed transposition", 12),
+            ("n=3; [(1,2),(\u0663,2)]", "malformed transposition", 12),
+            ("n=3; [(1,2),(1,2,3)]", "malformed transposition", 12),
         ],
     )
     def test_refused_by_bulk_path_read_by_token_loop(self, text, message, position):
@@ -711,6 +720,20 @@ class TestBulkParse:
         with pytest.raises(FormatError) as info:
             parse_factorization(text)
         assert str(info.value) == f"{message} (at position {position})"
+
+    def test_points_of_the_largest_degree(self):
+        # seven significant digits are read in bulk; an eighth puts a point
+        # out of range for every degree, which only the token loop reports
+        text = "n=1000000; [(999999,1000000),e]"
+        assert factorization._parse_bulk(text, 12, 10**6) is not None
+        assert parse_factorization(text).factors == ((999_999, 10**6), None)
+        text = "n=1000000; [e,(1,10000000)]"
+        assert factorization._parse_bulk(text, 12, 10**6) is None
+        with pytest.raises(FormatError) as info:
+            parse_factorization(text)
+        assert str(info.value) == (
+            "factor entry out of range for degree 1000000 (at position 14)"
+        )
 
 
 @st.composite
@@ -974,10 +997,27 @@ def test_parse_streams_factors():
     """The parse holds little beyond the Factorization it returns: no list of
     all tokens or digit strings is built first.  The bound is the peak of a
     parse into factor tuples, 8.4 MB; into endpoint arrays it peaks at
-    about 3.2 MB."""
+    about 1.0 MB."""
     f, _, peak = traced_parse(sparse_text())
     assert len(f) == 100_000
     assert peak <= 8_300_000
+
+
+def test_parse_takes_linear_time():
+    # 25,000 and 100,000 sparse factors, both read by the bulk path: the
+    # min of 3 thread times grows about 4 times, and a pass over all the
+    # factors read so far for each chunk would grow it about 16 times
+    times = []
+    for m in (25_000, 100_000):
+        text = sparse_text(m=m)
+        assert factorization._parse_bulk(text, text.index("[") + 1, 10_000) is not None
+        runs = []
+        for _ in range(3):
+            t0 = time.thread_time()
+            parse_factorization(text)
+            runs.append(time.thread_time() - t0)
+        times.append(min(runs))
+    assert times[1] < 6 * times[0], times
 
 
 def test_parse_retains_the_endpoints_only():
@@ -999,7 +1039,7 @@ def test_parse_memory_on_every_shape(factors, bound):
     """The bulk path's scratch lists stay small, also for the shortest factor
     text ('e') and for few distinct points.  The bounds are the peaks of a
     parse into factor tuples; into endpoint arrays these parses peak at
-    about 1.2 and 1.5 MB."""
+    about 1.5 and 1.2 MB."""
     f, _, peak = traced_parse(format_factorization(Factorization(10_000, factors)))
     assert f.factors == tuple(factors)
     assert peak <= bound

@@ -211,7 +211,7 @@ class TestSignature:
                 assert weight >= 2 * (len(vertices) - 1)
 
 
-class TestSignatureChunks:
+class TestSignatureLengthsAndMemory:
     """signature agrees with the reference on short drawn inputs and on long
     ones: lengths around 131,072 factors with identities on both sides of
     its multiples, two paths joined by the last factor, all identities."""
