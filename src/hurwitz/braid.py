@@ -175,9 +175,8 @@ def braid_hurwitz_move(braid: BraidTuple, move: HurwitzMove) -> BraidTuple:
     words = braid.words
     m = len(words)
     if k < 0 or k + 1 >= m:
-        raise MoveRangeError(
-            f"move {move} out of range for length {m} (valid positions 0..{m - 2})"
-        )
+        valid = f"valid positions 0..{m - 2}" if m > 1 else "the tuple has no valid position"
+        raise MoveRangeError(f"move {move} out of range for length {m} ({valid})")
     u, v = words[k], words[k + 1]
     degree = braid.degree
     # u and v are checked words of the tuple's degree, and negating a letter

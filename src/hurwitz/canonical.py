@@ -63,12 +63,12 @@ from typing import Callable, Sequence
 
 from .errors import HurwitzError, InternalError, PreconditionError
 from .factorization import (
-    Direction,
     Factor,
     Factorization,
     HurwitzMove,
     MoveCertificate,
     _Pair,
+    _move,
     _replay,
     _require_int,
     _require_type,
@@ -254,9 +254,9 @@ class _Planner:
     All mutation goes through run(): each carry, climb and walk is one run
     of moves, applied to the list by the move kernel and appended to the log
     as the same list, so the log is exactly what was applied.  The log
-    shares one immutable move per (direction, slot), made the first time
-    that slot moves in that direction, so a slot that never moves costs no
-    move object.
+    shares one immutable move per (direction, slot), taken from _move the
+    first time that slot moves in that direction: the process's own move
+    below slot 1,024, and above it one made for this planner.
     """
 
     def __init__(self, factorization: Factorization):
@@ -293,8 +293,7 @@ class _Planner:
         self.moves += moves
 
     def _new_move(self, code: int) -> HurwitzMove:
-        direction = Direction.INVERSE if code & 1 else Direction.FORWARD
-        move = self._shared[code] = HurwitzMove(direction, code >> 1)
+        move = self._shared[code] = _move(code)
         return move
 
     # -- verified composite rewrites ---------------------------------------

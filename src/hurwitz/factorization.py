@@ -251,10 +251,11 @@ class Direction(Enum):
     INVERSE = "I"
 
 
-# A move's attributes are set through this global and _setattr: on Python
+# A move's attributes are set through these globals and _setattr: on Python
 # 3.11, reading a member off an Enum class, or a method off ``object``, costs
 # more.
 _FORWARD = Direction.FORWARD
+_INVERSE = Direction.INVERSE
 
 # A slot past the end of every list: both slots of a move at a negative
 # position.
@@ -265,14 +266,18 @@ _NO_SLOT = sys.maxsize
 class HurwitzMove:
     """An elementary move: direction plus the 0-based left slot it acts on.
 
-    Instances are immutable and may be shared: the canonicalizer emits one
-    object per (direction, slot), ``parse_certificate`` one per distinct
-    line and ``invert_certificate`` one per distinct move.  Compare moves
-    with ``==``, never ``is``.  The text form and the two slots the move
-    kernel reads are built once, at construction, outside the fields, so
-    ``==``, ``hash`` and ``repr`` see only direction and position.  A
-    direction that is not a Direction, or a position that is not an int,
-    raises PreconditionError.
+    Instances are immutable and may be shared.  The package makes its moves
+    through ``_move``: below slot 1,024 the process has one object per
+    (direction, slot), made on first use, which the canonicalizer,
+    ``parse_certificate`` and inversion all return; from slot 1,024 up each
+    call shares its own, the canonicalizer one per (direction, slot),
+    ``parse_certificate`` one per distinct line and ``invert_certificate``
+    one per distinct move.  The constructor always makes a new object.
+    Compare moves with ``==``, never ``is``.  The text form and the two
+    slots the move kernel reads are built once, at construction, outside
+    the fields, so ``==``, ``hash`` and ``repr`` see only direction and
+    position.  A direction that is not a Direction, or a position that is
+    not an int, raises PreconditionError.
     """
 
     direction: Direction
@@ -305,11 +310,33 @@ class HurwitzMove:
         _setattr(self, "_x_slot", x_slot)
 
     def inverted(self) -> "HurwitzMove":
-        flip = Direction.INVERSE if self.direction is Direction.FORWARD else Direction.FORWARD
-        return HurwitzMove(flip, self.position)
+        return _move(2 * self.position + (self.direction is _FORWARD))
 
     def __str__(self) -> str:
         return self._text
+
+
+# The codes below which the process keeps one move each: slots 0..1,023 in
+# both directions, a list of 16 KB, filled on first use, and at most about
+# 0.45 MB of moves.
+_SHARED_CODES = 2048
+_SHARED_MOVES: list[Optional[HurwitzMove]] = [None] * _SHARED_CODES
+
+
+def _move(code: int) -> HurwitzMove:
+    """The move with code ``code``: 2k is forward at slot k, 2k + 1 inverse.
+
+    For 0 <= code < _SHARED_CODES it is the process's one object for that
+    code; any other code, a negative one included, gets a new object.
+    Every move the package makes is made here.
+    """
+    shared = 0 <= code < _SHARED_CODES
+    move = _SHARED_MOVES[code] if shared else None
+    if move is None:
+        move = HurwitzMove(_INVERSE if code & 1 else _FORWARD, code >> 1)
+        if shared:
+            _SHARED_MOVES[code] = move
+    return move
 
 
 # A replayable move sequence; positions are relative to the evolving
@@ -371,7 +398,7 @@ def _reject_move(move: object) -> NoReturn:
 
 
 # The one move `conjugate_factor` replays: forward at slot 0.
-_CONJUGATE_MOVES = (HurwitzMove(Direction.FORWARD, 0),)
+_CONJUGATE_MOVES = (_move(0),)
 
 
 def conjugate_factor(s: _Pair, t: _Pair) -> _Pair:
@@ -397,8 +424,24 @@ def apply_move(factorization: Factorization, move: HurwitzMove) -> Factorization
     ((1, 3), (1, 2))
     >>> apply_move(f, HurwitzMove(Direction.INVERSE, 0)).factors
     ((2, 3), (1, 3))
+
+    The move reaches two slots, so only their pairs are replayed, by the
+    same move at slot 0, and written into copies of the endpoint arrays.
+    Its errors are apply_certificate's for the one-move sequence.
     """
-    return apply_certificate(factorization, (move,))
+    _require_type(factorization, Factorization, "factorization")
+    if type(move) is not HurwitzMove:
+        _reject_move(move)
+    k = move.position
+    lo = factorization._lo
+    if not 0 <= k < len(lo) - 1:
+        raise MoveRangeError(f"move 0 ({move}) out of range for length {len(lo)}")
+    lo = lo[:]
+    hi = factorization._hi[:]
+    pairs = [(lo[k], hi[k]), (lo[k + 1], hi[k + 1])]
+    _replay(pairs, (_move(0 if move.direction is _FORWARD else 1),))
+    (lo[k], hi[k]), (lo[k + 1], hi[k + 1]) = pairs
+    return _fill(_new(Factorization), factorization.degree, lo, hi)
 
 
 def apply_certificate(
@@ -714,8 +757,6 @@ def format_factorization(factorization: Factorization) -> str:
 
 
 _MOVE_RE = re.compile(r"([FI])\s*@\s*([0-9]+)$")
-# A move line's letter to its direction: a call of Direction costs more.
-_DIRECTIONS = {d._value_: d for d in Direction}
 
 
 def parse_certificate(text: str) -> list[HurwitzMove]:
@@ -756,7 +797,8 @@ def parse_certificate(text: str) -> list[HurwitzMove]:
                 continue
             m = _MOVE_RE.match(line)
             if m and len(m[2].lstrip("0")) <= _POSITION_DIGITS:
-                table[raw] = HurwitzMove(_DIRECTIONS[m[1]], int(m[2].lstrip("0") or "0"))
+                position = int(m[2].lstrip("0") or "0")
+                table[raw] = _move(2 * position + (m[1] == "I"))
                 continue
             i = raw_lines.index(raw)
             offset = start + sum(map(len, chunk.splitlines(keepends=True)[:i]))

@@ -268,6 +268,23 @@ class TestBraidMove:
         with pytest.raises(MoveRangeError):
             braid_hurwitz_move(b, HurwitzMove(Direction.INVERSE, -1))
 
+    def test_out_of_range_names_the_valid_positions(self):
+        b = BraidTuple(3, [word(3, 1), word(3, 2), word(3, 1)])
+        with pytest.raises(MoveRangeError) as excinfo:
+            braid_hurwitz_move(b, HurwitzMove(Direction.FORWARD, 2))
+        assert str(excinfo.value) == (
+            "move F@2 out of range for length 3 (valid positions 0..1)"
+        )
+
+    @pytest.mark.parametrize("text, length", [("n=3; [1]", 1), ("n=3; []", 0)])
+    def test_tuple_of_fewer_than_two_words_has_no_valid_position(self, text, length):
+        with pytest.raises(MoveRangeError) as excinfo:
+            braid_hurwitz_move(parse_braid_tuple(text), HurwitzMove(Direction.FORWARD, 0))
+        assert str(excinfo.value) == (
+            f"move F@0 out of range for length {length} "
+            "(the tuple has no valid position)"
+        )
+
     def test_commuting_square_sampled(self):
         rng = random.Random(20260819)
         for _ in range(200):

@@ -1276,6 +1276,74 @@ class TestApplyMovePatchesTheStore:
             assert f.factors == was
             f = g
 
+    def test_replays_only_the_two_slots_it_moves(self):
+        # the pair list of the whole store is never built: at 10^5 factors
+        # building it took 12-16 ms a call, the two slots' replay under 30 us
+        m = 10**5
+        f = Factorization(3, [(1, 2), (2, 3)] * (m // 2))
+        moves = [forward(7), inverse(7), forward(m - 2), inverse(0)]
+        want = [apply_certificate(f, [move]) for move in moves]
+        not_built = AssertionError("apply_move built the pair list")
+        with patch.object(Factorization, "_pairs", side_effect=not_built):
+            for move, expected in zip(moves, want):
+                g, _, peak = traced(lambda: apply_move(f, move))
+                assert g == expected
+                assert peak <= 9 * m, f"peaked at {peak / m:.1f} B a factor"
+            with pytest.raises(MoveRangeError) as excinfo:
+                apply_move(f, forward(m - 1))
+            assert str(excinfo.value) == f"move 0 (F@{m - 1}) out of range for length {m}"
+
+
+class TestMoveMaker:
+    """_move keeps one move per code below _SHARED_CODES for the process,
+    which the planner, the certificate reader and inversion all return,
+    and makes a new one for every other code."""
+
+    def test_parse_certificate_shares_moves_below_the_bound_only(self):
+        text = "F@0\nI@3\nF@1023\nI@1023\nF@1024\nI@5000\n"
+        first, second = parse_certificate(text), parse_certificate(text)
+        assert first == second
+        assert [a is b for a, b in zip(first, second)] == [True] * 4 + [False] * 2
+        shared = [factorization._move(c) for c in (0, 7, 2046, 2047)]
+        assert all(a is b for a, b in zip(first, shared))
+
+    def test_canonical_form_moves_are_the_parsed_ones(self):
+        rng = random.Random("maker")
+        pairs = [(a, b) for a in range(1, 9) for b in range(a + 1, 9)]
+        doubled = Factorization(8, [p for p in rng.choices(pairs, k=30) for _ in range(2)])
+        scramble = [HurwitzMove(rng.choice(list(Direction)), rng.randrange(59)) for _ in range(300)]
+        f = apply_certificate(doubled, scramble)
+        cert = canonical_form(f).certificate
+        assert cert and max(move.position for move in cert) < 1024
+        parsed = parse_certificate(format_certificate(cert))
+        assert all(a is b for a, b in zip(parsed, cert)) and len(parsed) == len(cert)
+        inverse_moves = invert_certificate(cert)
+        assert all(a is b.inverted() for a, b in zip(inverse_moves, reversed(cert)))
+
+    def test_negative_positions_never_index_the_list_from_its_end(self):
+        last = factorization._move(factorization._SHARED_CODES - 1)
+        assert last == inverse(1023) and factorization._SHARED_MOVES[-1] is last
+        for move, flipped in ((forward(-1), inverse(-1)), (inverse(-1), forward(-1))):
+            for result in (move.inverted(), invert_certificate([move])[0]):
+                assert result == flipped
+                assert result is not last and result is not factorization._SHARED_MOVES[-2]
+        assert factorization._move(-1) == inverse(-1)
+        assert factorization._move(-2) == forward(-1)
+        assert factorization._move(-3) == inverse(-2)
+
+    def test_the_list_never_grows(self):
+        bound = factorization._SHARED_CODES
+        assert bound == 2048
+        moves = [factorization._move(c) for c in range(-5, 3 * bound)]
+        moves += parse_certificate("".join(f"F@{k}\nI@{k}\n" for k in range(2 * bound)))
+        moves += invert_certificate(moves)
+        assert len(factorization._SHARED_MOVES) == bound
+        for code, move in enumerate(factorization._SHARED_MOVES):
+            assert move == HurwitzMove(
+                Direction.INVERSE if code & 1 else Direction.FORWARD, code >> 1
+            )
+        assert factorization._move(bound) is not factorization._move(bound)
+
 
 class TestCertificateText:
     def test_round_trip(self):

@@ -171,6 +171,29 @@ def test_every_private_definition_has_a_caller():
     assert unnamed == []
 
 
+def test_only_the_move_maker_constructs_moves():
+    """Package code makes a HurwitzMove only inside ``factorization._move``,
+    which shares one object per code below its bound, so no caller
+    bypasses the sharing.  Doctests are text and do not count."""
+    package = Path(hurwitz.__file__).resolve().parent
+    makers, calls = [], []
+    for path in sorted(package.glob("*.py")):
+        stack = [(ast.parse(path.read_text(), str(path)), None)]
+        while stack:  # (node, the function it is in)
+            node, function = stack.pop()
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                function = node.name
+            if isinstance(node, ast.Call) and "HurwitzMove" in (
+                getattr(node.func, "id", None),
+                getattr(node.func, "attr", None),
+            ):
+                inside = (path.name, function) == ("factorization.py", "_move")
+                (makers if inside else calls).append(f"{path.name}:{node.lineno}")
+            stack.extend((child, function) for child in ast.iter_child_nodes(node))
+    assert makers
+    assert calls == []
+
+
 def test_no_module_imports_a_name_it_never_mentions():
     """Each name a module of the package imports appears again in its own
     text, code, comments and doctests included: an import nothing reads is
