@@ -33,22 +33,25 @@ a ``_Planner`` method:
   becomes path cell k - 1, (v_{k-1}, v_k), in one fixed run of
   4(k - 2 - i) + 3 moves, so the path on l vertices costs its pulls plus
   at most (2l - 3)(l - 2) climb moves;
-* ``walk_pair``: a leftover doubled pair is conjugated by one path cell
-  after another, so its endpoints descend the path, by the five four-move
-  rewrites of two adjacent doubled cells below (``_SWAP`` and the four of
-  ``_CONJUGATE``), which hold for any two transpositions.  The pair crosses
-  a cell while conjugating whenever its next cell lies beyond, so each step
-  costs one rewrite, and it swaps past equal cells for free.  No rewrite
-  changes a path cell, so the walk predicts every move and every value of
-  the pair up front and applies the whole walk as one run of moves.
+* ``lower``: a leftover pair (v_i, v_j), i < j, doubled behind the path
+  becomes (v_0, v_1) in one fixed run.  ``_SWAP`` passes a path cell and
+  ``_CROSS_LEFT`` passes it while conjugating the pair by it, four-move
+  rewrites of two adjacent doubled cells that hold for any two
+  transpositions.  Going down, the pair crosses each cell below j but cell
+  i, lowering one of its points each time, passes cell i, which it then
+  equals, for free, and ``climb`` and its mirror image finish it.  Parking
+  it in front of path cell 1 takes 4(l - 2) moves for i = 0 and
+  4(l - 2) + 4i - 2 otherwise, l the number of vertices; taking it behind
+  the path, 8(l - 3) + 4i + 3 for i <= 1 and 8(l - 3) + 10 otherwise.  The
+  run depends only on i, j and where the pair ends, so no kernel call
+  plans it.
 
-The leftover weight of a component is walked down to ``(v_0,v_1)`` one
-doubled pair at a time, every pair the same way, until only ``(v_0,v_1)``
-copies remain behind the path; those stay where they are.  Each finished
-pair ends next to path cell 0 and is parked there, in front of the rest of
-the path, so no pair ever slides past another leftover pair; the parked
-block moves behind the path once, at the end.  The last pair walks straight
-on behind the path.
+The leftover weight of a component is lowered to ``(v_0,v_1)`` one doubled
+pair at a time, every pair the same way, until only ``(v_0,v_1)`` copies
+remain behind the path; those stay where they are.  Each finished pair is
+parked in front of path cell 1, so no pair ever passes another leftover
+pair; the parked block moves behind the path once, at the end.  The last
+pair goes straight on behind the path.
 
 Every intermediate state is produced by a legal move, so the final move log
 is itself the equivalence certificate.
@@ -73,7 +76,6 @@ from .factorization import (
     _require_int,
     _require_type,
     apply_certificate,
-    conjugate_factor,
     format_factorization,
 )
 from .graph import ComponentSignature, _require_signature, format_signature, signature
@@ -213,31 +215,31 @@ def _codes(moves: str) -> tuple[int, ...]:
 
 
 _SWAP = _codes("F@1 F@0 F@2 F@1")  # x x y y -> y y x x
-_SHIFT_RIGHT = _codes("F@1 F@2 F@2 F@1")  # x x y y -> x x z z
-_SHIFT_LEFT = _codes("F@1 F@0 F@0 F@1")  # y y x x -> z z x x
-_CROSS_RIGHT = _codes("F@1 F@0 I@2 I@1")  # y y x x -> x x z z
 _CROSS_LEFT = _codes("F@1 F@2 I@0 I@1")  # x x y y -> z z x x
 
-# Conjugating a walked pair by a path cell, keyed by (the pair starts right
-# of the cell, the pair ends right of it).  Each leaves the path cell x as
-# it is and turns the pair y into x y x.
-_CONJUGATE = {
-    (False, False): _SHIFT_LEFT,
-    (False, True): _CROSS_RIGHT,
-    (True, True): _SHIFT_RIGHT,
-    (True, False): _CROSS_LEFT,
-}
+
+def _climb(lo: int, i: int, k: int) -> list[int]:
+    """The run that conjugates the pair y doubled behind path cells 0 .. k -
+    2 at slot lo by x = (v_i, v_{k-1}), i < k - 1, y sharing one point with
+    x: 4(k - 2 - i) + 3 moves on slots lo + 2i + 1 .. lo + 2k - 1.  The up
+    run U, F at each odd offset s and I at each even one in 2i + 1 .. 2k -
+    4, leaves x in front of y y; F I F there turns x y y into x z z, z = x y
+    x; U undone then restores the cells it touched."""
+    top = lo + 2 * k - 3
+    # codes 2s and 2s + 3 are F@s and I@(s + 1); code c ^ 1 undoes c
+    up = [c for s in range(lo + 2 * i + 1, top, 2) for c in (2 * s, 2 * s + 3)]
+    return [*up, 2 * top, 2 * top + 3, 2 * top, *[c ^ 1 for c in up[::-1]]]
 
 
-def _slide(
-    p: int, cells: list[_Pair], pair: _Pair, g: int, t: int
-) -> list[tuple[int, tuple[int, ...]]]:
-    """The rewrites, as (slot, codes), that swap the pair from gap g to gap
-    t of the doubled path cells at slot p: a _SWAP at slot p + 2k for each
-    path cell k it passes, cells[k], unless that equals the pair, since
-    swapping equal cells changes nothing."""
-    passed = range(g, t) if t > g else range(g - 1, t - 1, -1)
-    return [(p + 2 * k, _SWAP) for k in passed if cells[k] != pair]
+def _climb_down(lo: int, k: int) -> list[int]:
+    """The run that conjugates the pair doubled at slot lo in front of the
+    doubled path cells (w_1, w_2) .. (w_{k-1}, w_k) by (w_1, w_k), which it
+    shares one point with, in 4(k - 2) + 3 moves on slots lo .. lo + 2k - 2:
+    _climb(0, 0, k) on the window [lo, lo + 2k) read right to left.  Read
+    so, a move at slot s becomes the move of the other direction at slot
+    lo + 2k - 2 - s."""
+    last = 2 * (lo + 2 * k - 2) + 1
+    return [last - c for c in _climb(0, 0, k)]
 
 
 def _index(factors: list[_Pair], u: int, v: int, lo: int, hi: int) -> int:
@@ -251,9 +253,9 @@ def _index(factors: list[_Pair], u: int, v: int, lo: int, hi: int) -> int:
 class _Planner:
     """Mutable list of endpoint pairs plus the move log that shaped it.
 
-    All mutation goes through run(): each carry, climb and walk is one run
-    of moves, applied to the list by the move kernel and appended to the log
-    as the same list, so the log is exactly what was applied.  The log
+    All mutation goes through run(): each carry, climb and lowering is one
+    run of moves, applied to the list by the move kernel and appended to the
+    log as the same list, so the log is exactly what was applied.  The log
     shares one immutable move per (direction, slot), taken from _move the
     first time that slot moves in that direction: the process's own move
     below slot 1,024, and above it one made for this planner.
@@ -280,6 +282,14 @@ class _Planner:
             f"{stage}: {problem}; this is a planner bug; input "
             f"{format_factorization(self.source)}"
         )
+
+    def _check(self, stage: str, lo: int, cells: list[_Pair], what: str) -> None:
+        """Raise stage's InternalError, naming what, unless the slots from lo
+        hold each of cells twice in turn."""
+        f = self.factors
+        q = lo + 2 * len(cells)
+        if f[lo:q:2] != cells or f[lo + 1 : q : 2] != cells:
+            raise self._fail(stage, f"slots [{lo},{q}) do not hold {what}")
 
     # -- elementary moves --------------------------------------------------
 
@@ -308,67 +318,51 @@ class _Planner:
         else:
             self.run(range(2 * j - 1, 2 * dest - 1, -2))
 
-    def walk_pair(
-        self, lo: int, gap: int, steps: Sequence[tuple[int, _Pair]], end: int
-    ) -> None:
-        """Conjugate the doubled pair at gap by the path cells of steps, in
-        one run of moves.
-
-        The pair at gap g sits between path cells g - 1 and g, so path cell
-        c is the cell at slot lo + 2c for c < g and one cell further right
-        otherwise.  For each step (c, expected) the pair swaps up to cell c
-        on the side it is on and is conjugated by it, crossing it when the
-        next step's cell, or the end gap, lies beyond it; the pair must then
-        equal expected.  Finally it swaps to gap end.
-
-        Swaps and conjugations keep every path cell, so the walk knows each
-        move and each value of the pair before it moves anything: it checks
-        every expected value against x y x, x the path cell and y the pair,
-        applies the whole walk as one run, and checks that the walked cells
-        hold the path cells with the pair at gap end.
-        """
-        f = self.factors
-        cs = [c for c, _ in steps]
-        q = lo + 2 * max(gap, end, *[c + 1 for c in cs]) + 2  # walks [lo, q)
-        region = f[lo:q]
-        pair = region[2 * gap]
-        cells = region[: 2 * gap : 2] + region[2 * gap + 2 :: 2]
-        rewrites = []  # (slot, codes relative to it)
-        for i, ((c, expected), nxt) in enumerate(zip(steps, [*cs[1:], end])):
-            right, stay_right = gap > c, nxt > c
-            rewrites += _slide(lo, cells, pair, gap, c + right)
-            rewrites.append((lo + 2 * c, _CONJUGATE[right, stay_right]))
-            pair = conjugate_factor(cells[c], pair)
-            if pair != expected:
-                raise self._fail(
-                    "walk",
-                    f"step {i} by path cell {c} of the cells at slot {lo} "
-                    f"gives {pair}, expected {expected}",
-                )
-            gap = c + stay_right
-        rewrites += _slide(lo, cells, pair, gap, end)
-        self.run([2 * s + r for s, codes in rewrites for r in codes])
-        cells.insert(end, pair)
-        walked = f[lo:q]
-        if walked[::2] != cells or walked[1::2] != cells:
-            raise self._fail(
-                "walk",
-                f"slots [{lo},{q}) do not hold the path cells with the pair "
-                f"at gap {end}",
-            )
-
     def climb(self, lo: int, i: int, k: int) -> None:
         """Turn the pair (v_i, t) doubled behind path cells 0 .. k - 2 at
-        slot lo into (v_{k-1}, t) doubled, i < k - 1, in 4(k - 2 - i) + 3
-        moves on slots lo + 2i + 1 .. lo + 2k - 1.  The up run U, F at each
-        odd offset s and I at each even one in 2i + 1 .. 2k - 4, leaves
-        x = (v_i, v_{k-1}) in front of the pair y y; F I F there turns x y y
-        into x z z, z = x y x; U undone then restores the cells it touched.
+        slot lo into (v_{k-1}, t) doubled, i < k - 1: run _climb(lo, i, k)."""
+        self.run(_climb(lo, i, k))
+
+    def lower(
+        self, lo: int, vertices: Sequence[int], i: int, j: int, end: int
+    ) -> None:
+        """Turn the pair (v_i, v_j), i < j, doubled behind the path cells at
+        slot lo into (v_0, v_1) doubled at gap end, 1 or behind the path, in
+        one checked run; the pair at gap g sits between cells g - 1 and g.
+
+        Going down, it crosses each cell below j but cell i, which lowers
+        one of its points, and passes cell i, which it equals by then, for
+        free.  To park, it goes down to gap 1 as (v_1, v_{i+1}), or (v_0,
+        v_1) when i = 0, and a climb by cell 0 and a mirrored climb by (v_1,
+        v_{i+1}) finish it.  Behind the path, for i <= 1 it goes down to gap
+        2, where a climb by (v_{1-i}, v_2) finishes it; for i >= 2, down to
+        gap i + 1, where a climb by (v_0, v_i), a swap up and a climb by
+        (v_1, v_{i+1}) finish it.  Then it swaps back up.
         """
-        top = lo + 2 * k - 3
-        # codes 2s and 2s + 3 are F@s and I@(s + 1); code c ^ 1 undoes c
-        up = [c for s in range(lo + 2 * i + 1, top, 2) for c in (2 * s, 2 * s + 3)]
-        self.run([*up, 2 * top, 2 * top + 3, 2 * top, *[c ^ 1 for c in up[::-1]]])
+        n = len(vertices) - 1
+
+        def swaps(cells: Sequence[int]) -> list[int]:
+            return [2 * (lo + 2 * c) + r for c in cells for r in _SWAP]
+
+        g = 1 if end == 1 else 2 if i < 2 else i + 1  # where the descent ends
+        codes = [
+            2 * (lo + 2 * c) + r
+            for c in range(n - 1, g - 1, -1)
+            if c != i
+            for r in (_CROSS_LEFT if c < j else _SWAP)
+        ]
+        if end == 1:
+            if i:
+                codes += _climb(lo, 0, 2) + _climb_down(lo + 2, i + 1)
+        elif i < 2:
+            codes += _climb(lo, 1 - i, 3) + swaps(range(2, n))
+        else:
+            codes += _climb(lo, 0, i + 1) + swaps([i]) + _climb(lo, 1, i + 2)
+            codes += swaps(range(i + 1, n))
+        self.run(codes)
+        cells = [(vertices[c], vertices[c + 1]) for c in range(n)]
+        cells.insert(end, cells[0])
+        self._check("tail", lo, cells, f"the path cells with {cells[0]} at gap {end}")
 
     # -- the pull rewrite ---------------------------------------------------
 
@@ -505,27 +499,18 @@ class _Planner:
         factorization.  Cell k - 1 is two checked pulls of (v_i, v_k), v_i
         the nearest spanned vertex, and a checked climb of 4(k - 2 - i) + 3.
         """
-        f = self.factors
         _leftover(vertices, hi - lo, self._fail)
         for k in range(1, len(vertices)):
             t = vertices[k]
             p = lo + 2 * k  # the pulled pair goes to slots p - 2 and p - 1
             vs = self.pull(p - 2, hi, vertices[:k], t)
             self.pull(p - 1, hi, (vs,), t)
-            if f[p - 2 : p] != [(vs, t)] * 2:
-                raise self._fail(
-                    "path", f"slots [{p - 2},{p}) do not hold {(vs, t)} twice"
-                )
+            self._check("path", p - 2, [(vs, t)], f"{(vs, t)} twice")
             i = vertices.index(vs)
             if i < k - 1:
                 self.climb(lo, i, k)
-            q = lo + 2 * i
             cells = [(vertices[c], vertices[c + 1]) for c in range(i, k)]
-            if f[q:p:2] != cells or f[q + 1 : p : 2] != cells:
-                raise self._fail(
-                    "climb",
-                    f"slots [{q},{p}) do not hold path cells {i}..{k - 1} twice",
-                )
+            self._check("climb", lo + 2 * i, cells, f"path cells {i}..{k - 1} twice")
 
     def _normalize_tail(
         self, lo: int, hi: int, vertices: Sequence[int]
@@ -535,23 +520,22 @@ class _Planner:
         Every leftover pair takes one path.  Once everything behind the path
         is a (v0, v1) copy, those copies stay where they are and the stage
         ends, so a tail that is already canonical costs nothing.  Otherwise
-        the first factor behind the path is doubled by a pull, and the pair
-        is walked down to (v0, v1), one rewrite per path cell it is
-        conjugated by (none when it already is (v0, v1)).  The walk parks
-        the pair in front of path cell 1; at the end the parked block moves
-        behind the path once, 4(l - 2) moves per parked pair, l being the
-        number of vertices.  No pair pays for the pairs finished before it,
-        so for a fixed degree the tail grows linearly in m.  A (v0, v1) pair
-        met before the last other factor costs 8(l - 2): its swap in front
-        of path cell 1 plus the block move.  The pair after which only
-        (v0, v1) copies remain walks straight behind the path, 4(l - 2)
-        moves fewer than parking it.
+        the first factor behind the path, (v_i, v_j), is doubled by a pull,
+        and lower turns the pair into (v0, v1) parked in front of path cell
+        1: 4(l - 2) moves when i = 0 and 4(l - 2) + 4i - 2 otherwise, l
+        being the number of vertices.  At the end the parked block moves
+        behind the path once, 4(l - 2) moves per parked pair.  No pair pays
+        for the pairs finished before it, so for a fixed degree the tail
+        grows linearly in m.  The pair after which only (v0, v1) copies
+        remain is lowered straight behind the path, in 8(l - 3) + 4i + 3
+        moves for i <= 1 and 8(l - 3) + 10 for i >= 2, fewer than parking it
+        costs; when it is (v0, v1) itself it costs nothing.
         """
         f = self.factors
         v01 = (vertices[0], vertices[1])
-        path_cells = len(vertices) - 1
+        n = len(vertices) - 1  # path cells
         parked = 0  # finished pairs between path cells 0 and 1
-        u0 = lo + 2 * path_cells  # the first slot behind the path
+        u0 = lo + 2 * n  # the first slot behind the path
         done = not any(map(v01.__ne__, f[u0:hi]))
         while not done:
             factor = f[u0]
@@ -565,31 +549,29 @@ class _Planner:
                 raise self._fail(
                     "tail", f"slot {u0 + 1} does not double {factor} at slot {u0}"
                 )
-            # the walk touches only slots left of u0 + 2, so when this pair
-            # is not the last, the next one needs no fresh check; the scan
+            # lower touches only slots left of u0 + 2, so when this pair is
+            # not the last, the next one needs no fresh check; the scan
             # stops at the first other factor and copies nothing
             done = all(f[k] == v01 for k in range(u0 + 2, hi))
-            i, j = vertices.index(a), vertices.index(b)
-            # lower the far endpoint until the pair spans (v_i, v_{i+1}),
-            # then cascade both endpoints down to (v_0, v_1)
-            steps = [
-                (c, (vertices[i], vertices[c])) for c in range(j - 1, i, -1)
-            ]
-            for t in range(i, 0, -1):
-                steps.append((t - 1, (vertices[t - 1], vertices[t + 1])))
-                steps.append((t, (vertices[t - 1], vertices[t])))
-            # seen from the walk, path cell 0 is the last (v0, v1) copy in
-            # front of path cell 1
-            self.walk_pair(
-                lo + 2 * parked, path_cells, steps, path_cells if done else 1
-            )
+            if not done or factor != v01:
+                # seen from lower, path cell 0 is the last (v0, v1) copy in
+                # front of path cell 1
+                i, j = vertices.index(a), vertices.index(b)
+                self.lower(lo + 2 * parked, vertices, i, j, n if done else 1)
             if not done:
                 parked += 1
                 u0 += 2
-        # each parked pair, the last first, walks without steps past path
-        # cells 1 .. l - 2
-        for q in range(parked, 0, -1):
-            self.walk_pair(lo + 2 * q, 0, (), path_cells - 1)
+        if parked:
+            # each parked pair, the last first, swaps past path cells 1 .. l - 2
+            self.run([
+                2 * s + r
+                for q in range(parked, 0, -1)
+                for s in range(lo + 2 * q, lo + 2 * (q + n - 1), 2)
+                for r in _SWAP
+            ])
+            cells = [(vertices[c], vertices[c + 1]) for c in range(n)]
+            cells += [v01] * parked
+            self._check("tail", lo, cells, "the path, then the parked pairs")
 
 
 def pull_edge_to_front(
@@ -647,7 +629,10 @@ def canonical_form(factorization: Factorization) -> CanonicalResult:
     The certificate replays the input to the output exactly.  The result is
     cross-checked against the shape computed directly from the signature; a
     mismatch means a planner bug and raises an internal error rather than
-    being corrected silently.
+    being corrected silently.  The whole certificate is held in memory and
+    returned, and its length can grow as the square of the input's: m / 2
+    identities interleaved with m / 2 copies of one transposition take
+    about m^2 / 8 moves.
 
     >>> f = Factorization(3, [(2, 3), (2, 3), (1, 2), (1, 2)])
     >>> canonical_form(f).canonical.factors

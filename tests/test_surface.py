@@ -194,6 +194,73 @@ def test_only_the_move_maker_constructs_moves():
     assert calls == []
 
 
+_LIST_MUTATORS = {"append", "extend", "insert", "pop", "remove", "clear", "sort", "reverse"}
+
+
+def test_only_the_planner_run_changes_the_factors():
+    """In ``canonical.py`` only ``_Planner.run`` calls ``_replay``, and no
+    code assigns into a planner's factor list, rebinds it outside
+    ``_Planner.__init__`` or calls a list method that changes it; a name
+    bound to ``<expr>.factors`` in a function counts as the list there.  So
+    the planner's log is exactly the moves that shaped its factors."""
+    path = Path(hurwitz.__file__).resolve().parent / "canonical.py"
+    found = []
+    stack = [(ast.parse(path.read_text(), str(path)), (), frozenset())]
+    while stack:  # (node, the classes and functions it is in, list aliases)
+        node, where, aliases = stack.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            where += (node.name,)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            aliases |= {
+                target.id
+                for n in ast.walk(node)
+                if isinstance(n, ast.Assign)
+                and isinstance(n.value, ast.Attribute)
+                and n.value.attr == "factors"
+                for target in n.targets
+                if isinstance(target, ast.Name)
+            }
+
+        def is_list(expr):
+            return (
+                isinstance(expr, ast.Attribute) and expr.attr == "factors"
+                or isinstance(expr, ast.Name) and expr.id in aliases
+            )
+
+        here = f"{'.'.join(where)}:{getattr(node, 'lineno', 0)}"
+        callee = getattr(node, "func", None)
+        if isinstance(node, ast.Call) and "_replay" in (
+            getattr(callee, "id", None),
+            getattr(callee, "attr", None),
+        ):
+            if where[-2:] != ("_Planner", "run"):
+                found.append(f"{here} calls _replay")
+        elif isinstance(node, ast.Call) and getattr(callee, "attr", None) in _LIST_MUTATORS:
+            if is_list(callee.value):
+                found.append(f"{here} calls {callee.attr} on the factors")
+        targets = []
+        if isinstance(node, (ast.Assign, ast.Delete)):
+            targets = list(node.targets)
+        elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+            targets = [node.target]
+        while targets:
+            t = targets.pop()
+            if isinstance(t, (ast.Tuple, ast.List)):
+                targets += t.elts
+            elif isinstance(t, ast.Starred):
+                targets.append(t.value)
+            elif (
+                isinstance(t, ast.Subscript) and is_list(t.value)
+                or isinstance(node, ast.AugAssign) and is_list(t)
+                or isinstance(t, ast.Attribute)
+                and t.attr == "factors"
+                and where[-2:] != ("_Planner", "__init__")
+            ):
+                found.append(f"{here} writes the factors")
+        stack.extend((child, where, aliases) for child in ast.iter_child_nodes(node))
+    assert found == []
+
+
 def test_no_module_imports_a_name_it_never_mentions():
     """Each name a module of the package imports appears again in its own
     text, code, comments and doctests included: an import nothing reads is
